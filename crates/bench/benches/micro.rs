@@ -6,7 +6,8 @@ use std::hint::black_box;
 use std::time::Instant;
 use tabbin_core::batch::BatchEncoder;
 use tabbin_core::config::{ModelConfig, SegmentKind};
-use tabbin_core::encoding::encode_segment;
+use tabbin_core::encoding::{encode_segment, encode_text};
+use tabbin_core::infer::{embed_profiled, embed_with_into, InferScratch, Stage, StageProbe};
 use tabbin_core::model::TabBiNModel;
 use tabbin_core::variants::train_tokenizer;
 use tabbin_core::variants::TabBiNFamily;
@@ -86,12 +87,118 @@ fn bench_lsh(c: &mut Criterion) {
     });
 }
 
+/// Accumulates the wall time between stage boundaries of the forward pass.
+struct StageClock {
+    last: Instant,
+    nanos: [u128; Stage::ALL.len()],
+}
+
+impl StageProbe for StageClock {
+    fn done(&mut self, stage: Stage) {
+        let now = Instant::now();
+        self.nanos[stage as usize] += (now - self.last).as_nanos();
+        self.last = now;
+    }
+}
+
+/// Where one table's inference time goes: the fused forward pass over the
+/// four sequences of a table embedding (data rows, HMD, VMD, caption), at
+/// the sequence-length mix of the five dataset profiles in equal shares,
+/// `ModelConfig::tiny()`. Times the pass whole (`embed_with_into`) and stage
+/// by stage (`embed_profiled` with a clock as the probe; its ~50 clock
+/// reads per table are in the stage figures, not in the total), best of
+/// seven sweeps each, and returns the `infer_stages` object of
+/// `BENCH_embed.json`.
+fn bench_infer_stages(c: &mut Criterion) -> String {
+    const PER_PROFILE: usize = 400;
+    let tables: Vec<_> = Dataset::ALL
+        .into_iter()
+        .flat_map(|ds| {
+            generate(ds, &GenOptions { n_tables: Some(PER_PROFILE), seed: 3 }).plain_tables()
+        })
+        .collect();
+    // A vocabulary from 200 tables, as a deployment would have: the rest of
+    // the corpus brings out-of-vocabulary words and their longer sequences.
+    let family = TabBiNFamily::new(&tables[..200], ModelConfig::tiny(), 3);
+    let (tok, tagger, cfg) = (&family.tokenizer, &family.tagger, &family.cfg);
+    let work: Vec<_> = tables
+        .iter()
+        .flat_map(|t| {
+            [
+                (&family.row, encode_segment(t, SegmentKind::DataRow, tok, tagger, cfg)),
+                (&family.hmd, encode_segment(t, SegmentKind::Hmd, tok, tagger, cfg)),
+                (&family.vmd, encode_segment(t, SegmentKind::Vmd, tok, tagger, cfg)),
+                (&family.row, encode_text(&t.caption, tok, tagger, cfg)),
+            ]
+        })
+        .collect();
+    let n = tables.len() as f64;
+    let tokens = work.iter().map(|(_, s)| s.len()).sum::<usize>() as f64 / n;
+
+    let mut scratch = InferScratch::new();
+    let mut out = vec![0.0f32; cfg.hidden];
+    let sweep = |scratch: &mut InferScratch, out: &mut [f32]| {
+        for (model, seq) in &work {
+            embed_with_into(model, seq, scratch, out);
+            black_box(&*out);
+        }
+    };
+    let mut whole = f64::INFINITY;
+    let mut stages = [u128::MAX; Stage::ALL.len()];
+    for _ in 0..7 {
+        let start = Instant::now();
+        sweep(&mut scratch, &mut out);
+        whole = whole.min(start.elapsed().as_secs_f64() * 1e6 / n);
+
+        let mut clock = StageClock { last: Instant::now(), nanos: [0; Stage::ALL.len()] };
+        for (model, seq) in &work {
+            clock.last = Instant::now();
+            embed_profiled(model, seq, &mut scratch, &mut out, &mut clock);
+        }
+        for (best, took) in stages.iter_mut().zip(clock.nanos) {
+            *best = (*best).min(took);
+        }
+    }
+    let fields: Vec<String> = Stage::ALL
+        .iter()
+        .zip(stages)
+        .map(|(stage, nanos)| {
+            let name = match stage {
+                Stage::EmbedTokens => "embed_tokens",
+                Stage::VisibilityMask => "visibility_mask",
+                Stage::Linears => "linears_and_block_norms",
+                Stage::AttnScores => "attn_scores_softmax",
+                Stage::AttnContext => "attn_context",
+                Stage::Gelu => "gelu",
+                Stage::Pool => "pool",
+            };
+            format!("\"{name}\": {:.2}", nanos as f64 / 1e3 / n)
+        })
+        .collect();
+    println!(
+        "infer_stages: {tokens:.1} tokens/table, embed_with {whole:.2} us/table; {}",
+        fields.join(", ")
+    );
+
+    let mut g = c.benchmark_group("infer_stages");
+    g.bench_function("embed_with_2000_tables", |b| b.iter(|| sweep(&mut scratch, &mut out)));
+    g.finish();
+
+    format!(
+        "{{\n    \"tables\": {},\n    \"tokens_per_table\": {tokens:.1},\n    \
+         \"embed_with_us_per_table\": {whole:.2},\n    \"stage_us_per_table\": {{ {} }}\n  }}",
+        tables.len(),
+        fields.join(", ")
+    )
+}
+
 /// Single-table loop vs. the batched pipeline on a 64-table batch at
 /// `ModelConfig::tiny()` — the workspace's headline scaling measurement.
 ///
 /// Besides the criterion samples, this writes `BENCH_embed.json` at the
-/// workspace root (tables/sec for both paths plus the speedup) so successive
-/// PRs accumulate a perf trajectory.
+/// workspace root (tables/sec for both paths plus the speedup, and the
+/// [`bench_infer_stages`] attribution) so successive PRs accumulate a perf
+/// trajectory.
 fn bench_embed_batch(c: &mut Criterion) {
     const BATCH: usize = 64;
     let corpus = generate(Dataset::CancerKg, &GenOptions { n_tables: Some(BATCH), seed: 5 });
@@ -135,7 +242,9 @@ fn bench_embed_batch(c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"embed_table\",\n  \"config\": \"ModelConfig::tiny\",\n  \
          \"batch_size\": {BATCH},\n  \"single_tables_per_sec\": {single_s},\n  \
-         \"batched_tables_per_sec\": {batched_s},\n  \"speedup\": {speedup_s}\n}}\n"
+         \"batched_tables_per_sec\": {batched_s},\n  \"speedup\": {speedup_s},\n  \
+         \"infer_stages\": {}\n}}\n",
+        bench_infer_stages(c)
     );
     // Prefer the workspace root; fall back to the working directory (and a
     // warning) so a relocated bench binary still reports instead of dying.

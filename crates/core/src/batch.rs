@@ -11,19 +11,20 @@
 //!   kernel's scratch buffers (see [`crate::infer`]) are cleared and reused
 //!   between calls instead of reallocated.
 //! * [`BatchEncoder`] — encodes and embeds **many** tables/columns/entities
-//!   in one pass per segment model, and dispatches batches past
-//!   [`PARALLEL_BATCH_THRESHOLD`] row-parallel across worker threads with
-//!   `crossbeam` (each worker owns its own arena; the model is shared
-//!   read-only).
+//!   through that kernel, each composite written in place, and dispatches
+//!   batches past [`PARALLEL_BATCH_THRESHOLD`] row-parallel across worker
+//!   threads with `crossbeam` (each worker owns its own arena; the models
+//!   are shared read-only).
 //!
 //! Batched outputs agree with the per-table loop elementwise to within 1e-5
 //! (the fused kernel sums floats in a slightly different order than the
-//! tape), so callers can switch paths freely; a property test in
-//! `tests/prop_batch.rs` pins the bound.
+//! tape), so callers can switch paths freely, and an embedding does not
+//! depend on what else is in its batch, bit for bit; property tests in
+//! `tests/prop_batch.rs` pin both.
 
 use crate::config::SegmentKind;
 use crate::encoding::{encode_column, encode_segment, encode_text, EncodedSequence};
-use crate::infer::{embed_with, InferScratch};
+use crate::infer::{embed_with, embed_with_into, InferScratch};
 use crate::model::TabBiNModel;
 use crate::variants::TabBiNFamily;
 use tabbin_index::VectorSink;
@@ -77,14 +78,6 @@ pub fn embed_batch_parallel(model: &TabBiNModel, seqs: &[&EncodedSequence]) -> V
     })
 }
 
-/// Per-table encoded segments feeding the composite table embedding.
-struct TableSegments {
-    caption: EncodedSequence,
-    data: EncodedSequence,
-    hmd: EncodedSequence,
-    vmd: EncodedSequence,
-}
-
 /// Batched encoder over a [`TabBiNFamily`]: the bulk-embedding surface of
 /// the workspace.
 pub struct BatchEncoder<'a> {
@@ -97,23 +90,10 @@ impl<'a> BatchEncoder<'a> {
         Self { family }
     }
 
-    /// Encodes all four segments of every table (parallel across tables for
-    /// large batches — encoding is pure).
-    fn encode_tables(&self, tables: &[&Table]) -> Vec<TableSegments> {
-        let fam = self.family;
-        let encode_one = |t: &&Table| TableSegments {
-            caption: encode_text(&t.caption, &fam.tokenizer, &fam.tagger, &fam.cfg),
-            data: encode_segment(t, SegmentKind::DataRow, &fam.tokenizer, &fam.tagger, &fam.cfg),
-            hmd: encode_segment(t, SegmentKind::Hmd, &fam.tokenizer, &fam.tagger, &fam.cfg),
-            vmd: encode_segment(t, SegmentKind::Vmd, &fam.tokenizer, &fam.tagger, &fam.cfg),
-        };
-        par_chunk_map(tables, |part| part.iter().map(encode_one).collect())
-    }
-
     /// Composite table embeddings (`tblcomp2` = data ⊕ HMD ⊕ VMD ⊕ caption)
     /// for a whole batch of tables. Elementwise equal to calling
-    /// [`TabBiNFamily::embed_table`] per table, but each segment model's
-    /// parameters are placed once per worker instead of four times per table.
+    /// [`TabBiNFamily::embed_table`] per table, without a tape and without
+    /// an allocation per segment.
     pub fn embed_tables(&self, tables: &[Table]) -> Vec<Vec<f32>> {
         let refs: Vec<&Table> = tables.iter().collect();
         self.embed_table_refs(&refs)
@@ -122,35 +102,33 @@ impl<'a> BatchEncoder<'a> {
     /// [`BatchEncoder::embed_tables`] over borrowed tables — the shape
     /// evaluation harnesses naturally hold after filtering a corpus.
     pub fn embed_table_refs(&self, tables: &[&Table]) -> Vec<Vec<f32>> {
-        let segments = self.encode_tables(tables);
         let fam = self.family;
-
-        // Row model consumes data rows and captions; batch them together.
-        let mut row_in: Vec<&EncodedSequence> = Vec::with_capacity(2 * segments.len());
-        row_in.extend(segments.iter().map(|s| &s.data));
-        row_in.extend(segments.iter().map(|s| &s.caption));
-        let row_out = embed_batch_parallel(&fam.row, &row_in);
-        let (data_out, caption_out) = row_out.split_at(segments.len());
-
-        let hmd_in: Vec<&EncodedSequence> = segments.iter().map(|s| &s.hmd).collect();
-        let hmd_out = embed_batch_parallel(&fam.hmd, &hmd_in);
-        let vmd_in: Vec<&EncodedSequence> = segments.iter().map(|s| &s.vmd).collect();
-        let vmd_out = embed_batch_parallel(&fam.vmd, &vmd_in);
-
-        (0..segments.len())
-            .map(|i| {
-                crate::composite::concat(&[
-                    data_out[i].clone(),
-                    hmd_out[i].clone(),
-                    vmd_out[i].clone(),
-                    caption_out[i].clone(),
-                ])
-            })
-            .collect()
+        let (tok, tagger, cfg) = (&fam.tokenizer, &fam.tagger, &fam.cfg);
+        let h = cfg.hidden;
+        // Each worker encodes and embeds its tables one at a time, the four
+        // segment embeddings landing side by side in the table's composite.
+        par_chunk_map(tables, |part| {
+            let mut scratch = InferScratch::new();
+            part.iter()
+                .map(|t| {
+                    let segments = [
+                        (&fam.row, encode_segment(t, SegmentKind::DataRow, tok, tagger, cfg)),
+                        (&fam.hmd, encode_segment(t, SegmentKind::Hmd, tok, tagger, cfg)),
+                        (&fam.vmd, encode_segment(t, SegmentKind::Vmd, tok, tagger, cfg)),
+                        (&fam.row, encode_text(&t.caption, tok, tagger, cfg)),
+                    ];
+                    let mut composite = vec![0.0; segments.len() * h];
+                    for ((model, seq), out) in segments.iter().zip(composite.chunks_exact_mut(h)) {
+                        embed_with_into(model, seq, &mut scratch, out);
+                    }
+                    composite
+                })
+                .collect()
+        })
     }
 
     /// `colcomp` embeddings (attribute ⊕ column data) for **every** column of
-    /// `table`, batched per segment model. Elementwise equal to calling
+    /// `table`, in one batch. Elementwise equal to calling
     /// [`TabBiNFamily::embed_colcomp`] per column.
     pub fn embed_columns(&self, table: &Table) -> Vec<Vec<f32>> {
         let all: Vec<usize> = (0..table.n_cols()).collect();
@@ -163,30 +141,27 @@ impl<'a> BatchEncoder<'a> {
     /// rest just to discard it is wasted work.
     pub fn embed_columns_subset(&self, table: &Table, cols: &[usize]) -> Vec<Vec<f32>> {
         let fam = self.family;
+        let (tok, tagger, cfg) = (&fam.tokenizer, &fam.tagger, &fam.cfg);
+        let h = cfg.hidden;
         let paths = table.hmd.leaf_label_paths();
-        let attr_seqs: Vec<EncodedSequence> = cols
-            .iter()
-            .map(|&j| {
-                let text = match paths.get(j) {
-                    Some(p) => p.join(" "),
-                    None => format!("column {j}"),
-                };
-                encode_text(&text, &fam.tokenizer, &fam.tagger, &fam.cfg)
-            })
-            .collect();
-        let col_seqs: Vec<EncodedSequence> = cols
-            .iter()
-            .map(|&j| encode_column(table, j, &fam.tokenizer, &fam.tagger, &fam.cfg))
-            .collect();
-
-        let attr_refs: Vec<&EncodedSequence> = attr_seqs.iter().collect();
-        let col_refs: Vec<&EncodedSequence> = col_seqs.iter().collect();
-        let attr_out = embed_batch_parallel(&fam.hmd, &attr_refs);
-        let col_out = embed_batch_parallel(&fam.col, &col_refs);
-
-        (0..cols.len())
-            .map(|j| crate::composite::concat(&[attr_out[j].clone(), col_out[j].clone()]))
-            .collect()
+        par_chunk_map(cols, |part| {
+            let mut scratch = InferScratch::new();
+            part.iter()
+                .map(|&j| {
+                    let attr = match paths.get(j) {
+                        Some(p) => p.join(" "),
+                        None => format!("column {j}"),
+                    };
+                    let mut composite = vec![0.0; 2 * h];
+                    let (attr_out, col_out) = composite.split_at_mut(h);
+                    let seq = encode_text(&attr, tok, tagger, cfg);
+                    embed_with_into(&fam.hmd, &seq, &mut scratch, attr_out);
+                    let seq = encode_column(table, j, tok, tagger, cfg);
+                    embed_with_into(&fam.col, &seq, &mut scratch, col_out);
+                    composite
+                })
+                .collect()
+        })
     }
 
     /// Embeds `tables` through the batched pipeline and streams the

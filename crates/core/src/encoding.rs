@@ -9,7 +9,7 @@
 //! (§3.3).
 
 use crate::config::{ModelConfig, SegmentKind};
-use tabbin_table::coords::assign_coordinates;
+use tabbin_table::coords::{assign_coordinates, BiCoord, TableCoordinates};
 use tabbin_table::visibility::{visibility_matrix, SeqItem};
 use tabbin_table::{CellValue, MetaNode, MetaTree, Table};
 use tabbin_tokenizer::{Piece, SpecialToken, Tokenizer};
@@ -121,9 +121,10 @@ pub fn encode_column(
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(0, j as u32);
     for i in 0..table.n_rows() {
-        let coord = coords.data_coord(i, j).cloned().unwrap_or_default();
-        b.cell(table.data.get(i, j), coord.tpos_indices(), i as u32, j as u32);
-        b.sep(i as u32, j as u32);
+        if b.full() {
+            break;
+        }
+        b.data_cell(table, &coords, i, j);
     }
     b.finish()
 }
@@ -140,9 +141,10 @@ pub fn encode_row(
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(i as u32, 0);
     for j in 0..table.n_cols() {
-        let coord = coords.data_coord(i, j).cloned().unwrap_or_default();
-        b.cell(table.data.get(i, j), coord.tpos_indices(), i as u32, j as u32);
-        b.sep(i as u32, j as u32);
+        if b.full() {
+            break;
+        }
+        b.data_cell(table, &coords, i, j);
     }
     b.finish()
 }
@@ -156,7 +158,7 @@ pub fn encode_text(
 ) -> EncodedSequence {
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(0, 0);
-    b.cell(&CellValue::text(text), [0; 6], 0, 0);
+    b.text_cell(text, [0; 6], 0, 0);
     b.finish()
 }
 
@@ -171,14 +173,17 @@ fn encode_data(
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     let (outer, inner) =
         if row_major { (table.n_rows(), table.n_cols()) } else { (table.n_cols(), table.n_rows()) };
-    for a in 0..outer {
+    // Once the builder is full every further call is a no-op, so stop
+    // walking cells (and looking their coordinates up) right there.
+    'walk: for a in 0..outer {
         let (r0, c0) = if row_major { (a, 0) } else { (0, a) };
         b.cls(r0 as u32, c0 as u32);
         for bidx in 0..inner {
+            if b.full() {
+                break 'walk;
+            }
             let (i, j) = if row_major { (a, bidx) } else { (bidx, a) };
-            let coord = coords.data_coord(i, j).cloned().unwrap_or_default();
-            b.cell(table.data.get(i, j), coord.tpos_indices(), i as u32, j as u32);
-            b.sep(i as u32, j as u32);
+            b.data_cell(table, &coords, i, j);
         }
     }
     b.finish()
@@ -193,53 +198,52 @@ fn encode_metadata(
 ) -> EncodedSequence {
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(0, 0);
-    let mut nodes = Vec::new();
     let mut path = Vec::new();
     let mut leaf_counter = 0usize;
     for (i, root) in tree.roots.iter().enumerate() {
         path.push(i as u16 + 1);
-        collect_meta(root, &mut path, 0, &mut leaf_counter, &mut nodes);
+        encode_meta_node(&mut b, root, horizontal, &mut path, 0, &mut leaf_counter);
         path.pop();
-    }
-    for (label, npath, depth, first_leaf) in nodes {
-        // Horizontal metadata lives in rows (depth = which header row) and
-        // spans columns; vertical metadata transposes that.
-        let (row, col) = if horizontal {
-            (depth as u32, first_leaf as u32)
-        } else {
-            (first_leaf as u32, depth as u32)
-        };
-        let (first, last) = match npath.as_slice() {
-            [] => (0, 0),
-            [only] => (*only, *only),
-            [f, .., l] => (*f, *l),
-        };
-        // Metadata's own axis carries the tree path; the cross axis is empty.
-        let tpos: [u16; 6] =
-            if horizontal { [0, 0, first, last, 0, 0] } else { [first, last, 0, 0, 0, 0] };
-        b.cell(&CellValue::text(label.clone()), tpos, row, col);
-        b.sep(row, col);
     }
     b.finish()
 }
 
-#[allow(clippy::type_complexity)]
-fn collect_meta(
+/// Appends `node`'s label, then its subtree, depth first. `path` is the
+/// 1-based child index at every level down to `node`; `leaf_counter` counts
+/// the leaves already passed, so it is the node's first leaf.
+fn encode_meta_node(
+    b: &mut SeqBuilder<'_>,
     node: &MetaNode,
+    horizontal: bool,
     path: &mut Vec<u16>,
     depth: usize,
     leaf_counter: &mut usize,
-    out: &mut Vec<(String, Vec<u16>, usize, usize)>,
 ) {
     let first_leaf = *leaf_counter;
-    out.push((node.label.clone(), path.clone(), depth, first_leaf));
+    // Horizontal metadata lives in rows (depth = which header row) and
+    // spans columns; vertical metadata transposes that.
+    let (row, col) = if horizontal {
+        (depth as u32, first_leaf as u32)
+    } else {
+        (first_leaf as u32, depth as u32)
+    };
+    let (first, last) = match path.as_slice() {
+        [] => (0, 0),
+        [only] => (*only, *only),
+        [f, .., l] => (*f, *l),
+    };
+    // Metadata's own axis carries the tree path; the cross axis is empty.
+    let tpos: [u16; 6] =
+        if horizontal { [0, 0, first, last, 0, 0] } else { [first, last, 0, 0, 0, 0] };
+    b.text_cell(&node.label, tpos, row, col);
+    b.sep(row, col);
     if node.children.is_empty() {
         *leaf_counter += 1;
         return;
     }
     for (i, child) in node.children.iter().enumerate() {
         path.push(i as u16 + 1);
-        collect_meta(child, path, depth + 1, leaf_counter, out);
+        encode_meta_node(b, child, horizontal, path, depth + 1, leaf_counter);
         path.pop();
     }
 }
@@ -269,11 +273,13 @@ struct SeqBuilder<'a> {
     cfg: &'a ModelConfig,
     tokens: Vec<EncodedToken>,
     n_cells: usize,
+    /// The tokenizer's output for the text in hand, reused across cells.
+    pieces: Vec<Piece>,
 }
 
 impl<'a> SeqBuilder<'a> {
     fn new(tok: &'a Tokenizer, tagger: &'a TypeTagger, cfg: &'a ModelConfig) -> Self {
-        Self { tok, tagger, cfg, tokens: Vec::new(), n_cells: 0 }
+        Self { tok, tagger, cfg, tokens: Vec::new(), n_cells: 0, pieces: Vec::new() }
     }
 
     fn full(&self) -> bool {
@@ -306,8 +312,30 @@ impl<'a> SeqBuilder<'a> {
         self.special(SpecialToken::Sep, row, col);
     }
 
+    /// Appends data cell `(i, j)` of `table` and its `[SEP]`.
+    fn data_cell(&mut self, table: &Table, coords: &TableCoordinates, i: usize, j: usize) {
+        let tpos = coords.data_coord(i, j).map_or([0; 6], BiCoord::tpos_indices);
+        self.cell(table.data.get(i, j), tpos, i as u32, j as u32);
+        self.sep(i as u32, j as u32);
+    }
+
+    /// Appends all tokens of one text cell: a metadata label, a caption, a
+    /// `CellValue::Text`.
+    fn text_cell(&mut self, text: &str, tpos: [u16; 6], row: u32, col: u32) {
+        if self.full() {
+            return;
+        }
+        let cell_id = self.n_cells;
+        self.n_cells += 1;
+        let sem = self.tagger.tag(text).index();
+        self.push_text_tokens(text, tpos, row, col, cell_id, sem, [false; 8], &mut 0);
+    }
+
     /// Appends all tokens of one cell (recursing into nested tables).
     fn cell(&mut self, cell: &CellValue, tpos: [u16; 6], row: u32, col: u32) {
+        if let CellValue::Text(text) = cell {
+            return self.text_cell(text, tpos, row, col);
+        }
         if self.full() {
             return;
         }
@@ -315,13 +343,13 @@ impl<'a> SeqBuilder<'a> {
         self.n_cells += 1;
         let sem = cell_sem_type(cell, self.tagger).index();
         let bits = cell.feature_bits();
+        let mut pos = 0usize;
         match cell {
             CellValue::Nested(inner) => {
                 // Flatten the nested table: header labels on nested row 1,
                 // data cells below, all inheriting the host coordinate and
                 // visibility address (paper: nested position embedding with
                 // in-nested (x, y) starting at 1).
-                let mut pos = 0usize;
                 for (c, label) in inner.hmd.leaf_labels().iter().enumerate() {
                     let mut t = tpos;
                     t[4] = 1;
@@ -335,34 +363,22 @@ impl<'a> SeqBuilder<'a> {
                     let inner_sem = cell_sem_type(v, self.tagger).index();
                     let mut inner_bits = v.feature_bits();
                     inner_bits[7] = true; // still inside a nested cell
-                    self.push_value_tokens(
-                        v, t, row, col, cell_id, inner_sem, inner_bits, &mut pos,
+                    let text = v.render();
+                    self.push_text_tokens(
+                        &text, t, row, col, cell_id, inner_sem, inner_bits, &mut pos,
                     );
                 }
             }
             other => {
-                let mut pos = 0usize;
-                self.push_value_tokens(other, tpos, row, col, cell_id, sem, bits, &mut pos);
+                let text = other.render();
+                self.push_text_tokens(&text, tpos, row, col, cell_id, sem, bits, &mut pos);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn push_value_tokens(
-        &mut self,
-        cell: &CellValue,
-        tpos: [u16; 6],
-        row: u32,
-        col: u32,
-        cell_id: usize,
-        sem: usize,
-        bits: [bool; 8],
-        pos: &mut usize,
-    ) {
-        let text = cell.render();
-        self.push_text_tokens(&text, tpos, row, col, cell_id, sem, bits, pos);
-    }
-
+    /// Appends the tokens of `text` — at most what the cell (`pos` counts
+    /// its tokens so far) and the sequence still have room for, which is
+    /// also all that gets tokenized.
     #[allow(clippy::too_many_arguments)]
     fn push_text_tokens(
         &mut self,
@@ -375,27 +391,17 @@ impl<'a> SeqBuilder<'a> {
         bits: [bool; 8],
         pos: &mut usize,
     ) {
-        for piece in self.tok.encode(text) {
-            if self.full() || *pos >= self.cfg.max_cell_tokens {
-                return;
-            }
-            let (vocab_id, value) = match piece {
-                Piece::Word(id) => (id, None),
-                Piece::Value(v) => (SpecialToken::Val.id(), Some(v)),
-            };
-            let clamp = |x: u16| x.min(self.cfg.max_coord as u16 - 1);
+        let room = self.cfg.max_cell_tokens.saturating_sub(*pos);
+        let room = room.min(self.cfg.max_seq.saturating_sub(self.tokens.len()));
+        let max_coord = self.cfg.max_coord as u16 - 1;
+        self.pieces.clear();
+        self.tok.encode_into(text, room, &mut self.pieces);
+        for piece in self.pieces.iter().take(room) {
             self.tokens.push(EncodedToken {
-                vocab_id,
-                value,
+                vocab_id: piece.vocab_id(),
+                value: piece.value(),
                 cell_pos: *pos,
-                tpos: [
-                    clamp(tpos[0]),
-                    clamp(tpos[1]),
-                    clamp(tpos[2]),
-                    clamp(tpos[3]),
-                    clamp(tpos[4]),
-                    clamp(tpos[5]),
-                ],
+                tpos: tpos.map(|x| x.min(max_coord)),
                 sem_type: sem,
                 feat_bits: bits,
                 row,

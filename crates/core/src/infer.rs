@@ -1,4 +1,4 @@
-//! Tape-free inference kernels.
+//! Tape-free inference.
 //!
 //! [`crate::model::TabBiNModel::embed`] runs the forward pass on the autograd
 //! tape, which exists to support backpropagation: every op allocates an
@@ -9,29 +9,32 @@
 //!
 //! * parameters are **read in place** from the [`ParamStore`] — zero copies;
 //! * the six embedding components are summed in a single pass per token;
-//! * attention runs const-width specialized head kernels: score rows
-//!   accumulate as wide SAXPYs against a transposed K, the softmax `exp` is
-//!   an AVX2 polynomial where available, and the visibility mask seeds the
-//!   score rows branch-free;
+//! * the linears, the attention scores and the attention context all run
+//!   through one register-tiled kernel ([`kernels::gemm`]);
+//! * softmax, GELU and layer norm are 8-lane kernels on one polynomial
+//!   `exp` — no libm call anywhere in the pass;
+//! * the visibility mask is built from compact `row`/`col`/`special` arrays
+//!   and seeds the score accumulators branch-free;
 //! * every intermediate lives in an [`InferScratch`] buffer that is grown
 //!   — never reallocated — between sequences.
 //!
 //! The result agrees with the tape path elementwise to ~1e-6 (float
-//! summation order differs slightly; a property test pins the 1e-5 bound)
-//! at a fraction of the cost, which is what makes the batched embedding
-//! pipeline beat the per-table loop even on a single core.
+//! summation order differs slightly, and the tape's GELU calls libm `tanh`;
+//! a property test pins the 1e-5 bound) and is a pure function of the one
+//! sequence: batch composition, chunking and thread count cannot move a bit.
+
+pub mod kernels;
 
 use crate::encoding::EncodedSequence;
 use crate::model::TabBiNModel;
+use kernels::{HeadArgs, Native, Rows, LANES, MASK_NEG};
+use std::array::from_fn;
 use tabbin_table::NumericFeatures;
-use tabbin_tensor::ops::gelu_fwd;
-use tabbin_tensor::{ParamStore, Tensor};
-
-/// Additive mask value for invisible pairs (matches `nn::additive_mask`).
-const MASK_NEG: f32 = -1e9;
+use tabbin_tensor::nn::{LayerNorm, Linear};
+use tabbin_tensor::ParamStore;
 
 /// Reusable buffers for the no-tape forward pass. Steady-state embedding
-/// performs no heap allocation beyond the returned vectors.
+/// performs no heap allocation.
 #[derive(Default)]
 pub struct InferScratch {
     x: Vec<f32>,
@@ -40,9 +43,14 @@ pub struct InferScratch {
     k: Vec<f32>,
     v: Vec<f32>,
     kt: Vec<f32>,
+    vh: Vec<f32>,
     scores: Vec<f32>,
+    inv: Vec<f32>,
+    ctxh: Vec<f32>,
     ff: Vec<f32>,
     mask: Vec<f32>,
+    /// `[row | col | special]` of every token, gathered once per sequence.
+    addr: Vec<u32>,
 }
 
 impl InferScratch {
@@ -53,199 +61,57 @@ impl InferScratch {
 }
 
 /// Grows `buf` to at least `len` and returns the `len`-prefix. Contents are
-/// unspecified — every kernel below fully overwrites its output — so
-/// steady-state reuse skips the memset a `clear`+`resize` would pay.
-fn grab(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+/// unspecified — every kernel fully overwrites its output — so steady-state
+/// reuse skips the memset a `clear`+`resize` would pay.
+fn grab<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
     }
     &mut buf[..len]
 }
 
-/// Branch-free polynomial `exp` (Cephes-style `expf`, ≤2 ulp over the
-/// softmax range). Unlike the libm call it inlines and auto-vectorizes, so
-/// a whole attention row's worth of exponentials runs in SIMD lanes.
-/// Arguments at or below the f32 underflow cutoff return exactly 0.0 — the
-/// same value libm produces for masked (-1e9) attention scores.
-#[inline(always)]
-#[allow(clippy::excessive_precision)] // the Cephes ln2 split is exact in f32
-fn fast_exp(x: f32) -> f32 {
-    const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    const C1: f32 = 0.693_359_375; // ln 2, split high…
-    const C2: f32 = -2.121_944_4e-4; // …and low for exact range reduction
-    const CUTOFF: f32 = -87.0; // below this, expf underflows to 0
-    let keep = (x > CUTOFF) as u32 as f32;
-    let xc = x.max(CUTOFF);
-    // floor(x * log2(e) + 0.5), branchlessly.
-    let t = xc * LOG2EF + 0.5;
-    let mut zi = t as i32;
-    zi -= (zi as f32 > t) as i32;
-    let z = zi as f32;
-    let xr = xc - z * C1 - z * C2;
-    let mut p = 1.987_569_2e-4f32;
-    p = p * xr + 1.398_199_9e-3;
-    p = p * xr + 8.333_452e-3;
-    p = p * xr + 4.166_579_6e-2;
-    p = p * xr + 1.666_666_5e-1;
-    p = p * xr + 5.000_000_3e-1;
-    let poly = p * xr * xr + xr + 1.0;
-    let two_z = f32::from_bits(((zi + 127) << 23) as u32);
-    poly * two_z * keep
+/// The stages of the forward pass that the stage bench attributes time to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// The six-component embedding sum and its layer norm.
+    EmbedTokens,
+    /// Building the additive visibility mask.
+    VisibilityMask,
+    /// The six linears, the two block layer norms and the residual adds.
+    Linears,
+    /// Q·Kᵀ + mask, softmax.
+    AttnScores,
+    /// scores · V.
+    AttnContext,
+    /// The feed-forward activation.
+    Gelu,
+    /// Mean pool over non-special tokens.
+    Pool,
 }
 
-/// `row[i] = exp(row[i] - max)` over a whole attention row.
-///
-/// On x86-64 with AVX2+FMA (which `target-cpu=native` enables on any recent
-/// machine) this runs the polynomial 8 lanes at a time — LLVM does not
-/// auto-vectorize the scalar version because of the int/float bit juggling.
-/// Both paths evaluate the identical polynomial, so results match lane for
-/// lane.
-fn exp_row(row: &mut [f32], max: f32) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-    // SAFETY: the avx2/fma target features are statically enabled for this
-    // compilation (checked by the cfg above).
-    unsafe {
-        exp_row_avx2(row, max);
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma")))]
-    for v in row.iter_mut() {
-        *v = fast_exp(*v - max);
-    }
+impl Stage {
+    /// Every stage, in first-use order.
+    pub const ALL: [Stage; 7] = [
+        Stage::EmbedTokens,
+        Stage::VisibilityMask,
+        Stage::Linears,
+        Stage::AttnScores,
+        Stage::AttnContext,
+        Stage::Gelu,
+        Stage::Pool,
+    ];
 }
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::excessive_precision)] // the Cephes ln2 split is exact in f32
-unsafe fn exp_row_avx2(row: &mut [f32], max: f32) {
-    use std::arch::x86_64::*;
-    const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    const C1: f32 = 0.693_359_375;
-    const C2: f32 = -2.121_944_4e-4;
-    const CUTOFF: f32 = -87.0;
-    unsafe {
-        let vmax = _mm256_set1_ps(max);
-        let vcut = _mm256_set1_ps(CUTOFF);
-        let vlog2e = _mm256_set1_ps(LOG2EF);
-        let vhalf = _mm256_set1_ps(0.5);
-        let vc1 = _mm256_set1_ps(C1);
-        let vc2 = _mm256_set1_ps(C2);
-        let vone = _mm256_set1_ps(1.0);
-        let bias = _mm256_set1_epi32(127);
-        let coeffs = [
-            _mm256_set1_ps(1.398_199_9e-3),
-            _mm256_set1_ps(8.333_452e-3),
-            _mm256_set1_ps(4.166_579_6e-2),
-            _mm256_set1_ps(1.666_666_5e-1),
-            _mm256_set1_ps(5.000_000_3e-1),
-        ];
-        let c0 = _mm256_set1_ps(1.987_569_2e-4);
-        let mut chunks = row.chunks_exact_mut(8);
-        for c in &mut chunks {
-            let x = _mm256_sub_ps(_mm256_loadu_ps(c.as_ptr()), vmax);
-            let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(x, vcut);
-            let xc = _mm256_max_ps(x, vcut);
-            let z = _mm256_floor_ps(_mm256_fmadd_ps(xc, vlog2e, vhalf));
-            let zi = _mm256_cvttps_epi32(z);
-            let mut xr = _mm256_fnmadd_ps(z, vc1, xc);
-            xr = _mm256_fnmadd_ps(z, vc2, xr);
-            let mut poly = c0;
-            for coef in coeffs {
-                poly = _mm256_fmadd_ps(poly, xr, coef);
-            }
-            let xr2 = _mm256_mul_ps(xr, xr);
-            poly = _mm256_add_ps(_mm256_fmadd_ps(poly, xr2, xr), vone);
-            let two_z = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(zi, bias)));
-            let result = _mm256_and_ps(_mm256_mul_ps(poly, two_z), keep);
-            _mm256_storeu_ps(c.as_mut_ptr(), result);
-        }
-        for v in chunks.into_remainder() {
-            *v = fast_exp(*v - max);
-        }
-    }
+/// Told at every stage boundary of [`embed_profiled`] which stage just
+/// finished. The unit probe does nothing and compiles away.
+pub trait StageProbe {
+    /// `stage` ran from the previous call (or the start of the pass) to now.
+    fn done(&mut self, stage: Stage);
 }
 
-/// `out[n,m] = x[n,k] · W[k,m] + b[1,m]`, reading `W`/`b` in place.
-///
-/// Dispatches to a const-width kernel for the output widths the TabBiN
-/// geometries actually use: with `M` known at compile time the accumulator
-/// lives in registers and the inner loop fully unrolls, which is worth ~2×
-/// over the runtime-width fallback at these tiny widths.
-fn linear(x: &[f32], n: usize, k: usize, w: &Tensor, b: &Tensor, out: &mut [f32]) {
-    let m = w.cols();
-    debug_assert_eq!(w.rows(), k);
-    debug_assert_eq!(b.len(), m);
-    let bd = b.data();
-    let wd = w.data();
-    match m {
-        16 => linear_m::<16>(x, n, k, wd, bd, out),
-        24 => linear_m::<24>(x, n, k, wd, bd, out),
-        32 => linear_m::<32>(x, n, k, wd, bd, out),
-        48 => linear_m::<48>(x, n, k, wd, bd, out),
-        64 => linear_m::<64>(x, n, k, wd, bd, out),
-        96 => linear_m::<96>(x, n, k, wd, bd, out),
-        _ => linear_any(x, n, k, wd, m, bd, out),
-    }
-}
-
-#[inline(always)]
-fn linear_m<const M: usize>(
-    x: &[f32],
-    n: usize,
-    k: usize,
-    wd: &[f32],
-    bd: &[f32],
-    out: &mut [f32],
-) {
-    let mut acc = [0.0f32; M];
-    for i in 0..n {
-        acc.copy_from_slice(bd);
-        let xrow = &x[i * k..(i + 1) * k];
-        for (p, &xv) in xrow.iter().enumerate() {
-            let wrow = &wd[p * M..(p + 1) * M];
-            for (o, &wv) in acc.iter_mut().zip(wrow) {
-                *o += xv * wv;
-            }
-        }
-        out[i * M..(i + 1) * M].copy_from_slice(&acc);
-    }
-}
-
-fn linear_any(x: &[f32], n: usize, k: usize, wd: &[f32], m: usize, bd: &[f32], out: &mut [f32]) {
-    for i in 0..n {
-        let orow = &mut out[i * m..(i + 1) * m];
-        orow.copy_from_slice(bd);
-        let xrow = &x[i * k..(i + 1) * k];
-        for (p, &xv) in xrow.iter().enumerate() {
-            let wrow = &wd[p * m..(p + 1) * m];
-            for (o, &wv) in orow.iter_mut().zip(wrow) {
-                *o += xv * wv;
-            }
-        }
-    }
-}
-
-/// Row-wise layer normalization, same formula as the tape op.
-fn layer_norm(
-    x: &[f32],
-    n: usize,
-    d: usize,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    out: &mut [f32],
-) {
-    let gd = gamma.data();
-    let bd = beta.data();
-    for i in 0..n {
-        let row = &x[i * d..(i + 1) * d];
-        let mu = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        let orow = &mut out[i * d..(i + 1) * d];
-        for j in 0..d {
-            orow[j] = (row[j] - mu) * istd * gd[j] + bd[j];
-        }
-    }
+impl StageProbe for () {
+    #[inline(always)]
+    fn done(&mut self, _: Stage) {}
 }
 
 fn add_assign(x: &mut [f32], y: &[f32]) {
@@ -254,23 +120,59 @@ fn add_assign(x: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Builds the additive visibility mask directly as `f32` (0 visible,
-/// `MASK_NEG` hidden), fusing `EncodedSequence::visibility` +
-/// `nn::additive_mask` without the intermediate `Vec<Vec<bool>>`.
-fn visibility_mask(seq: &EncodedSequence, mask: &mut [f32]) {
+/// `out[n, m] = x[n, k] · W + b`, reading `W`/`b` in place.
+fn linear(store: &ParamStore, lin: &Linear, x: &[f32], out: &mut [f32]) {
+    let (k, m) = (lin.d_in, lin.d_out);
+    kernels::gemm::<Native>(
+        Rows { data: x, stride: k },
+        Rows { data: store.value(lin.w).data(), stride: m },
+        Some(Rows { data: store.value(lin.b).data(), stride: 0 }),
+        out,
+        m,
+        [x.len() / k, k, m],
+    );
+}
+
+/// Row-wise layer normalization of `x[n, d]` into `out`, reading gain and
+/// shift in place.
+fn layer_norm(store: &ParamStore, ln: &LayerNorm, x: &[f32], out: &mut [f32]) {
+    let (gamma, beta) = (store.value(ln.gamma).data(), store.value(ln.beta).data());
+    kernels::layer_norm::<Native>(x, ln.d, gamma, beta, ln.eps, out);
+}
+
+/// Builds the additive visibility mask `[n, np]` directly as `f32` (0
+/// visible, `MASK_NEG` hidden), fusing `EncodedSequence::visibility` +
+/// `nn::additive_mask`. Rows are padded to `np` columns with `MASK_NEG`, so
+/// the attention kernels never see a ragged row. With `masked` off (the
+/// `TabBiN₁` ablation) only the padding is hidden.
+fn visibility_mask(seq: &EncodedSequence, masked: bool, addr: &mut [u32], mask: &mut [f32]) {
     let n = seq.len();
-    for (i, ti) in seq.tokens.iter().enumerate() {
-        let mrow = &mut mask[i * n..(i + 1) * n];
-        for (j, tj) in seq.tokens.iter().enumerate() {
-            let visible =
-                i == j || ti.special || tj.special || (ti.row == tj.row) || (ti.col == tj.col);
-            mrow[j] = if visible { 0.0 } else { MASK_NEG };
+    let np = n.next_multiple_of(LANES);
+    let (rows, rest) = addr.split_at_mut(n);
+    let (cols, special) = rest.split_at_mut(n);
+    for (i, t) in seq.tokens.iter().enumerate() {
+        rows[i] = t.row;
+        cols[i] = t.col;
+        special[i] = u32::from(t.special || !masked);
+    }
+    for (i, mrow) in mask.chunks_exact_mut(np).enumerate() {
+        let (live, pad) = mrow.split_at_mut(n);
+        pad.fill(MASK_NEG);
+        if special[i] != 0 {
+            live.fill(0.0);
+            continue;
+        }
+        // A token shares its own row, so `i == j` needs no term.
+        let (ri, ci) = (rows[i], cols[i]);
+        for (j, m) in live.iter_mut().enumerate() {
+            let visible = (rows[j] == ri) | (cols[j] == ci) | (special[j] != 0);
+            *m = if visible { 0.0 } else { MASK_NEG };
         }
     }
 }
 
 /// The fused six-component embedding layer: one pass per token, summing
-/// directly into `x[n,h]`, followed by the embedding layer norm.
+/// directly into `tmp[n, h]`, followed by the embedding layer norm into `x`.
 fn embed_tokens(model: &TabBiNModel, seq: &EncodedSequence, x: &mut [f32], tmp: &mut [f32]) {
     let store: &ParamStore = &model.store;
     let cfg = &model.cfg;
@@ -278,41 +180,23 @@ fn embed_tokens(model: &TabBiNModel, seq: &EncodedSequence, x: &mut [f32], tmp: 
     let quarter = h / 4;
     let sixth = h / 6;
     let tok_table = store.value(model.emb.tok.table);
-    let num_tables: [&Tensor; 4] = [
-        store.value(model.emb.num[0].table),
-        store.value(model.emb.num[1].table),
-        store.value(model.emb.num[2].table),
-        store.value(model.emb.num[3].table),
-    ];
+    let num_tables: [_; 4] = from_fn(|i| store.value(model.emb.num[i].table));
     let cpos_table = store.value(model.emb.cpos.table);
-    let tpos_tables: [&Tensor; 6] = [
-        store.value(model.emb.tpos[0].table),
-        store.value(model.emb.tpos[1].table),
-        store.value(model.emb.tpos[2].table),
-        store.value(model.emb.tpos[3].table),
-        store.value(model.emb.tpos[4].table),
-        store.value(model.emb.tpos[5].table),
-    ];
+    let tpos_tables: [_; 6] = from_fn(|i| store.value(model.emb.tpos[i].table));
     let ty_table = store.value(model.emb.ty.table);
     let fmt_w = store.value(model.emb.fmt.w);
     let fmt_b = store.value(model.emb.fmt.b);
 
-    for (i, t) in seq.tokens.iter().enumerate() {
-        let row = &mut tmp[i * h..(i + 1) * h];
+    for (t, row) in seq.tokens.iter().zip(tmp.chunks_exact_mut(h)) {
         // E_tok.
         row.copy_from_slice(tok_table.row(t.vocab_id as usize));
         // E_num (zero for non-numeric tokens, as the tape path's mask does).
         if let Some(value) = t.value {
             let nf = NumericFeatures::of(value);
-            let picks = [
-                nf.magnitude as usize,
-                nf.precision as usize,
-                nf.first_digit as usize,
-                nf.last_digit as usize,
-            ];
+            let picks = [nf.magnitude, nf.precision, nf.first_digit, nf.last_digit];
             for (which, &idx) in picks.iter().enumerate() {
                 let seg = &mut row[which * quarter..(which + 1) * quarter];
-                add_assign(seg, num_tables[which].row(idx));
+                add_assign(seg, num_tables[which].row(idx as usize));
             }
         }
         // E_cpos.
@@ -339,258 +223,158 @@ fn embed_tokens(model: &TabBiNModel, seq: &EncodedSequence, x: &mut [f32], tmp: 
             }
         }
     }
-    let n = seq.len();
-    layer_norm(
-        tmp,
-        n,
-        h,
-        store.value(model.emb.ln.gamma),
-        store.value(model.emb.ln.beta),
-        model.emb.ln.eps,
-        x,
-    );
+    layer_norm(store, &model.emb.ln, tmp, x);
 }
 
-/// Borrowed views one attention head operates on.
-struct HeadArgs<'s> {
-    q: &'s [f32],
-    k: &'s [f32],
-    v: &'s [f32],
-    kt: &'s mut [f32],
-    scores: &'s mut [f32],
-    ctx: &'s mut [f32],
-    mask: Option<&'s [f32]>,
-    n: usize,
-    h: usize,
-    off: usize,
-}
+/// The forward pass proper: fused forward + mean pool over non-special
+/// tokens of a non-empty sequence, into `out[h]`.
+fn forward<P: StageProbe>(
+    model: &TabBiNModel,
+    seq: &EncodedSequence,
+    s: &mut InferScratch,
+    out: &mut [f32],
+    probe: &mut P,
+) {
+    let cfg = &model.cfg;
+    let store = &model.store;
+    let (n, h, heads) = (seq.len(), cfg.hidden, cfg.heads);
+    let dh = h / heads;
+    let np = n.next_multiple_of(LANES);
+    let dhp = dh.next_multiple_of(LANES);
+    let scale = 1.0 / (dh as f32).sqrt();
 
-/// Shared first phase of one attention head (any width): transpose K, seed
-/// score rows from the mask, accumulate Q·Kᵀ as n-wide SAXPYs, and apply the
-/// branch-free masked softmax (hidden pairs sit at ~-1e9 and underflow to
-/// exactly 0 probability, as on the tape path). The inner loops run over
-/// `n`, so a compile-time head width buys nothing here — only the context
-/// accumulation below is specialized.
-fn attn_scores(args: &mut HeadArgs<'_>, dh: usize) {
-    let n = args.n;
-    let h = args.h;
-    let off = args.off;
-    // Transpose K_h into [dh, n] so each score row accumulates as n-wide
-    // SAXPYs instead of length-dh scalar reductions — the compiler keeps
-    // SIMD lanes full without reassociating any float sum.
-    for j in 0..n {
-        let krow = &args.k[j * h + off..j * h + off + dh];
-        for (p, &kv) in krow.iter().enumerate() {
-            args.kt[p * n + j] = kv;
+    let x = grab(&mut s.x, n * h);
+    let a = grab(&mut s.a, n * h);
+    let q = grab(&mut s.q, n * h);
+    let k = grab(&mut s.k, n * h);
+    let v = grab(&mut s.v, n * h);
+    let kt = grab(&mut s.kt, dh * np);
+    let vh = grab(&mut s.vh, n * dhp);
+    let scores = grab(&mut s.scores, n * np);
+    let inv = grab(&mut s.inv, n);
+    let ctxh = grab(&mut s.ctxh, n * dhp);
+    let ff = grab(&mut s.ff, n * cfg.ff);
+    let mask = grab(&mut s.mask, n * np);
+    let addr = grab(&mut s.addr, 3 * n);
+
+    embed_tokens(model, seq, x, a);
+    probe.done(Stage::EmbedTokens);
+    visibility_mask(seq, cfg.ablation.visibility, addr, mask);
+    probe.done(Stage::VisibilityMask);
+
+    for block in &model.blocks {
+        // --- attention sublayer (pre-norm) ---
+        layer_norm(store, &block.ln1, x, a);
+        let attn = &block.attn;
+        linear(store, &attn.wq, a, q);
+        linear(store, &attn.wk, a, k);
+        linear(store, &attn.wv, a, v);
+        // Fold the 1/sqrt(dh) score scaling into Q once (n·h multiplies)
+        // instead of once per score entry (n² per head).
+        for qv in q.iter_mut() {
+            *qv *= scale;
+        }
+        probe.done(Stage::Linears);
+        for head in 0..heads {
+            // q/k/v are consumed head by head, so the context can go
+            // straight into `a`'s head columns.
+            let mut args = HeadArgs {
+                q,
+                k,
+                v,
+                mask,
+                kt,
+                vh,
+                scores,
+                inv,
+                ctxh,
+                ctx: a,
+                n,
+                h,
+                off: head * dh,
+                dh,
+            };
+            kernels::attn_scores::<Native>(&mut args);
+            probe.done(Stage::AttnScores);
+            kernels::attn_context::<Native>(&mut args);
+            probe.done(Stage::AttnContext);
+        }
+        // Output projection reads the concatenated heads from `a`; reuse `q`
+        // as its destination, then residual into x.
+        linear(store, &attn.wo, a, q);
+        add_assign(x, q);
+
+        // --- feed-forward sublayer (pre-norm) ---
+        layer_norm(store, &block.ln2, x, a);
+        linear(store, &block.ff.lin1, a, ff);
+        probe.done(Stage::Linears);
+        kernels::gelu_row::<Native>(ff);
+        probe.done(Stage::Gelu);
+        linear(store, &block.ff.lin2, ff, q);
+        add_assign(x, q);
+        probe.done(Stage::Linears);
+    }
+
+    // Mean pool over non-special tokens (all tokens if every one is special).
+    out.fill(0.0);
+    let mut counted = 0usize;
+    for (t, row) in seq.tokens.iter().zip(x.chunks_exact(h)) {
+        if !t.special {
+            add_assign(out, row);
+            counted += 1;
         }
     }
-    for i in 0..n {
-        let srow = &mut args.scores[i * n..(i + 1) * n];
-        // Seed the row with the additive mask so no separate mask pass is
-        // needed after accumulation.
-        match args.mask {
-            Some(m) => srow.copy_from_slice(&m[i * n..(i + 1) * n]),
-            None => srow.fill(0.0),
+    if counted == 0 {
+        for row in x.chunks_exact(h) {
+            add_assign(out, row);
         }
-        let qi = &args.q[i * h + off..i * h + off + dh];
-        for (p, &qv) in qi.iter().enumerate() {
-            let ktrow = &args.kt[p * n..(p + 1) * n];
-            for (sv, &kv) in srow.iter_mut().zip(ktrow) {
-                *sv += qv * kv;
-            }
-        }
-        let max = srow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        exp_row(srow, max);
-        let sum: f32 = srow.iter().sum();
-        let inv = 1.0 / sum;
-        for sv in srow.iter_mut() {
-            *sv *= inv;
-        }
+        counted = n;
     }
+    let inv = 1.0 / counted as f32;
+    for v in out.iter_mut() {
+        *v *= inv;
+    }
+    probe.done(Stage::Pool);
 }
 
-/// One attention head with a compile-time head width: the shared
-/// [`attn_scores`] phase plus a register-resident context accumulator
-/// (`ctx_h = scores · V_h`, written straight into the context's head
-/// columns — q/k/v are already consumed).
-#[inline(always)]
-fn attn_head<const DH: usize>(mut args: HeadArgs<'_>) {
-    attn_scores(&mut args, DH);
-    let HeadArgs { v, scores, ctx, n, h, off, .. } = args;
-    for i in 0..n {
-        let srow = &scores[i * n..(i + 1) * n];
-        let mut acc = [0.0f32; DH];
-        for (j, &sv) in srow.iter().enumerate() {
-            let vrow = &v[j * h + off..j * h + off + DH];
-            for (o, &vv) in acc.iter_mut().zip(vrow) {
-                *o += sv * vv;
-            }
-        }
-        ctx[i * h + off..i * h + off + DH].copy_from_slice(&acc);
-    }
+/// Embeds one sequence without touching the autograd tape, into
+/// `out[hidden]`. Agrees with [`TabBiNModel::embed`] elementwise to within
+/// float-reassociation noise; an empty sequence embeds to zero.
+pub fn embed_with_into(
+    model: &TabBiNModel,
+    seq: &EncodedSequence,
+    scratch: &mut InferScratch,
+    out: &mut [f32],
+) {
+    embed_profiled(model, seq, scratch, out, &mut ());
 }
 
-/// Runtime-width fallback of [`attn_head`] for unusual head sizes.
-fn attn_head_any(mut args: HeadArgs<'_>, dh: usize) {
-    attn_scores(&mut args, dh);
-    let HeadArgs { v, scores, ctx, n, h, off, .. } = args;
-    for i in 0..n {
-        let srow = &scores[i * n..(i + 1) * n];
-        let orow = &mut ctx[i * h + off..i * h + off + dh];
-        orow.fill(0.0);
-        for (j, &sv) in srow.iter().enumerate() {
-            let vrow = &v[j * h + off..j * h + off + dh];
-            for (o, &vv) in orow.iter_mut().zip(vrow) {
-                *o += sv * vv;
-            }
-        }
-    }
-}
-
-/// Embeds one sequence without touching the autograd tape: fused forward +
-/// mean pool over non-special tokens. Agrees with
-/// [`TabBiNModel::embed`] elementwise to within float-reassociation noise.
-/// Returns a zero vector for empty sequences.
+/// [`embed_with_into`], returning a fresh vector.
 pub fn embed_with(
     model: &TabBiNModel,
     seq: &EncodedSequence,
     scratch: &mut InferScratch,
 ) -> Vec<f32> {
-    let cfg = &model.cfg;
-    let h = cfg.hidden;
-    if seq.is_empty() {
-        return vec![0.0; h];
-    }
-    let n = seq.len();
-    let heads = cfg.heads;
-    let dh = h / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    let store = &model.store;
-
-    grab(&mut scratch.x, n * h);
-    grab(&mut scratch.a, n * h);
-    grab(&mut scratch.q, n * h);
-    grab(&mut scratch.k, n * h);
-    grab(&mut scratch.v, n * h);
-    grab(&mut scratch.kt, dh * n);
-    grab(&mut scratch.scores, n * n);
-    grab(&mut scratch.ff, n * cfg.ff);
-
-    embed_tokens(model, seq, &mut scratch.x[..n * h], &mut scratch.a[..n * h]);
-
-    let masked = cfg.ablation.visibility;
-    if masked {
-        grab(&mut scratch.mask, n * n);
-        visibility_mask(seq, &mut scratch.mask[..n * n]);
-    }
-
-    for block in &model.blocks {
-        // --- attention sublayer (pre-norm) ---
-        layer_norm(
-            &scratch.x[..n * h],
-            n,
-            h,
-            store.value(block.ln1.gamma),
-            store.value(block.ln1.beta),
-            block.ln1.eps,
-            &mut scratch.a[..n * h],
-        );
-        let wq = &block.attn.wq;
-        let wk = &block.attn.wk;
-        let wv = &block.attn.wv;
-        linear(&scratch.a, n, h, store.value(wq.w), store.value(wq.b), &mut scratch.q[..n * h]);
-        linear(&scratch.a, n, h, store.value(wk.w), store.value(wk.b), &mut scratch.k[..n * h]);
-        linear(&scratch.a, n, h, store.value(wv.w), store.value(wv.b), &mut scratch.v[..n * h]);
-        // Fold the 1/sqrt(dh) score scaling into Q once (n·h multiplies)
-        // instead of once per score entry (n² per head).
-        for qv in scratch.q[..n * h].iter_mut() {
-            *qv *= scale;
-        }
-        for head in 0..heads {
-            let off = head * dh;
-            let mask = if masked { Some(&scratch.mask[..n * n]) } else { None };
-            // Specialize on the head width: every TabBiN geometry in the
-            // workspace uses dh ∈ {8, 12, 16, 24}, and a compile-time width
-            // keeps the per-row context accumulator in registers.
-            let head_args = HeadArgs {
-                q: &scratch.q,
-                k: &scratch.k,
-                v: &scratch.v,
-                kt: &mut scratch.kt,
-                scores: &mut scratch.scores,
-                ctx: &mut scratch.a,
-                mask,
-                n,
-                h,
-                off,
-            };
-            match dh {
-                8 => attn_head::<8>(head_args),
-                12 => attn_head::<12>(head_args),
-                16 => attn_head::<16>(head_args),
-                24 => attn_head::<24>(head_args),
-                _ => attn_head_any(head_args, dh),
-            }
-        }
-        // Output projection reads the concatenated heads from `a`; reuse `q`
-        // as its destination, then residual into x.
-        let wo = &block.attn.wo;
-        linear(&scratch.a, n, h, store.value(wo.w), store.value(wo.b), &mut scratch.q[..n * h]);
-        add_assign(&mut scratch.x[..n * h], &scratch.q[..n * h]);
-
-        // --- feed-forward sublayer (pre-norm) ---
-        layer_norm(
-            &scratch.x[..n * h],
-            n,
-            h,
-            store.value(block.ln2.gamma),
-            store.value(block.ln2.beta),
-            block.ln2.eps,
-            &mut scratch.a[..n * h],
-        );
-        let (l1, l2) = (&block.ff.lin1, &block.ff.lin2);
-        linear(
-            &scratch.a,
-            n,
-            h,
-            store.value(l1.w),
-            store.value(l1.b),
-            &mut scratch.ff[..n * cfg.ff],
-        );
-        for v in scratch.ff[..n * cfg.ff].iter_mut() {
-            *v = gelu_fwd(*v);
-        }
-        linear(
-            &scratch.ff,
-            n,
-            cfg.ff,
-            store.value(l2.w),
-            store.value(l2.b),
-            &mut scratch.q[..n * h],
-        );
-        add_assign(&mut scratch.x[..n * h], &scratch.q[..n * h]);
-    }
-
-    // Mean pool over non-special tokens (all tokens if every one is special).
-    let mut out = vec![0.0f32; h];
-    let mut counted = 0usize;
-    for (i, t) in seq.tokens.iter().enumerate() {
-        if !t.special {
-            add_assign(&mut out, &scratch.x[i * h..(i + 1) * h]);
-            counted += 1;
-        }
-    }
-    if counted == 0 {
-        for i in 0..n {
-            add_assign(&mut out, &scratch.x[i * h..(i + 1) * h]);
-        }
-        counted = n;
-    }
-    let inv = 1.0 / counted as f32;
-    for v in &mut out {
-        *v *= inv;
-    }
+    let mut out = vec![0.0; model.cfg.hidden];
+    embed_with_into(model, seq, scratch, &mut out);
     out
+}
+
+/// [`embed_with_into`] that reports each stage boundary to `probe` — how
+/// the stage bench attributes the pass without a patched build.
+pub fn embed_profiled<P: StageProbe>(
+    model: &TabBiNModel,
+    seq: &EncodedSequence,
+    scratch: &mut InferScratch,
+    out: &mut [f32],
+    probe: &mut P,
+) {
+    assert_eq!(out.len(), model.cfg.hidden, "output must be one hidden-width vector");
+    if seq.is_empty() {
+        out.fill(0.0);
+    } else {
+        forward(model, seq, scratch, out, probe);
+    }
 }
 
 #[cfg(test)]
@@ -612,46 +396,55 @@ mod tests {
         let tables = vec![figure1_table(), table1_sample(), table2_relational()];
         let tok = train_tokenizer(&tables);
         let tagger = TypeTagger::new();
-        for flags in [
-            AblationFlags::full(),
-            AblationFlags::no_visibility(),
-            AblationFlags::no_type_inference(),
-            AblationFlags::no_units_nesting(),
-            AblationFlags::no_coordinates(),
-        ] {
-            let cfg = ModelConfig::tiny().with_ablation(flags);
-            let model = TabBiNModel::new(cfg, tok.vocab_size(), 7);
-            let mut scratch = InferScratch::new();
-            for t in &tables {
-                for kind in SegmentKind::ALL {
-                    let seq = encode_segment(t, kind, &tok, &tagger, &cfg);
-                    let tape = model.embed(&seq);
-                    let fused = embed_with(&model, &seq, &mut scratch);
-                    assert!(
-                        max_abs_diff(&tape, &fused) < 1e-5,
-                        "paths diverged ({:?}, {:?}): {}",
-                        flags,
-                        kind,
-                        max_abs_diff(&tape, &fused)
-                    );
+        // Every combination of the four ablation switches, at both stock
+        // geometries (one and two blocks, two and four heads).
+        let all_flags = (0..16).map(|b| AblationFlags {
+            visibility: b & 1 != 0,
+            type_inference: b & 2 != 0,
+            units_nesting: b & 4 != 0,
+            coordinates: b & 8 != 0,
+        });
+        for flags in all_flags {
+            for base in [ModelConfig::tiny(), ModelConfig::default()] {
+                let cfg = base.with_ablation(flags);
+                let model = TabBiNModel::new(cfg, tok.vocab_size(), 7);
+                let mut scratch = InferScratch::new();
+                for t in &tables {
+                    for kind in SegmentKind::ALL {
+                        let seq = encode_segment(t, kind, &tok, &tagger, &cfg);
+                        let tape = model.embed(&seq);
+                        let fused = embed_with(&model, &seq, &mut scratch);
+                        assert!(
+                            max_abs_diff(&tape, &fused) < 1e-5,
+                            "paths diverged ({:?}, hidden {}, {:?}): {}",
+                            flags,
+                            cfg.hidden,
+                            kind,
+                            max_abs_diff(&tape, &fused)
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn empty_sequence_embeds_to_zero() {
+    fn empty_and_cls_only_sequences() {
         let tables = vec![table2_relational()];
         let tok = train_tokenizer(&tables);
         let tagger = TypeTagger::new();
         let cfg = ModelConfig::tiny();
         let model = TabBiNModel::new(cfg, tok.vocab_size(), 3);
-        // A relational table has no VMD: empty sequence.
-        let seq = encode_segment(&tables[0], SegmentKind::Vmd, &tok, &tagger, &cfg);
         let mut scratch = InferScratch::new();
+        let empty = EncodedSequence::default();
+        assert_eq!(embed_with(&model, &empty, &mut scratch), vec![0.0; cfg.hidden]);
+        assert_eq!(model.embed(&empty), vec![0.0; cfg.hidden]);
+        // A relational table has no VMD: the segment is a lone [CLS], which
+        // pools over itself.
+        let seq = encode_segment(&tables[0], SegmentKind::Vmd, &tok, &tagger, &cfg);
+        assert_eq!(seq.len(), 1);
         let out = embed_with(&model, &seq, &mut scratch);
-        assert_eq!(out.len(), cfg.hidden);
-        assert_eq!(out, model.embed(&seq));
+        assert!(max_abs_diff(&out, &model.embed(&seq)) < 1e-5);
     }
 
     #[test]

@@ -1,0 +1,544 @@
+//! The SIMD kernels of the fused forward pass, written once over an 8-lane
+//! vector abstraction.
+//!
+//! Every kernel is generic over [`Lanes`], which has two implementations:
+//! [`Scalar`] (`[f32; 8]`, plain Rust) and, where AVX2+FMA are statically
+//! enabled, an `__m256` wrapper. [`Native`] names the one the forward pass
+//! runs. Each lane operation is a single correctly-rounded IEEE operation in
+//! both, and horizontal reductions go through one fixed tree, so a kernel
+//! instantiated with `Scalar` is the lane-for-lane twin of the same kernel
+//! instantiated with `Native`: `tests/prop_kernels.rs` pins them bit for
+//! bit. `unsafe` is confined to the `__m256` implementation of the trait.
+//!
+//! The module is public for that test suite and for the stage bench; it is
+//! not a stable interface.
+
+/// Width of a [`Lanes`] vector.
+pub const LANES: usize = 8;
+
+/// Additive mask value for invisible pairs (matches `nn::additive_mask`) and
+/// for the padding that rounds an attention row up to a multiple of
+/// [`LANES`]; `exp` of it is exactly 0.
+pub const MASK_NEG: f32 = -1e9;
+
+/// Below this, `expf` underflows to 0; at it, `2^z` is still a normal float.
+const EXP_LO: f32 = -87.0;
+/// Above this, `expf` overflows; GELU clamps its argument here.
+const EXP_HI: f32 = 87.0;
+
+/// Eight `f32` lanes with the operations the kernels need.
+pub trait Lanes: Copy {
+    /// All lanes `v`.
+    fn splat(v: f32) -> Self;
+    /// Loads eight consecutive floats.
+    fn load(src: &[f32; LANES]) -> Self;
+    /// Stores eight consecutive floats.
+    fn store(self, dst: &mut [f32; LANES]);
+    /// Lane-wise `self + o`.
+    fn add(self, o: Self) -> Self;
+    /// Lane-wise `self - o`.
+    fn sub(self, o: Self) -> Self;
+    /// Lane-wise `self * o`.
+    fn mul(self, o: Self) -> Self;
+    /// Lane-wise `self / o`.
+    fn div(self, o: Self) -> Self;
+    /// Lane-wise `self * a + b`, fused where the target has the instruction.
+    fn mul_add(self, a: Self, b: Self) -> Self;
+    /// Lane-wise `if self > o { self } else { o }` (so a NaN lane yields `o`).
+    fn max(self, o: Self) -> Self;
+    /// Lane-wise `if self < o { self } else { o }` (so a NaN lane yields `o`).
+    fn min(self, o: Self) -> Self;
+    /// Lane-wise round toward negative infinity.
+    fn floor(self) -> Self;
+    /// Lane-wise `2^self` for integral lanes in `[-126, 127]`.
+    fn exp2i(self) -> Self;
+    /// Lane-wise `if self > o { v } else { 0.0 }`.
+    fn gt_then(self, o: Self, v: Self) -> Self;
+    /// The lanes as an array.
+    fn to_array(self) -> [f32; LANES] {
+        let mut a = [0.0; LANES];
+        self.store(&mut a);
+        a
+    }
+}
+
+/// The portable implementation: the `cfg(not(avx2))` path and the oracle the
+/// differential tests compare [`Native`] against.
+#[derive(Clone, Copy)]
+pub struct Scalar([f32; LANES]);
+
+/// `a * b + c`, fused exactly when the hardware instruction is statically
+/// there: the twin of the AVX2 path where that exists, and never a libm
+/// `fmaf` call where it does not.
+#[inline(always)]
+fn fused(a: f32, b: f32, c: f32) -> f32 {
+    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+impl Scalar {
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        Scalar(std::array::from_fn(|l| f(self.0[l], o.0[l])))
+    }
+}
+
+impl Lanes for Scalar {
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        Scalar([v; LANES])
+    }
+    #[inline(always)]
+    fn load(src: &[f32; LANES]) -> Self {
+        Scalar(*src)
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f32; LANES]) {
+        *dst = self.0;
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.zip(o, |a, b| a + b)
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, |a, b| a - b)
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self.zip(o, |a, b| a * b)
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        self.zip(o, |a, b| a / b)
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        Scalar(std::array::from_fn(|l| fused(self.0[l], a.0[l], b.0[l])))
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        self.zip(o, |a, b| if a > b { a } else { b })
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        self.zip(o, |a, b| if a < b { a } else { b })
+    }
+    #[inline(always)]
+    fn floor(self) -> Self {
+        Scalar(self.0.map(f32::floor))
+    }
+    #[inline(always)]
+    fn exp2i(self) -> Self {
+        Scalar(self.0.map(|z| f32::from_bits(((z as i32 + 127) << 23) as u32)))
+    }
+    #[inline(always)]
+    fn gt_then(self, o: Self, v: Self) -> Self {
+        Scalar(std::array::from_fn(|l| if self.0[l] > o.0[l] { v.0[l] } else { 0.0 }))
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+mod avx2 {
+    use super::{Lanes, LANES};
+    use std::arch::x86_64::*;
+
+    /// `__m256` lanes. The type only exists when AVX2 and FMA are enabled
+    /// for the whole compilation (the `cfg` on this module), which is the
+    /// one requirement of every intrinsic below.
+    #[derive(Clone, Copy)]
+    pub struct Avx2(__m256);
+
+    // SAFETY (every `unsafe` block in this impl): the intrinsics need the
+    // `avx`, `avx2` and `fma` target features, which the module's `cfg`
+    // guarantees are on for all code in this build; loads and stores go
+    // through references to exactly eight floats, unaligned forms.
+    impl Lanes for Avx2 {
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            unsafe { Avx2(_mm256_set1_ps(v)) }
+        }
+        #[inline(always)]
+        fn load(src: &[f32; LANES]) -> Self {
+            unsafe { Avx2(_mm256_loadu_ps(src.as_ptr())) }
+        }
+        #[inline(always)]
+        fn store(self, dst: &mut [f32; LANES]) {
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_add_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_sub_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_mul_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn div(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_div_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn mul_add(self, a: Self, b: Self) -> Self {
+            unsafe { Avx2(_mm256_fmadd_ps(self.0, a.0, b.0)) }
+        }
+        #[inline(always)]
+        fn max(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_max_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn min(self, o: Self) -> Self {
+            unsafe { Avx2(_mm256_min_ps(self.0, o.0)) }
+        }
+        #[inline(always)]
+        fn floor(self) -> Self {
+            unsafe { Avx2(_mm256_floor_ps(self.0)) }
+        }
+        #[inline(always)]
+        fn exp2i(self) -> Self {
+            unsafe {
+                let biased = _mm256_add_epi32(_mm256_cvttps_epi32(self.0), _mm256_set1_epi32(127));
+                Avx2(_mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)))
+            }
+        }
+        #[inline(always)]
+        fn gt_then(self, o: Self, v: Self) -> Self {
+            unsafe { Avx2(_mm256_and_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, o.0), v.0)) }
+        }
+    }
+}
+
+/// The lanes the forward pass runs on: AVX2 where it is statically enabled
+/// (`-C target-cpu=native` on any recent x86-64), [`Scalar`] elsewhere.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+pub type Native = avx2::Avx2;
+/// The lanes the forward pass runs on: AVX2 where it is statically enabled
+/// (`-C target-cpu=native` on any recent x86-64), [`Scalar`] elsewhere.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma")))]
+pub type Native = Scalar;
+
+/// Horizontal sum through a fixed tree, so every [`Lanes`] agrees on it.
+#[inline(always)]
+pub fn hsum<V: Lanes>(v: V) -> f32 {
+    let a = v.to_array();
+    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
+}
+
+/// Horizontal maximum (NaN-free input).
+#[inline(always)]
+pub fn hmax<V: Lanes>(v: V) -> f32 {
+    v.to_array().into_iter().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Applies `f` to `row` eight lanes at a time, in place; a ragged tail is
+/// run through a copy padded with `pad`, so there is no scalar remainder
+/// path.
+#[inline(always)]
+fn map_lanes<V: Lanes>(row: &mut [f32], pad: f32, mut f: impl FnMut(V) -> V) {
+    let (chunks, tail) = row.as_chunks_mut::<LANES>();
+    for c in chunks {
+        f(V::load(c)).store(c);
+    }
+    if !tail.is_empty() {
+        let mut buf = [pad; LANES];
+        buf[..tail.len()].copy_from_slice(tail);
+        f(V::load(&buf)).store(&mut buf);
+        tail.copy_from_slice(&buf[..tail.len()]);
+    }
+}
+
+/// Branch-free polynomial `exp` (Cephes-style `expf`, ≤ 2 ulp for
+/// `x ≤ EXP_HI`). Lanes at or below the underflow cutoff — and NaN lanes —
+/// return exactly 0.0, the value libm produces for masked (-1e9) scores.
+#[inline(always)]
+#[allow(clippy::excessive_precision)] // the Cephes ln2 split is exact in f32
+fn exp_lanes<V: Lanes>(x: V) -> V {
+    const C1: f32 = 0.693_359_375; // ln 2, split high…
+    const C2: f32 = -2.121_944_4e-4; // …and low for exact range reduction
+    let lo = V::splat(EXP_LO);
+    let xc = x.max(lo);
+    let z = xc.mul_add(V::splat(std::f32::consts::LOG2_E), V::splat(0.5)).floor();
+    let xr = z.mul_add(V::splat(-C2), z.mul_add(V::splat(-C1), xc));
+    let mut p = V::splat(1.987_569_2e-4);
+    for c in [1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_5e-1, 5.000_000_3e-1] {
+        p = p.mul_add(xr, V::splat(c));
+    }
+    let poly = p.mul_add(xr.mul(xr), xr).add(V::splat(1.0));
+    x.gt_then(lo, poly.mul(z.exp2i()))
+}
+
+/// In place `row[j] = exp(row[j] - max(row))`; returns the sum of the
+/// results, by which the caller normalizes. Any length ≥ 1.
+pub fn exp_row<V: Lanes>(row: &mut [f32]) -> f32 {
+    let (chunks, tail) = row.as_chunks::<LANES>();
+    let mut vmax = V::splat(f32::NEG_INFINITY);
+    for c in chunks {
+        vmax = V::load(c).max(vmax);
+    }
+    let max = tail.iter().copied().fold(hmax(vmax), f32::max);
+    let vm = V::splat(max);
+    let mut vsum = V::splat(0.0);
+    map_lanes::<V>(row, f32::NEG_INFINITY, |v| {
+        let e = exp_lanes(v.sub(vm));
+        vsum = vsum.add(e);
+        e
+    });
+    hsum(vsum)
+}
+
+/// In place GELU (tanh approximation, as in BERT and on the tape), in the
+/// form `x / (1 + exp(-2u))`, `u = c·(x + 0.044715x³)`, which is
+/// `0.5x(1 + tanh u)` without the `tanh`. Agrees with the libm form to
+/// 5e-7 absolute.
+pub fn gelu_row<V: Lanes>(row: &mut [f32]) {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    map_lanes::<V>(row, 0.0, |x| {
+        let inner = x.mul(x).mul(x).mul_add(V::splat(0.044715), x);
+        let arg = inner.mul(V::splat(-2.0 * C)).min(V::splat(EXP_HI));
+        x.div(V::splat(1.0).add(exp_lanes(arg)))
+    });
+}
+
+/// A row-major matrix view: row `i` starts at `data[i * stride]`. A stride
+/// of 0 repeats one row (a bias).
+#[derive(Clone, Copy)]
+pub struct Rows<'a> {
+    /// Backing floats, starting at the view's first element.
+    pub data: &'a [f32],
+    /// Distance between consecutive rows.
+    pub stride: usize,
+}
+
+/// Rows per register tile of [`gemm`]: with ≤ 3 column vectors that is 12
+/// independent FMA chains in 12 accumulators, which leaves room for the
+/// three `w` vectors and the broadcast in 16 registers.
+const TILE_ROWS: usize = 4;
+
+/// `out[i, j] = seed[i, j] + Σ_p x[i, p] · w[p, j]` for `i < n`, `j < m`,
+/// summed in order of `p` (so a row's result does not depend on which tile
+/// computed it). `seed: None` starts from zero. Register-tiled over
+/// [`TILE_ROWS`] rows × up to three 8-wide column vectors; columns past the
+/// last whole vector take a scalar path.
+///
+/// One kernel serves the linears (`seed` = bias, stride 0), the attention
+/// scores (`x` = Q head, `w` = Kᵀ, `seed` = visibility mask) and the
+/// attention context (`x` = scores, `w` = V head).
+pub fn gemm<V: Lanes>(
+    x: Rows<'_>,
+    w: Rows<'_>,
+    seed: Option<Rows<'_>>,
+    out: &mut [f32],
+    out_stride: usize,
+    [n, k, m]: [usize; 3],
+) {
+    let vectors = m / LANES;
+    // The last block of a long input overlaps its predecessor rather than
+    // running narrower tiles; short inputs go row by row.
+    let rows = if n >= TILE_ROWS { TILE_ROWS } else { 1 };
+    let mut i0 = 0;
+    while i0 < n {
+        let i = i0.min(n - rows);
+        let mut j = 0;
+        while j < vectors {
+            let left = vectors - j;
+            let cols = if left == 4 { 2 } else { left.min(3) };
+            let at = j * LANES;
+            match (rows, cols) {
+                (TILE_ROWS, 3) => tile::<V, TILE_ROWS, 3>(x, w, seed, out, out_stride, [i, k, at]),
+                (TILE_ROWS, 2) => tile::<V, TILE_ROWS, 2>(x, w, seed, out, out_stride, [i, k, at]),
+                (TILE_ROWS, _) => tile::<V, TILE_ROWS, 1>(x, w, seed, out, out_stride, [i, k, at]),
+                (_, 3) => tile::<V, 1, 3>(x, w, seed, out, out_stride, [i, k, at]),
+                (_, 2) => tile::<V, 1, 2>(x, w, seed, out, out_stride, [i, k, at]),
+                (_, _) => tile::<V, 1, 1>(x, w, seed, out, out_stride, [i, k, at]),
+            }
+            j += cols;
+        }
+        i0 += rows;
+    }
+    for j in vectors * LANES..m {
+        for i in 0..n {
+            let xrow = &x.data[i * x.stride..][..k];
+            let mut acc = seed.map_or(0.0, |s| s.data[i * s.stride + j]);
+            for (p, &xv) in xrow.iter().enumerate() {
+                acc = fused(xv, w.data[p * w.stride + j], acc);
+            }
+            out[i * out_stride + j] = acc;
+        }
+    }
+}
+
+/// One `R × 8C` register tile of [`gemm`] at row `i`, column `j`.
+#[inline(always)]
+fn tile<V: Lanes, const R: usize, const C: usize>(
+    x: Rows<'_>,
+    w: Rows<'_>,
+    seed: Option<Rows<'_>>,
+    out: &mut [f32],
+    out_stride: usize,
+    [i, k, j]: [usize; 3],
+) {
+    let chunk = |s: &[f32], c: usize| -> V {
+        V::load(s[c * LANES..][..LANES].try_into().expect("eight lanes"))
+    };
+    let mut acc = [[V::splat(0.0); C]; R];
+    if let Some(seed) = seed {
+        for (r, arow) in acc.iter_mut().enumerate() {
+            let srow = &seed.data[(i + r) * seed.stride + j..][..C * LANES];
+            for (c, a) in arow.iter_mut().enumerate() {
+                *a = chunk(srow, c);
+            }
+        }
+    }
+    let xrows: [&[f32]; R] = std::array::from_fn(|r| &x.data[(i + r) * x.stride..][..k]);
+    // `p` walks a row of `w` and a column of all `R` rows of `x` at once.
+    #[allow(clippy::needless_range_loop)]
+    for p in 0..k {
+        let wrow = &w.data[p * w.stride + j..][..C * LANES];
+        let wv: [V; C] = std::array::from_fn(|c| chunk(wrow, c));
+        for (r, arow) in acc.iter_mut().enumerate() {
+            let xv = V::splat(xrows[r][p]);
+            for (c, a) in arow.iter_mut().enumerate() {
+                *a = xv.mul_add(wv[c], *a);
+            }
+        }
+    }
+    for (r, arow) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * out_stride + j..][..C * LANES];
+        for (c, a) in arow.iter().enumerate() {
+            a.store((&mut orow[c * LANES..][..LANES]).try_into().expect("eight lanes"));
+        }
+    }
+}
+
+/// Row-wise layer normalization of `x[n, d]` into `out[n, d]`, same formula
+/// as the tape op, with lane-wise mean and variance sums.
+pub fn layer_norm<V: Lanes>(
+    x: &[f32],
+    d: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+) {
+    let (gv, gt) = gamma[..d].as_chunks::<LANES>();
+    let (bv, bt) = beta[..d].as_chunks::<LANES>();
+    for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        let (rv, rt) = row.as_chunks::<LANES>();
+        let mut vsum = V::splat(0.0);
+        for c in rv {
+            vsum = vsum.add(V::load(c));
+        }
+        let mu = (hsum(vsum) + rt.iter().sum::<f32>()) / d as f32;
+        let vmu = V::splat(mu);
+        let mut vsq = V::splat(0.0);
+        for c in rv {
+            let dv = V::load(c).sub(vmu);
+            vsq = dv.mul_add(dv, vsq);
+        }
+        let var = (hsum(vsq) + rt.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>()) / d as f32;
+        let istd = 1.0 / (var + eps).sqrt();
+        let vistd = V::splat(istd);
+        let (ov, ot) = orow.as_chunks_mut::<LANES>();
+        for (c, o) in ov.iter_mut().enumerate() {
+            let xhat = V::load(&rv[c]).sub(vmu).mul(vistd);
+            xhat.mul_add(V::load(&gv[c]), V::load(&bv[c])).store(o);
+        }
+        for (t, o) in ot.iter_mut().enumerate() {
+            *o = (rt[t] - mu) * istd * gt[t] + bt[t];
+        }
+    }
+}
+
+/// Borrowed views and scratch one attention head operates on. `n` tokens,
+/// model width `h`, the head's columns are `off..off + dh`; `np` is `n`
+/// rounded up to a multiple of [`LANES`] and `dhp` is `dh` likewise.
+pub struct HeadArgs<'s> {
+    /// Scaled queries `[n, h]`.
+    pub q: &'s [f32],
+    /// Keys `[n, h]`.
+    pub k: &'s [f32],
+    /// Values `[n, h]`.
+    pub v: &'s [f32],
+    /// Additive mask `[n, np]`: 0 visible, [`MASK_NEG`] hidden and padding.
+    pub mask: &'s [f32],
+    /// Scratch `[dh, np]`: the head's keys, transposed.
+    pub kt: &'s mut [f32],
+    /// Scratch `[n, dhp]`: the head's values, zero-padded.
+    pub vh: &'s mut [f32],
+    /// Scratch `[n, np]`.
+    pub scores: &'s mut [f32],
+    /// Scratch `[n]`: the reciprocal of each row's softmax sum.
+    pub inv: &'s mut [f32],
+    /// Scratch `[n, dhp]`.
+    pub ctxh: &'s mut [f32],
+    /// Output `[n, h]`; only the head's columns are written.
+    pub ctx: &'s mut [f32],
+    /// Sequence length.
+    pub n: usize,
+    /// Model width.
+    pub h: usize,
+    /// First column of the head.
+    pub off: usize,
+    /// Head width.
+    pub dh: usize,
+}
+
+/// First phase of one attention head: `scores = exp(mask + Q_h·K_hᵀ - max)`
+/// row by row, unnormalized, with `inv[i] = 1 / Σ_j scores[i, j]`. The mask
+/// seeds the accumulators, hidden pairs and padding sit at ~-1e9 and
+/// underflow to exactly 0, as on the tape path.
+pub fn attn_scores<V: Lanes>(a: &mut HeadArgs<'_>) {
+    let (n, h, off, dh) = (a.n, a.h, a.off, a.dh);
+    let np = n.next_multiple_of(LANES);
+    for p in 0..dh {
+        let krow = &mut a.kt[p * np..(p + 1) * np];
+        for (j, kv) in krow[..n].iter_mut().enumerate() {
+            *kv = a.k[j * h + off + p];
+        }
+        krow[n..].fill(0.0);
+    }
+    gemm::<V>(
+        Rows { data: &a.q[off..], stride: h },
+        Rows { data: a.kt, stride: np },
+        Some(Rows { data: a.mask, stride: np }),
+        a.scores,
+        np,
+        [n, dh, np],
+    );
+    for (srow, inv) in a.scores.chunks_exact_mut(np).zip(a.inv.iter_mut()).take(n) {
+        *inv = 1.0 / exp_row::<V>(srow);
+    }
+}
+
+/// Second phase: `ctx_h = diag(inv) · scores · V_h`, written into the
+/// head's columns of `ctx`.
+pub fn attn_context<V: Lanes>(a: &mut HeadArgs<'_>) {
+    let (n, h, off, dh) = (a.n, a.h, a.off, a.dh);
+    let np = n.next_multiple_of(LANES);
+    let dhp = dh.next_multiple_of(LANES);
+    for (j, vrow) in a.vh.chunks_exact_mut(dhp).enumerate().take(n) {
+        vrow[..dh].copy_from_slice(&a.v[j * h + off..][..dh]);
+        vrow[dh..].fill(0.0);
+    }
+    gemm::<V>(
+        Rows { data: a.scores, stride: np },
+        Rows { data: a.vh, stride: dhp },
+        None,
+        a.ctxh,
+        dhp,
+        [n, n, dhp],
+    );
+    for (i, crow) in a.ctxh.chunks_exact(dhp).enumerate().take(n) {
+        let inv = a.inv[i];
+        for (o, &c) in a.ctx[i * h + off..][..dh].iter_mut().zip(crow) {
+            *o = c * inv;
+        }
+    }
+}

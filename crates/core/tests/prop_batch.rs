@@ -4,7 +4,7 @@
 //! composites, and entity texts alike.
 
 use proptest::prelude::*;
-use tabbin_core::batch::BatchEncoder;
+use tabbin_core::batch::{BatchEncoder, PARALLEL_BATCH_THRESHOLD};
 use tabbin_core::config::ModelConfig;
 use tabbin_core::variants::TabBiNFamily;
 use tabbin_table::{CellValue, Table, Unit};
@@ -93,5 +93,23 @@ proptest! {
             let diff = max_abs_diff(&single, b);
             prop_assert!(diff < TOL, "entity {:?} diverged by {}", text, diff);
         }
+    }
+
+    #[test]
+    fn embedding_does_not_depend_on_the_rest_of_the_batch(
+        tables in proptest::collection::vec(arb_table(), 3..4),
+        crowd in prop_oneof![Just(0usize), Just(2 * PARALLEL_BATCH_THRESHOLD)],
+    ) {
+        // Below the fan-out threshold the batch is [a, b, c]; above it, b
+        // sits in the middle of a crowd that is chunked across workers.
+        let fam = TabBiNFamily::new(&tables, ModelConfig::tiny(), 53);
+        let mut batch = vec![tables[0].clone(); 1 + crowd / 2];
+        batch.push(tables[1].clone());
+        batch.extend(vec![tables[2].clone(); 1 + crowd / 2]);
+        let at = 1 + crowd / 2;
+        let alone = fam.embed_tables(&tables[1..2]);
+        let among = fam.embed_tables(&batch);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&among[at]), bits(&alone[0]));
     }
 }

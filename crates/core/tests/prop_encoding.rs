@@ -3,7 +3,11 @@
 
 use proptest::prelude::*;
 use tabbin_core::config::{ModelConfig, SegmentKind};
-use tabbin_core::encoding::{encode_column, encode_row, encode_segment, encode_text, NO_CELL};
+use tabbin_core::encoding::{
+    encode_column, encode_row, encode_segment, encode_text, EncodedSequence, NO_CELL,
+};
+use tabbin_core::variants::train_tokenizer;
+use tabbin_corpus::{generate, Dataset, GenOptions};
 use tabbin_table::{CellValue, Table, Unit};
 use tabbin_tokenizer::Tokenizer;
 use tabbin_typeinfer::TypeTagger;
@@ -123,5 +127,67 @@ proptest! {
                 prop_assert!(seen.insert(i), "token {i} owned by two cells");
             }
         }
+    }
+}
+
+/// FNV-1a over every field of every token, and the cell count.
+fn fold_sequence(h: &mut u64, seq: &EncodedSequence) {
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(seq.tokens.len() as u64);
+    eat(seq.n_cells as u64);
+    for t in &seq.tokens {
+        eat(u64::from(t.vocab_id));
+        eat(t.value.map_or(u64::MAX, f64::to_bits));
+        eat(t.cell_pos as u64);
+        t.tpos.iter().for_each(|&x| eat(u64::from(x)));
+        eat(t.sem_type as u64);
+        t.feat_bits.iter().for_each(|&b| eat(u64::from(b)));
+        eat(u64::from(t.row));
+        eat(u64::from(t.col));
+        eat(u64::from(t.special));
+        eat(t.cell_id as u64);
+    }
+}
+
+/// Digests of [`fold_sequence`] over the corpus below, taken at the commit
+/// before the encoder stopped allocating per word and walking past
+/// `max_seq`: tokenizer training, splitting, WordPiece, truncation and cell
+/// numbering must all still produce the very same sequences.
+const ENCODING_DIGESTS: [(Dataset, u64); 5] = [
+    (Dataset::Webtables, 0x3cff_cb8e_e289_c1b1),
+    (Dataset::CovidKg, 0xe3ac_add9_8a17_df6d),
+    (Dataset::CancerKg, 0xf533_2e4a_ada9_eda9),
+    (Dataset::Saus, 0xa6b3_7604_514d_01a3),
+    (Dataset::Cius, 0x55c1_d749_e9c6_3192),
+];
+
+#[test]
+fn generated_tables_encode_as_before_the_allocation_light_encoder() {
+    let tagger = TypeTagger::new();
+    for (ds, want) in ENCODING_DIGESTS {
+        let tables = generate(ds, &GenOptions { n_tables: Some(48), seed: 11 }).plain_tables();
+        // Half the tables train the vocabulary, so the other half exercise
+        // the out-of-vocabulary paths.
+        let tok = train_tokenizer(&tables[..24]);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for cfg in [ModelConfig::tiny(), ModelConfig::default()] {
+            for t in &tables {
+                for kind in SegmentKind::ALL {
+                    fold_sequence(&mut h, &encode_segment(t, kind, &tok, &tagger, &cfg));
+                }
+                for j in 0..t.n_cols() {
+                    fold_sequence(&mut h, &encode_column(t, j, &tok, &tagger, &cfg));
+                }
+                for i in 0..t.n_rows().min(3) {
+                    fold_sequence(&mut h, &encode_row(t, i, &tok, &tagger, &cfg));
+                }
+                fold_sequence(&mut h, &encode_text(&t.caption, &tok, &tagger, &cfg));
+            }
+        }
+        assert_eq!(h, want, "{}: digest {h:#018x}", ds.name());
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::Table;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// The seven unit families the paper one-hot encodes in the cell-feature
 /// vector (`[stats, length, weight, capacity, time, temperature, pressure,
@@ -108,30 +109,94 @@ impl NumericFeatures {
     /// Bucket count per feature (paper: `M = P = F = L = 10`).
     pub const BUCKETS: usize = 10;
 
-    /// Extracts the features from a numeric value.
+    /// Extracts the features from a numeric value: the digits are those of
+    /// `|value|` written with up to 6 fractional digits (`{:.6}`), trailing
+    /// zeros trimmed. Allocation-free — this runs once per numeric token of
+    /// every embedded sequence.
     pub fn of(value: f64) -> Self {
         let v = value.abs();
         let magnitude = if v < 1.0 { 0 } else { (v.log10().floor() as i64).clamp(0, 9) as u8 };
-        // Render with up to 6 fractional digits, trimmed, to recover the
-        // written form's digits.
-        let mut s = format!("{v:.6}");
-        while s.ends_with('0') {
-            s.pop();
+        if v < 1e12 {
+            Self::of_micros(magnitude, micros(v))
+        } else {
+            Self::of_rendered(magnitude, v)
         }
-        if s.ends_with('.') {
-            s.pop();
+    }
+
+    /// The digit features of `micros / 10⁶`.
+    fn of_micros(magnitude: u8, micros: u64) -> Self {
+        let leading = |mut n: u64| {
+            while n >= 10 {
+                n /= 10;
+            }
+            n as u8
+        };
+        let (int, mut frac) = (micros / 1_000_000, micros % 1_000_000);
+        let first_digit = leading(if int != 0 { int } else { frac });
+        let mut frac_digits = if frac == 0 { 0 } else { 6 };
+        while frac != 0 && frac.is_multiple_of(10) {
+            frac /= 10;
+            frac_digits -= 1;
         }
-        let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_digit).map(|b| b - b'0').collect();
-        let int_digits = s.split('.').next().map(|p| p.len()).unwrap_or(0);
-        let frac_digits = digits.len().saturating_sub(int_digits);
-        let first_digit = digits.iter().copied().find(|&d| d != 0).unwrap_or(0);
-        let last_digit = digits.last().copied().unwrap_or(0);
+        let last_digit = (if frac != 0 { frac } else { int } % 10) as u8;
+        NumericFeatures { magnitude, precision: frac_digits.max(1), first_digit, last_digit }
+    }
+
+    /// The digit features read off `{v:.6}` itself: huge values, whose
+    /// digits do not fit an integer, and NaN/inf, which have none.
+    fn of_rendered(magnitude: u8, v: f64) -> Self {
+        // `{:.6}` of an f64 is at most 309 + 1 + 6 bytes.
+        let mut buf = StackStr { bytes: [0; 320], len: 0 };
+        write!(buf, "{v:.6}").expect("a float rendering fits the buffer");
+        let mut s = &buf.bytes[..buf.len];
+        while let [rest @ .., b'0'] = s {
+            s = rest;
+        }
+        if let [rest @ .., b'.'] = s {
+            s = rest;
+        }
+        // "NaN" and "inf" have no '.', no digits, and three "integer" bytes.
+        let int_len = s.iter().position(|&b| b == b'.').unwrap_or(s.len());
+        let digits = || s.iter().filter(|b| b.is_ascii_digit()).map(|b| b - b'0');
         NumericFeatures {
-            magnitude: magnitude.min(9),
-            precision: frac_digits.clamp(1, 9) as u8,
-            first_digit,
-            last_digit,
+            magnitude,
+            precision: digits().count().saturating_sub(int_len).clamp(1, 9) as u8,
+            first_digit: digits().find(|&d| d != 0).unwrap_or(0),
+            last_digit: digits().next_back().unwrap_or(0),
         }
+    }
+}
+
+/// `v · 10⁶` rounded half to even, exactly, for `0 ≤ v < 1e12` — the integer
+/// whose decimal digits `{v:.6}` prints. `v = m · 2^e` with `e < 0` in that
+/// range, so the product is one 128-bit multiply and a rounding shift.
+fn micros(v: f64) -> u64 {
+    let bits = v.to_bits();
+    let (exp, frac) = ((bits >> 52) as i32, bits & ((1 << 52) - 1));
+    let (m, e) = if exp == 0 { (frac, -1074) } else { (frac | 1 << 52, exp - 1075) };
+    let n = u128::from(m) * 1_000_000;
+    let shift = (-e) as u32;
+    if shift >= 127 {
+        return 0; // n < 2^73, so the quotient is below a half
+    }
+    let q = (n >> shift) as u64;
+    let rem = n & ((1 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    q + u64::from(rem > half || (rem == half && q & 1 == 1))
+}
+
+/// A fixed-capacity `fmt::Write` sink on the stack.
+struct StackStr {
+    bytes: [u8; 320],
+    len: usize,
+}
+
+impl std::fmt::Write for StackStr {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 

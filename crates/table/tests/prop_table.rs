@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tabbin_table::coords::assign_coordinates;
 use tabbin_table::visibility::{density, visibility_matrix, SeqItem};
-use tabbin_table::{CellValue, MetaNode, MetaTree, Table, Unit};
+use tabbin_table::{CellValue, MetaNode, MetaTree, NumericFeatures, Table, Unit};
 
 /// Strategy: a metadata tree with the requested number of leaves, randomly
 /// grouped into one or two levels.
@@ -142,5 +142,86 @@ proptest! {
         let s = v.render();
         let has_nul = s.chars().any(|c| c == char::from(0));
         prop_assert!(!has_nul);
+    }
+}
+
+/// The string-rendered definition of the numeric features, as written before
+/// `NumericFeatures::of` became allocation-free: the oracle it must equal.
+fn numeric_features_by_string(value: f64) -> NumericFeatures {
+    let v = value.abs();
+    let magnitude = if v < 1.0 { 0 } else { (v.log10().floor() as i64).clamp(0, 9) as u8 };
+    let mut s = format!("{v:.6}");
+    while s.ends_with('0') {
+        s.pop();
+    }
+    if s.ends_with('.') {
+        s.pop();
+    }
+    let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_digit).map(|b| b - b'0').collect();
+    let int_digits = s.split('.').next().map(|p| p.len()).unwrap_or(0);
+    let frac_digits = digits.len().saturating_sub(int_digits);
+    NumericFeatures {
+        magnitude: magnitude.min(9),
+        precision: frac_digits.clamp(1, 9) as u8,
+        first_digit: digits.iter().copied().find(|&d| d != 0).unwrap_or(0),
+        last_digit: digits.last().copied().unwrap_or(0),
+    }
+}
+
+#[test]
+fn numeric_features_match_string_definition_on_edge_values() {
+    let mut cases = vec![
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        4.9e-7,
+        5e-7,
+        5.000001e-7,
+        0.999_999_5,
+        0.999_999_499,
+        9.999_999_5,
+        999_999_999.999_999_9,
+        1e9,
+        1e12 - 1.0,
+        999_999_999_999.999_9,
+        1e12,
+        1.5e12,
+        9.007_199_254_740_993e15,
+        1e22,
+        1.797e308,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        20.3,
+        -20.3,
+        100.0,
+        0.05,
+    ];
+    // Exact decimal ties at the sixth place: odd multiples of 2^-7.
+    cases.extend((1..200).step_by(2).map(|j| j as f64 / 128.0));
+    cases.extend((1..200).step_by(2).map(|j| 1e6 + j as f64 / 128.0));
+    for v in cases {
+        assert_eq!(NumericFeatures::of(v), numeric_features_by_string(v), "value {v:e}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn numeric_features_match_string_definition(bits in 0..=u64::MAX, scale in 0usize..4) {
+        // Raw bit patterns cover subnormals, huge values, NaN and ±inf;
+        // the scaled forms crowd the range tables actually hold.
+        let raw = f64::from_bits(bits);
+        let v = match scale {
+            0 => raw,
+            1 => (bits % 2_000_000_000) as f64 / 1000.0 - 1e6,
+            2 => (bits % 1_000_000) as f64 / 1e6,
+            _ => (bits >> 11) as f64 / 1e4,
+        };
+        let (got, want) = (NumericFeatures::of(v), numeric_features_by_string(v));
+        prop_assert!(got == want, "value {:e}: {:?} != {:?}", v, got, want);
     }
 }

@@ -1,5 +1,7 @@
 //! Pre-tokenization: lowercasing, punctuation splitting, number detection.
 
+use std::borrow::Cow;
+
 /// A raw token produced by [`basic_split`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum RawToken {
@@ -10,63 +12,81 @@ pub enum RawToken {
     Number(f64),
 }
 
-/// Splits text into words and numbers.
+/// A token as a byte range of the input: what [`spans`] yields, and what
+/// [`basic_split`] turns into owned [`RawToken`]s.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Span<'a> {
+    /// A word exactly as written; [`lowercased`] gives its token form.
+    Word(&'a str),
+    /// A number literal, parsed.
+    Number(f64),
+}
+
+/// The lowercase form of a word, borrowing it when it already is one — which
+/// is the case for nearly every word of a rendered table.
+pub(crate) fn lowercased(word: &str) -> Cow<'_, str> {
+    if word.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        Cow::Borrowed(word)
+    } else {
+        Cow::Owned(word.to_lowercase())
+    }
+}
+
+/// Splits text into word and number spans, without allocating.
 ///
 /// Rules: Unicode whitespace separates tokens; ASCII punctuation separates
 /// tokens except `.` between digits (decimal point) and a leading `-` before
-/// a digit (negative number); `%` becomes the word `"%"` (a stats unit cue);
-/// words are lowercased.
-pub fn basic_split(text: &str) -> Vec<RawToken> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = text.chars().collect();
+/// a digit (negative number); `%` becomes the word `"%"` (a stats unit cue).
+pub(crate) fn spans(text: &str) -> impl Iterator<Item = Span<'_>> {
+    let bytes = text.as_bytes();
+    let digit_at = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c == '%' {
-            out.push(RawToken::Word("%".to_string()));
-            i += 1;
-            continue;
-        }
-        // Number: optional sign, digits, optional fraction.
-        let minus = c == '-' && i + 1 < chars.len() && chars[i + 1].is_ascii_digit();
-        if c.is_ascii_digit() || minus {
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
             let start = i;
-            if minus {
+            let c = text[i..].chars().next().expect("i is a char boundary inside text");
+            if c == '%' {
                 i += 1;
+                return Some(Span::Word(&text[start..i]));
             }
-            while i < chars.len() && chars[i].is_ascii_digit() {
+            // Number: optional sign, digits, optional fraction.
+            if c.is_ascii_digit() || (c == '-' && digit_at(i + 1)) {
                 i += 1;
-            }
-            if i + 1 < chars.len() && chars[i] == '.' && chars[i + 1].is_ascii_digit() {
-                i += 1;
-                while i < chars.len() && chars[i].is_ascii_digit() {
+                while digit_at(i) {
                     i += 1;
                 }
+                if bytes.get(i) == Some(&b'.') && digit_at(i + 1) {
+                    i += 1;
+                    while digit_at(i) {
+                        i += 1;
+                    }
+                }
+                let lit = &text[start..i];
+                return Some(lit.parse().map_or(Span::Word(lit), Span::Number));
             }
-            let lit: String = chars[start..i].iter().collect();
-            match lit.parse::<f64>() {
-                Ok(v) => out.push(RawToken::Number(v)),
-                Err(_) => out.push(RawToken::Word(lit.to_lowercase())),
+            if c.is_alphanumeric() {
+                let rest = &text[start..];
+                let len =
+                    rest.find(|c: char| !(c.is_alphanumeric() || c == '\'')).unwrap_or(rest.len());
+                i += len;
+                return Some(Span::Word(&rest[..len]));
             }
-            continue;
+            // Whitespace, and any other punctuation, separates and is dropped.
+            i += c.len_utf8();
         }
-        if c.is_alphanumeric() {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '\'') {
-                i += 1;
-            }
-            let word: String = chars[start..i].iter().collect::<String>().to_lowercase();
-            out.push(RawToken::Word(word));
-            continue;
-        }
-        // Any other punctuation is a separator and is dropped.
-        i += 1;
-    }
-    out
+        None
+    })
+}
+
+/// Splits text into words and numbers; words are lowercased. See [`spans`]
+/// for the rules.
+pub fn basic_split(text: &str) -> Vec<RawToken> {
+    spans(text)
+        .map(|s| match s {
+            Span::Word(w) => RawToken::Word(lowercased(w).into_owned()),
+            Span::Number(v) => RawToken::Number(v),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -132,5 +152,14 @@ mod tests {
     #[test]
     fn unicode_words_survive() {
         assert_eq!(basic_split("naïve"), vec![RawToken::Word("naïve".into())]);
+    }
+
+    #[test]
+    fn lowercasing_borrows_what_is_already_lowercase() {
+        assert!(matches!(lowercased("colon's"), Cow::Borrowed(_)));
+        assert!(matches!(lowercased("os2"), Cow::Borrowed(_)));
+        assert_eq!(lowercased("Colon"), "colon");
+        // Non-ASCII goes through the full Unicode mapping (final sigma).
+        assert_eq!(lowercased("ΟΔΟΣ"), "οδος");
     }
 }

@@ -1,6 +1,6 @@
 //! Greedy longest-match WordPiece encoding.
 
-use crate::split::{basic_split, RawToken};
+use crate::split::{lowercased, spans, Span};
 use crate::vocab::{SpecialToken, Vocab};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -53,9 +53,9 @@ impl Tokenizer {
     ) -> Self {
         let mut counts: HashMap<String, u64> = HashMap::new();
         for text in texts {
-            for tok in basic_split(text) {
-                if let RawToken::Word(w) = tok {
-                    *counts.entry(w).or_insert(0) += 1;
+            for span in spans(text) {
+                if let Span::Word(w) = span {
+                    *counts.entry(lowercased(w).into_owned()).or_insert(0) += 1;
                 }
             }
         }
@@ -76,13 +76,24 @@ impl Tokenizer {
     /// back to `[UNK]`.
     pub fn encode(&self, text: &str) -> Vec<Piece> {
         let mut out = Vec::new();
-        for tok in basic_split(text) {
-            match tok {
-                RawToken::Number(v) => out.push(Piece::Value(v)),
-                RawToken::Word(w) => self.encode_word(&w, &mut out),
+        self.encode_into(text, usize::MAX, &mut out);
+        out
+    }
+
+    /// [`Tokenizer::encode`] appending to `out`, stopping at the first word
+    /// boundary at or past `limit` appended pieces: a caller that keeps only
+    /// the first few pieces of a long text does not pay for the rest.
+    pub fn encode_into(&self, text: &str, limit: usize, out: &mut Vec<Piece>) {
+        let stop = out.len().saturating_add(limit);
+        for span in spans(text) {
+            if out.len() >= stop {
+                return;
+            }
+            match span {
+                Span::Number(v) => out.push(Piece::Value(v)),
+                Span::Word(w) => self.encode_word(&lowercased(w), out),
             }
         }
-        out
     }
 
     /// WordPiece for one pre-split word: greedy longest match, `##`-prefixed
@@ -92,35 +103,40 @@ impl Tokenizer {
             out.push(Piece::Word(id));
             return;
         }
-        let chars: Vec<char> = word.chars().collect();
+        let mark = out.len();
+        // Continuation candidates are prefixes of `##` + the unmatched rest,
+        // written once per piece instead of once per candidate.
+        let mut cont = String::new();
         let mut start = 0;
-        let mut pieces = Vec::new();
-        while start < chars.len() {
-            let mut end = chars.len();
-            let mut matched = None;
-            while end > start {
-                let body: String = chars[start..end].iter().collect();
-                let candidate = if start == 0 { body } else { format!("##{body}") };
-                if let Some(id) = self.vocab.id_of(&candidate) {
-                    matched = Some(id);
-                    break;
-                }
-                end -= 1;
-            }
+        while start < word.len() {
+            let rest = &word[start..];
+            let (key, skip) = if start == 0 {
+                (rest, 0)
+            } else {
+                cont.clear();
+                cont.push_str("##");
+                cont.push_str(rest);
+                (cont.as_str(), 2)
+            };
+            let matched = rest
+                .char_indices()
+                .rev()
+                .map(|(at, c)| at + c.len_utf8())
+                .find_map(|end| Some((end, self.vocab.id_of(&key[..skip + end])?)));
             match matched {
-                Some(id) => {
-                    pieces.push(Piece::Word(id));
-                    start = end;
+                Some((end, id)) => {
+                    out.push(Piece::Word(id));
+                    start += end;
                 }
                 None => {
                     // Unseen character: the whole word degrades to [UNK], as
                     // in BERT's WordPiece.
+                    out.truncate(mark);
                     out.push(Piece::Word(SpecialToken::Unk.id()));
                     return;
                 }
             }
         }
-        out.append(&mut pieces);
     }
 
     /// Decodes ids back to surface forms (lossy for `[VAL]`).
