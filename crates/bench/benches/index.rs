@@ -1,17 +1,16 @@
 //! Retrieval-layer micro-benchmark: `tabbin_index` batched top-k against
-//! the pre-store baseline (a scalar cosine scan per query), for both
-//! storage tiers — one `VectorStore` and the sharded tier (`ShardedStore`,
-//! 4 shards) — each served through the `QueryEngine` (`Queryable`-trait)
-//! path the whole workspace uses. The engines run cache-off and at probe
+//! the pre-store baseline (a scalar cosine scan per query), for the flat
+//! store (`ShardedStore::new(DIM, 1, ..)`) and a 4-shard one — each served
+//! through the `QueryEngine` (`Queryable`-trait) path the whole workspace
+//! uses. The engines run cache-off and at probe
 //! width 1, so the figures measure storage, not result reuse; a separate
 //! `cache` entry reports the LRU hit path on repeated queries.
 //!
 //! The quantized scoring tier is measured alongside: the same corpus behind
-//! `ScoringTier::Quantized`, driven through `EngineConfig::exact` so every
-//! query is a full coarse scan over the packed sign-bit signatures (the
-//! popcount Hamming kernel) followed by an f32 re-rank of the top
-//! `rerank_factor × k` — the tier's headline trade, a scan over ~64×-denser
-//! data, measured without LSH pruning in the way.
+//! `ScoringTier::Quantized`: every query is a full coarse scan over the
+//! packed sign-bit signatures (the popcount Hamming kernel) followed by an
+//! f32 re-rank of the top `rerank_factor × k` — the tier's headline trade,
+//! a scan over ~64×-denser data.
 //!
 //! The IVF-routed tier is the headline of the routing PR: the same corpus
 //! behind a k-means coarse quantizer (`IvfRouter`, 16 cells) with the
@@ -40,7 +39,7 @@ use std::time::Instant;
 use tabbin_eval::cosine;
 use tabbin_index::{
     CompactionPolicy, DurabilityPolicy, EngineConfig, IvfRouter, LshParams, NprobePolicy,
-    QueryEngine, ShardedStore, StoreConfig, VectorStore, DEFAULT_RERANK_FACTOR,
+    QueryEngine, ShardedStore, StoreConfig, DEFAULT_RERANK_FACTOR,
 };
 
 /// Corpus size / dimension of the headline measurement.
@@ -112,12 +111,15 @@ fn bench_index(c: &mut Criterion) {
     let queries: Vec<Vec<f32>> = corpus.iter().take(N_QUERIES).cloned().collect();
 
     let cfg = StoreConfig::with_lsh(LshParams::default_blocking());
-    let mut store = VectorStore::new(DIM, cfg);
+    let mut store = ShardedStore::new(DIM, 1, cfg);
     for v in &corpus {
         store.insert(v);
     }
     assert_eq!(store.len(), N_VECTORS);
-    assert!(store.stats().sealed_segments >= 2, "10k rows should span several sealed segments");
+    assert!(
+        store.stats().totals().sealed_segments >= 2,
+        "10k rows should span several sealed segments"
+    );
 
     // The sharded tier over the same corpus and blocking geometry.
     let mut sharded = ShardedStore::new(DIM, N_SHARDS, cfg);
@@ -127,12 +129,11 @@ fn bench_index(c: &mut Criterion) {
     assert_eq!(sharded.len(), N_VECTORS);
     assert!(sharded.stats().shards.iter().all(|s| s.live > 0), "hash routing left a shard empty");
 
-    // The quantized tier over the same corpus and blocking geometry: full
-    // coarse sign-bit scans (`ExactScan` source, via `EngineConfig::exact`),
-    // so its figure measures the packed popcount kernel plus f32 re-rank —
-    // a full scan over ~64×-denser data — not LSH pruning.
+    // The quantized tier over the same corpus and signature geometry: full
+    // coarse sign-bit scans, so its figure measures the packed popcount
+    // kernel plus f32 re-rank — a full scan over ~64×-denser data.
     let qcfg = StoreConfig::quantized(LshParams::default_blocking());
-    let mut quant = VectorStore::new(DIM, qcfg);
+    let mut quant = ShardedStore::new(DIM, 1, qcfg);
     for v in &corpus {
         quant.insert(v);
     }
@@ -471,7 +472,7 @@ fn bench_index(c: &mut Criterion) {
     // amortizes rewrites into the write stream) and explicit compaction.
     let mut g = c.benchmark_group("vector_store_lifecycle");
     g.bench_function("upsert_policy_compacted", |b| {
-        let mut s = VectorStore::new(DIM, StoreConfig::with_lsh(LshParams::default_blocking()));
+        let mut s = ShardedStore::new(DIM, 1, StoreConfig::with_lsh(LshParams::default_blocking()));
         let mut next = 0u64;
         b.iter(|| {
             s.upsert(next % 4096, &corpus[(next as usize) % corpus.len()]);
@@ -479,7 +480,7 @@ fn bench_index(c: &mut Criterion) {
         });
     });
     g.bench_function("compact_4k", |b| {
-        let mut s = VectorStore::new(DIM, StoreConfig::with_lsh(LshParams::default_blocking()));
+        let mut s = ShardedStore::new(DIM, 1, StoreConfig::with_lsh(LshParams::default_blocking()));
         for v in corpus.iter().take(4096) {
             s.insert(v);
         }

@@ -12,7 +12,7 @@ use tabbin_core::model::TabBiNModel;
 use tabbin_core::variants::train_tokenizer;
 use tabbin_core::variants::TabBiNFamily;
 use tabbin_corpus::{generate, Dataset, GenOptions};
-use tabbin_eval::LshIndex;
+use tabbin_index::{LshCandidates, LshParams, ShardedStore, StoreConfig};
 use tabbin_table::coords::assign_coordinates;
 use tabbin_table::visibility::{visibility_matrix, SeqItem};
 use tabbin_tensor::Tensor;
@@ -78,12 +78,22 @@ fn bench_lsh(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let items: Vec<Vec<f32>> =
         (0..512).map(|_| (0..64).map(|_| rng.random_range(-1.0f32..1.0)).collect()).collect();
+    // The §4.1 blocking index is a flat (one-shard) exact-tier store with
+    // LSH on: building it hashes every vector into its band buckets.
+    let build = || {
+        let cfg = StoreConfig { seed: 7, ..StoreConfig::with_lsh(LshParams::new(8, 4)) };
+        let mut store = ShardedStore::new(64, 1, cfg);
+        for v in &items {
+            store.insert(v);
+        }
+        store
+    };
     c.bench_function("lsh_build_512x64", |b| {
-        b.iter(|| black_box(LshIndex::build(&items, 8, 4, 7)));
+        b.iter(|| black_box(build()));
     });
-    let index = LshIndex::build(&items, 8, 4, 7);
+    let store = build();
     c.bench_function("lsh_candidates", |b| {
-        b.iter(|| black_box(index.candidates(0)));
+        b.iter(|| black_box(store.candidate_count(&items[0], &LshCandidates)));
     });
 }
 

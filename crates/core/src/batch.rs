@@ -165,9 +165,10 @@ impl<'a> BatchEncoder<'a> {
     }
 
     /// Embeds `tables` through the batched pipeline and streams the
-    /// composite embeddings straight into `sink` — a single
-    /// [`tabbin_index::VectorStore`], a [`tabbin_index::ShardedStore`], or
-    /// any other [`VectorSink`] — one `insert` per table, in input order.
+    /// composite embeddings straight into `sink` — a
+    /// [`tabbin_index::ShardedStore`], a [`tabbin_index::QueryEngine`] over
+    /// one, or any other [`VectorSink`] — one `insert` per table, in input
+    /// order.
     /// Returns
     /// the assigned ids, so callers can map store hits back to tables.
     /// The sink must be sized for the composite dimension (`4 * hidden`).
@@ -265,7 +266,7 @@ mod tests {
     fn embed_into_streams_batched_embeddings() {
         let (tables, fam) = family();
         let dim = 4 * fam.cfg.hidden;
-        let mut store = tabbin_index::VectorStore::exact(dim);
+        let mut store = tabbin_index::ShardedStore::exact(dim, 1);
         let ids = BatchEncoder::new(&fam).embed_into(&mut store, &tables);
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(store.len(), tables.len());

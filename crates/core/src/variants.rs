@@ -190,8 +190,8 @@ impl TabBiNFamily {
     }
 
     /// Embeds `tables` and streams the composites into any
-    /// [`tabbin_index::VectorSink`] — a `VectorStore`, a `ShardedStore`, or
-    /// a custom sink — sized for dimension `4 * hidden`; returns the
+    /// [`tabbin_index::VectorSink`] — a `ShardedStore`, a `QueryEngine`
+    /// over one, or a custom sink — sized for dimension `4 * hidden`; returns the
     /// assigned ids in table order.
     pub fn embed_tables_into<S: tabbin_index::VectorSink>(
         &self,

@@ -6,7 +6,7 @@
 /// `debug_assert!` only: callers are expected to hold equal-dimension
 /// embeddings (release builds silently truncate to the shorter side). For
 /// vectors of untrusted provenance use [`try_cosine`]; bulk retrieval
-/// should go through `tabbin_index::VectorStore`, whose normalized-dot path
+/// should go through `tabbin_index::ShardedStore`, whose normalized-dot path
 /// never recomputes norms at all.
 pub fn cosine(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "cosine length mismatch");

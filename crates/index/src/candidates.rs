@@ -1,10 +1,10 @@
-//! Pluggable candidate generation for [`VectorStore`] searches.
+//! Candidate generation for exact-tier searches.
 //!
-//! A [`CandidateSource`] decides, per segment, which rows are worth scoring
-//! for a query. [`ExactScan`] nominates everything; [`LshCandidates`] probes
-//! the segment's banded LSH buckets — the paper's §4.1 blocking step turned
-//! into a query-time accelerator. Custom sources (e.g. metadata filters,
-//! type-constrained search) implement the same trait.
+//! A [`CandidateSource`] decides, per segment, which rows the f32 kernel
+//! scores for a query. [`ExactScan`] nominates everything; [`LshCandidates`]
+//! probes the segment's banded LSH buckets — the paper's §4.1 blocking step
+//! turned into a query-time accelerator. The quantized tier never consults
+//! a source: its coarse pass sweeps every signature of the probed shards.
 //!
 //! Sources receive a [`QueryContext`] rather than a bare vector: the store
 //! computes per-query state (the normalized vector, and the LSH signature
@@ -22,9 +22,9 @@ pub struct QueryContext<'a> {
     /// The query's LSH signature, precomputed once by the store when LSH is
     /// enabled; `None` on stores without LSH.
     pub signature: Option<&'a [bool]>,
-    /// The same signature packed into `u64` words
-    /// ([`crate::lsh::pack_signature`]) — what the quantized tier's coarse
-    /// Hamming pass scores against; `None` on stores without LSH.
+    /// The same signature packed into `u64` words — what the quantized
+    /// tier's coarse Hamming pass scores against; `None` on stores without
+    /// LSH.
     pub packed: Option<&'a [u64]>,
 }
 
@@ -38,7 +38,8 @@ pub enum Candidates {
 }
 
 /// A per-segment candidate generator. `Sync` because batched searches call
-/// it from worker threads.
+/// it from worker threads. The per-shard store it reads is crate-private,
+/// so the implementers are the two in this module.
 pub trait CandidateSource: Sync {
     /// Candidate rows of segment `seg` for the query.
     fn candidates(&self, store: &VectorStore, seg: usize, query: &QueryContext<'_>) -> Candidates;
@@ -72,7 +73,7 @@ impl CandidateSource for LshCandidates {
             return Candidates::All;
         };
         // The store hands LSH-enabled queries a precomputed signature; the
-        // fallback covers contexts built by hand (e.g. custom callers).
+        // fallback covers contexts built by hand.
         let computed;
         let sig: &[bool] = match query.signature {
             Some(s) => s,
@@ -97,42 +98,54 @@ impl CandidateSource for LshCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreConfig;
+    use crate::store::{LshParams, StoreConfig};
+    use crate::ShardedStore;
 
     fn ctx<'a>(v: &'a [f32]) -> QueryContext<'a> {
         QueryContext { vector: v, signature: None, packed: None }
     }
 
+    /// One shard's slab holding `rows` (normalized on the way in).
+    fn slab(cfg: StoreConfig, rows: &[[f32; 4]]) -> VectorStore {
+        let mut store = VectorStore::new(4, cfg);
+        for (id, v) in rows.iter().enumerate() {
+            let mut nv = v.to_vec();
+            crate::simd::l2_normalize(&mut nv);
+            store.upsert_normalized(id as u64, &nv);
+        }
+        store
+    }
+
     #[test]
     fn lsh_source_on_plain_store_degrades_to_exact() {
-        let mut store = VectorStore::new(4, StoreConfig::default());
-        store.insert(&[1.0, 0.0, 0.0, 0.0]);
+        let store = slab(StoreConfig::default(), &[[1.0, 0.0, 0.0, 0.0]]);
         let q = [1.0f32, 0.0, 0.0, 0.0];
         assert_eq!(LshCandidates.candidates(&store, 0, &ctx(&q)), Candidates::All);
         // Ergo the two sources agree end to end.
+        let mut store = ShardedStore::exact(4, 1);
+        store.insert(&[1.0, 0.0, 0.0, 0.0]);
         let q = [0.9f32, 0.1, 0.0, 0.0];
         assert_eq!(store.search(&q, 1, &LshCandidates), store.search(&q, 1, &ExactScan));
     }
 
     #[test]
     fn exact_scan_nominates_everything() {
-        let store = VectorStore::exact(4);
+        let store = slab(StoreConfig::default(), &[]);
         assert_eq!(ExactScan.candidates(&store, 0, &ctx(&[0.0; 4])), Candidates::All);
     }
 
     #[test]
     fn handmade_context_without_signature_matches_store_path() {
-        use crate::store::LshParams;
-        let mut store =
-            VectorStore::new(4, StoreConfig::with_lsh(LshParams { bands: 4, rows_per_band: 2 }));
-        for v in [[1.0f32, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.7, 0.7, 0.0, 0.0]] {
-            store.insert(&v);
-        }
+        let store = slab(
+            StoreConfig::with_lsh(LshParams { bands: 4, rows_per_band: 2 }),
+            &[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.7, 0.7, 0.0, 0.0]],
+        );
         // A context without a precomputed signature must produce the same
         // candidates the store's own (signature-carrying) path does.
         let q = [0.9f32, 0.3, 0.0, 0.0];
-        let via_fallback = LshCandidates.candidates(&store, 0, &ctx(&q));
-        let hits = store.search(&q, 3, &LshCandidates);
+        let prepared = store.prepare_query(&q);
+        let via_fallback = LshCandidates.candidates(&store, 0, &ctx(&prepared.nq));
+        let hits = store.scan_prepared(&prepared.ctx(), 3, &LshCandidates).into_sorted();
         if let Candidates::Subset(rows) = &via_fallback {
             assert_eq!(rows.len(), hits.len());
         } else {

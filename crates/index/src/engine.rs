@@ -8,10 +8,11 @@
 //! [`Queryable`] trait (scan a candidate set, return ranked hits — nothing
 //! else):
 //!
-//! * **Planning** ([`QueryPlan`]) — the engine picks the candidate source
-//!   ([`ProbePolicy`]: exact below a corpus-size cutoff where scans are
-//!   cheap and recall matters, LSH blocking above it, or forced either way)
-//!   and an ef-style **probe width**: it over-fetches `k × probe_width`
+//! * **Planning** ([`QueryPlan`]) — over an exact-tier store the engine
+//!   picks the candidate source ([`ProbePolicy`]: exact below a corpus-size
+//!   cutoff where scans are cheap and recall matters, LSH blocking above
+//!   it, or forced either way; a quantized store always sweeps its
+//!   signatures, so its plan never blocks) and an ef-style **probe width**: it over-fetches `k × probe_width`
 //!   candidates so a cached result can serve any smaller `k` as a prefix —
 //!   prefixes of a ranked top-`m` list are exactly the top-`k` for `k ≤ m`.
 //!   Over a router-driven store it also resolves an **`nprobe`**
@@ -25,7 +26,7 @@
 //!   goes through [`QueryEngine::store_mut`], which clears the cache.
 //! * **Micro-batching** ([`MicroBatcher`]) — concurrent single-query
 //!   callers (the serving tier's worker pool) coalesce into one
-//!   [`Queryable::search_batch`] call via a leader/follower queue: the
+//!   [`Queryable::search_batch_probed`] call via a leader/follower queue: the
 //!   first submitter drains the queue and executes for everyone, followers
 //!   block on their reply. Batching amortizes the per-call fan-out setup
 //!   across queries without a dedicated batcher thread.
@@ -43,10 +44,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// What the engine needs from a storage tier: dimension/size introspection
-/// for planning, and ranked candidate scans. Implemented by
-/// [`crate::VectorStore`] and [`crate::ShardedStore`]; custom tiers
-/// (remote shards, quantized mirrors) plug in the same way.
+/// What the engine needs from a storage tier: dimension/size/routing
+/// introspection for planning, and probe-bounded ranked scans. Implemented
+/// by [`crate::ShardedStore`]; the trait is the seam tests substitute
+/// fakes through.
 pub trait Queryable: Send + Sync {
     /// Vector dimensionality the tier stores.
     fn dim(&self) -> usize;
@@ -63,65 +64,40 @@ pub trait Queryable: Send + Sync {
     /// [`LshCandidates`] meaningful).
     fn has_lsh(&self) -> bool;
 
-    /// How the tier scores candidates (see [`ScoringTier`]). The default is
-    /// exact f32 scoring; stores with a quantized coarse pass report it
-    /// here so plans — and cache keys — reflect the scoring path.
-    fn tier(&self) -> ScoringTier {
-        ScoringTier::Exact
-    }
-
-    /// Ranked top-`k` for one query under an explicit candidate source.
-    fn search(&self, q: &[f32], k: usize, source: &dyn CandidateSource) -> Vec<Hit>;
-
-    /// Ranked top-`k` for many queries under an explicit candidate source.
-    fn search_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        source: &dyn CandidateSource,
-    ) -> Vec<Vec<Hit>>;
+    /// How the tier scores candidates (see [`ScoringTier`]), so plans —
+    /// and cache keys — reflect the scoring path.
+    fn tier(&self) -> ScoringTier;
 
     /// How many routing targets (shards) the tier fans a query across.
-    /// Single-store tiers are one route.
-    fn routes(&self) -> usize {
-        1
-    }
+    fn routes(&self) -> usize;
 
     /// Whether placement is geometry-aware (a learned router), making a
-    /// sub-`routes()` probe set meaningful. Hash-routed and single-store
-    /// tiers answer `false` and always scan everything.
-    fn routed(&self) -> bool {
-        false
-    }
+    /// sub-`routes()` probe set meaningful. Hash-routed tiers answer
+    /// `false` and always scan everything.
+    fn routed(&self) -> bool;
 
-    /// [`search`](Self::search) bounded to the `nprobe` nearest routing
-    /// cells. Tiers without a router ignore the bound.
+    /// Ranked top-`k` for one query under an explicit candidate source,
+    /// bounded to the `nprobe` nearest routing cells.
     fn search_probed(
         &self,
         q: &[f32],
         k: usize,
         source: &dyn CandidateSource,
         nprobe: usize,
-    ) -> Vec<Hit> {
-        let _ = nprobe;
-        self.search(q, k, source)
-    }
+    ) -> Vec<Hit>;
 
-    /// [`search_batch`](Self::search_batch) bounded to `nprobe` cells per
-    /// query. Tiers without a router ignore the bound.
+    /// [`search_probed`](Self::search_probed) for many queries.
     fn search_batch_probed(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         source: &dyn CandidateSource,
         nprobe: usize,
-    ) -> Vec<Vec<Hit>> {
-        let _ = nprobe;
-        self.search_batch(queries, k, source)
-    }
+    ) -> Vec<Vec<Hit>>;
 }
 
-/// How the engine picks a candidate source per query.
+/// How the engine picks a candidate source per query over an exact-tier
+/// store (a quantized store's coarse pass consults no source).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbePolicy {
     /// LSH blocking when the store has it **and** the corpus is larger than
@@ -139,7 +115,7 @@ pub enum ProbePolicy {
 
 /// How many routing cells (shards) the engine lets each query probe when
 /// the store's router is learned (see [`Queryable::routed`]). Irrelevant —
-/// and resolved to full fan-out — over hash-routed or single-store tiers.
+/// and resolved to full fan-out — over hash-routed stores.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NprobePolicy {
     /// Full fan-out on small or hash-routed corpora; `routes / 4` (at
@@ -215,13 +191,14 @@ pub struct QueryPlan {
     /// Hits fetched from storage (`k × probe_width`); the caller sees the
     /// `k`-prefix.
     pub fetch_k: usize,
-    /// Whether the candidate pass is LSH-blocked (vs. exact scan).
+    /// Whether the candidate pass is LSH-blocked (vs. exact scan); always
+    /// `false` when `quantized`.
     pub lsh: bool,
     /// Whether the store scores through its quantized coarse-then-re-rank
     /// tier ([`ScoringTier::Quantized`]) rather than pure f32 scans.
     pub quantized: bool,
-    /// Shards each query visits, resolved from [`NprobePolicy`] (or a
-    /// per-call override); equals [`Queryable::routes`] for full fan-out.
+    /// Shards each query visits, resolved from [`NprobePolicy`]; equals
+    /// [`Queryable::routes`] for full fan-out.
     pub nprobe: usize,
 }
 
@@ -238,7 +215,7 @@ pub struct EngineStats {
     pub cache_len: usize,
     /// Configured cache capacity (0 = disabled).
     pub cache_capacity: usize,
-    /// `search`/`search_batch` calls issued to storage.
+    /// `search_probed`/`search_batch_probed` calls issued to storage.
     pub store_batches: u64,
     /// Queries those calls carried (≥ `store_batches`; the ratio is the
     /// achieved coalescing factor).
@@ -316,42 +293,28 @@ impl<S: Queryable> QueryEngine<S> {
 
     /// The plan the engine would execute for one query at this `k`.
     pub fn plan(&self, k: usize) -> QueryPlan {
-        self.plan_probed(k, None)
-    }
-
-    /// [`plan`](Self::plan) with an optional per-call `nprobe` override
-    /// (the serving tier's knob); `None` resolves the configured
-    /// [`NprobePolicy`].
-    pub fn plan_probed(&self, k: usize, nprobe_override: Option<usize>) -> QueryPlan {
-        let lsh = match self.cfg.probe {
-            ProbePolicy::Exact => false,
-            ProbePolicy::Lsh => self.store.has_lsh(),
-            ProbePolicy::Auto { exact_cutoff } => {
-                self.store.has_lsh() && self.store.len() > exact_cutoff
+        let quantized = matches!(self.store.tier(), ScoringTier::Quantized { .. });
+        let lsh = !quantized
+            && self.store.has_lsh()
+            && match self.cfg.probe {
+                ProbePolicy::Exact => false,
+                ProbePolicy::Lsh => true,
+                ProbePolicy::Auto { exact_cutoff } => self.store.len() > exact_cutoff,
+            };
+        let routes = self.store.routes().max(1);
+        let nprobe = match self.cfg.nprobe {
+            NprobePolicy::All => routes,
+            NprobePolicy::Fixed(n) => n.clamp(1, routes),
+            NprobePolicy::Auto => {
+                let len = self.store.len();
+                if self.store.routed() && len >= 1024 && len / routes >= 64 {
+                    (routes / 4).max(1)
+                } else {
+                    routes
+                }
             }
         };
-        let routes = self.store.routes().max(1);
-        let nprobe = match nprobe_override {
-            Some(n) => n.clamp(1, routes),
-            None => match self.cfg.nprobe {
-                NprobePolicy::All => routes,
-                NprobePolicy::Fixed(n) => n.clamp(1, routes),
-                NprobePolicy::Auto => {
-                    let len = self.store.len();
-                    if self.store.routed() && len >= 1024 && len / routes >= 64 {
-                        (routes / 4).max(1)
-                    } else {
-                        routes
-                    }
-                }
-            },
-        };
-        QueryPlan {
-            fetch_k: k.saturating_mul(self.cfg.probe_width),
-            lsh,
-            quantized: matches!(self.store.tier(), ScoringTier::Quantized { .. }),
-            nprobe,
-        }
+        QueryPlan { fetch_k: k.saturating_mul(self.cfg.probe_width), lsh, quantized, nprobe }
     }
 
     /// Cache/storage counters right now.
@@ -374,22 +337,10 @@ impl<S: Queryable> QueryEngine<S> {
     /// tier's fast path: an I/O thread can answer a hot query inline
     /// instead of paying a hand-off to the worker pool.
     pub fn try_cached(&self, q: &[f32], k: usize) -> Option<Vec<Hit>> {
-        self.try_cached_probed(q, k, None)
-    }
-
-    /// [`try_cached`](Self::try_cached) with an optional per-call `nprobe`
-    /// override. The override is part of the cache key: the same vector at
-    /// different probe budgets must not share results.
-    pub fn try_cached_probed(
-        &self,
-        q: &[f32],
-        k: usize,
-        nprobe_override: Option<usize>,
-    ) -> Option<Vec<Hit>> {
         if self.cfg.cache_capacity == 0 {
             return None;
         }
-        let plan = self.plan_probed(k, nprobe_override);
+        let plan = self.plan(k);
         let key = CacheKey::of(&normalize(q), &plan);
         let hits = self.cache.lock().expect("cache lock poisoned").get(&key, k)?;
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -404,12 +355,7 @@ impl<S: Queryable> QueryEngine<S> {
     /// storage call would — so engine results are bit-identical to storage
     /// results, normalization round-off included.
     pub fn query(&self, q: &[f32], k: usize) -> Vec<Hit> {
-        self.query_probed(q, k, None)
-    }
-
-    /// [`query`](Self::query) with an optional per-call `nprobe` override.
-    pub fn query_probed(&self, q: &[f32], k: usize, nprobe_override: Option<usize>) -> Vec<Hit> {
-        let plan = self.plan_probed(k, nprobe_override);
+        let plan = self.plan(k);
         let source: &dyn CandidateSource = if plan.lsh { &LshCandidates } else { &ExactScan };
         if self.cfg.cache_capacity > 0 {
             let key = CacheKey::of(&normalize(q), &plan);
@@ -435,21 +381,10 @@ impl<S: Queryable> QueryEngine<S> {
     }
 
     /// Top-`k` for many queries: cached entries answer immediately, the
-    /// misses go to storage as **one** `search_batch` call, and outputs
-    /// come back in input order.
+    /// misses go to storage as **one** `search_batch_probed` call, and
+    /// outputs come back in input order.
     pub fn query_batch(&self, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Hit>> {
-        self.query_batch_probed(queries, k, None)
-    }
-
-    /// [`query_batch`](Self::query_batch) with an optional per-call
-    /// `nprobe` override.
-    pub fn query_batch_probed(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        nprobe_override: Option<usize>,
-    ) -> Vec<Vec<Hit>> {
-        let plan = self.plan_probed(k, nprobe_override);
+        let plan = self.plan(k);
         let source: &dyn CandidateSource = if plan.lsh { &LshCandidates } else { &ExactScan };
 
         if self.cfg.cache_capacity == 0 {
@@ -711,7 +646,6 @@ pub struct MicroBatcher<S: Queryable> {
     engine: Arc<QueryEngine<S>>,
     state: Mutex<BatchState>,
     batch_max: usize,
-    nprobe: Option<usize>,
     submitted: AtomicU64,
     batches: AtomicU64,
 }
@@ -720,27 +654,14 @@ impl<S: Queryable> MicroBatcher<S> {
     /// A batcher over `engine`, coalescing up to the engine's configured
     /// `batch_max` queries per storage call.
     pub fn new(engine: Arc<QueryEngine<S>>) -> Self {
-        Self::with_nprobe(engine, None)
-    }
-
-    /// A batcher that executes every submission at a fixed `nprobe`
-    /// override (`None` = the engine's configured policy) — the serving
-    /// tier's process-wide knob.
-    pub fn with_nprobe(engine: Arc<QueryEngine<S>>, nprobe: Option<usize>) -> Self {
         let batch_max = engine.config().batch_max;
         Self {
             engine,
             state: Mutex::new(BatchState { queue: VecDeque::new(), leading: false }),
             batch_max,
-            nprobe,
             submitted: AtomicU64::new(0),
             batches: AtomicU64::new(0),
         }
-    }
-
-    /// The fixed `nprobe` override every submission executes under, if any.
-    pub fn nprobe(&self) -> Option<usize> {
-        self.nprobe
     }
 
     /// The engine this batcher feeds.
@@ -814,7 +735,7 @@ impl<S: Queryable> MicroBatcher<S> {
             // The leader died before answering (it panicked on some job in
             // the shared batch). Fall back to executing directly — same
             // result bits, just without the coalescing.
-            Err(_) => self.engine.query_probed(q, k, self.nprobe),
+            Err(_) => self.engine.query(q, k),
         }
     }
 
@@ -827,7 +748,7 @@ impl<S: Queryable> MicroBatcher<S> {
         }
         for (k, jobs) in groups {
             let queries: Vec<Vec<f32>> = jobs.iter().map(|j| j.query.clone()).collect();
-            let lists = self.engine.query_batch_probed(&queries, k, self.nprobe);
+            let lists = self.engine.query_batch(&queries, k);
             self.batches.fetch_add(1, Ordering::Relaxed);
             for (job, hits) in jobs.into_iter().zip(lists) {
                 // A follower that gave up (disconnected) is not an error
@@ -841,7 +762,8 @@ impl<S: Queryable> MicroBatcher<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{CompactionPolicy, LshParams, StoreConfig, VectorStore};
+    use crate::store::{CompactionPolicy, LshParams, StoreConfig};
+    use crate::ShardedStore;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -850,9 +772,9 @@ mod tests {
         (0..n).map(|_| (0..dim).map(|_| rng.random_range(-1.0f32..1.0)).collect()).collect()
     }
 
-    /// A small test store; `lsh` picks the banding (e.g.
+    /// A small flat (one-shard) test store; `lsh` picks the banding (e.g.
     /// `Some(LshParams::default())`), `None` leaves exact scan only.
-    fn store_with(vecs: &[Vec<f32>], lsh: Option<LshParams>) -> VectorStore {
+    fn store_with(vecs: &[Vec<f32>], lsh: Option<LshParams>) -> ShardedStore {
         let cfg = StoreConfig {
             seal_threshold: 16,
             lsh,
@@ -860,7 +782,7 @@ mod tests {
             policy: CompactionPolicy::disabled(),
             ..StoreConfig::default()
         };
-        let mut store = VectorStore::new(vecs[0].len(), cfg);
+        let mut store = ShardedStore::new(vecs[0].len(), 1, cfg);
         for v in vecs {
             store.insert(v);
         }
@@ -978,22 +900,32 @@ mod tests {
         fn has_lsh(&self) -> bool {
             false
         }
-        fn search(&self, _q: &[f32], _k: usize, _source: &dyn CandidateSource) -> Vec<Hit> {
-            Vec::new()
-        }
-        fn search_batch(
-            &self,
-            queries: &[Vec<f32>],
-            _k: usize,
-            _source: &dyn CandidateSource,
-        ) -> Vec<Vec<Hit>> {
-            vec![Vec::new(); queries.len()]
+        fn tier(&self) -> ScoringTier {
+            ScoringTier::Exact
         }
         fn routes(&self) -> usize {
             self.routes
         }
         fn routed(&self) -> bool {
             self.routed
+        }
+        fn search_probed(
+            &self,
+            _q: &[f32],
+            _k: usize,
+            _source: &dyn CandidateSource,
+            _nprobe: usize,
+        ) -> Vec<Hit> {
+            Vec::new()
+        }
+        fn search_batch_probed(
+            &self,
+            queries: &[Vec<f32>],
+            _k: usize,
+            _source: &dyn CandidateSource,
+            _nprobe: usize,
+        ) -> Vec<Vec<Hit>> {
+            vec![Vec::new(); queries.len()]
         }
     }
 
@@ -1016,11 +948,7 @@ mod tests {
         assert_eq!(engine(10_000, 16, true, NprobePolicy::Fixed(3)).plan(10).nprobe, 3);
         assert_eq!(engine(10_000, 16, true, NprobePolicy::Fixed(0)).plan(10).nprobe, 1);
         assert_eq!(engine(10_000, 16, true, NprobePolicy::Fixed(99)).plan(10).nprobe, 16);
-        // A per-call override beats the policy.
-        let e = engine(10_000, 16, true, NprobePolicy::Auto);
-        assert_eq!(e.plan_probed(10, Some(2)).nprobe, 2);
-        assert_eq!(e.plan_probed(10, Some(99)).nprobe, 16);
-        // Default single-store tiers resolve to one route.
+        // A flat (one-shard) store resolves to its one route.
         let flat =
             QueryEngine::new(store_with(&random_vecs(10, 4, 13), None), EngineConfig::default());
         assert_eq!(flat.plan(5).nprobe, 1);
@@ -1100,7 +1028,7 @@ mod tests {
 
     /// Storage that panics on a poison marker — stands in for any panic
     /// escaping the engine mid-batch.
-    struct PanickyStore(VectorStore);
+    struct PanickyStore(ShardedStore);
 
     impl Queryable for PanickyStore {
         fn dim(&self) -> usize {
@@ -1115,18 +1043,31 @@ mod tests {
         fn tier(&self) -> ScoringTier {
             self.0.tier()
         }
-        fn search(&self, q: &[f32], k: usize, source: &dyn CandidateSource) -> Vec<Hit> {
-            assert!(q[0] != 42.0, "poison query");
-            self.0.search(q, k, source)
+        fn routes(&self) -> usize {
+            self.0.n_shards()
         }
-        fn search_batch(
+        fn routed(&self) -> bool {
+            self.0.routed()
+        }
+        fn search_probed(
+            &self,
+            q: &[f32],
+            k: usize,
+            source: &dyn CandidateSource,
+            nprobe: usize,
+        ) -> Vec<Hit> {
+            assert!(q[0] != 42.0, "poison query");
+            self.0.search_probed(q, k, source, nprobe)
+        }
+        fn search_batch_probed(
             &self,
             queries: &[Vec<f32>],
             k: usize,
             source: &dyn CandidateSource,
+            nprobe: usize,
         ) -> Vec<Vec<Hit>> {
             assert!(queries.iter().all(|q| q[0] != 42.0), "poison query");
-            self.0.search_batch(queries, k, source)
+            self.0.search_batch_probed(queries, k, source, nprobe)
         }
     }
 
@@ -1161,11 +1102,14 @@ mod tests {
             policy: CompactionPolicy::disabled(),
             ..StoreConfig::quantized(LshParams::default())
         };
-        let mut store = VectorStore::new(8, cfg);
+        let mut store = ShardedStore::new(8, 1, cfg);
         for v in &vecs {
             store.insert(v);
         }
         let direct = store.search(&vecs[0], 5, &ExactScan);
+        // A quantized store never plans LSH blocking, whatever the policy.
+        let blocked = QueryEngine::new(store.clone(), EngineConfig::lsh());
+        assert!(!blocked.plan(5).lsh && blocked.plan(5).quantized);
         let engine = QueryEngine::new(store, EngineConfig::exact());
         let plan = engine.plan(5);
         assert!(plan.quantized, "plan must reflect the store's tier");

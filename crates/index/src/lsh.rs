@@ -6,17 +6,13 @@
 //! random hyperplanes; signatures are cut into bands, and items sharing any
 //! band bucket become blocking candidates of each other.
 //!
-//! Two consumers share the primitives in this module:
-//!
-//! * [`LshIndex`] — the one-shot, build-once blocking index (moved here from
-//!   `tabbin-eval`, which still re-exports it);
-//! * [`crate::VectorStore`] — hashes vectors **incrementally** as they are
-//!   upserted, maintaining per-segment band buckets, and uses
-//!   [`crate::LshCandidates`] as a pluggable candidate source at query time.
+//! These are the primitives; the crate-private per-shard store
+//! (`store.rs`) hashes vectors **incrementally** as they are
+//! upserted, maintaining per-segment band buckets and packed signature
+//! slabs, and [`crate::LshCandidates`] probes the buckets at query time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Draws `n_planes` random hyperplanes of dimension `dim`, each component
 /// uniform in `[-1, 1)`. Deterministic per seed.
@@ -73,132 +69,15 @@ pub fn band_key(sig: &[bool], band: usize, rows: usize) -> u64 {
     key ^ ((band as u64) << 32)
 }
 
-/// An LSH blocking index over fixed-dimension embeddings.
-#[derive(Clone, Debug)]
-pub struct LshIndex {
-    planes: Vec<Vec<f32>>,
-    bands: usize,
-    rows_per_band: usize,
-    /// Per-band hash buckets: band -> (band key -> member indices).
-    buckets: Vec<HashMap<u64, Vec<usize>>>,
-    signatures: Vec<Vec<bool>>,
-}
-
-impl LshIndex {
-    /// Builds an index from a slice of embeddings. `n_planes` =
-    /// `bands * rows_per_band` total hash bits.
-    pub fn build(items: &[Vec<f32>], bands: usize, rows_per_band: usize, seed: u64) -> Self {
-        Self::from_embeddings(items.iter().map(Vec::as_slice), bands, rows_per_band, seed)
-    }
-
-    /// Builds an index from an **iterator** of embeddings — the natural feed
-    /// from the batched embedding pipeline. Each vector is hashed to its bit
-    /// signature as it arrives and can be dropped immediately; only the
-    /// signatures and band buckets are retained, so indexing a corpus never
-    /// requires holding every embedding in memory at once.
-    ///
-    /// An empty iterator yields an explicit empty index (no hyperplanes, no
-    /// signatures) whose query methods return no candidates — rather than the
-    /// degenerate zero-dimensional planes a naive construction would produce.
-    pub fn from_embeddings<I, V>(items: I, bands: usize, rows_per_band: usize, seed: u64) -> Self
-    where
-        I: IntoIterator<Item = V>,
-        V: AsRef<[f32]>,
-    {
-        assert!(bands > 0 && rows_per_band > 0, "bands and rows must be positive");
-        let mut iter = items.into_iter();
-        let Some(first) = iter.next() else {
-            return Self::empty(bands, rows_per_band);
-        };
-        let dim = first.as_ref().len();
-        let planes = random_planes(bands * rows_per_band, dim, seed);
-        let mut signatures = vec![signature_of(&planes, first.as_ref())];
-        signatures.extend(iter.map(|v| signature_of(&planes, v.as_ref())));
-        let mut buckets = vec![HashMap::new(); bands];
-        for (idx, sig) in signatures.iter().enumerate() {
-            for (b, bucket) in buckets.iter_mut().enumerate() {
-                let key = band_key(sig, b, rows_per_band);
-                bucket.entry(key).or_insert_with(Vec::new).push(idx);
-            }
-        }
-        Self { planes, bands, rows_per_band, buckets, signatures }
-    }
-
-    /// The explicit empty index: indexes nothing, matches nothing.
-    fn empty(bands: usize, rows_per_band: usize) -> Self {
-        Self {
-            planes: Vec::new(),
-            bands,
-            rows_per_band,
-            buckets: vec![HashMap::new(); bands],
-            signatures: Vec::new(),
-        }
-    }
-
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.signatures.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
-    }
-
-    /// Blocking candidates of item `i` (all items sharing at least one band
-    /// bucket, excluding `i` itself), deduplicated and sorted.
-    pub fn candidates(&self, i: usize) -> Vec<usize> {
-        let sig = &self.signatures[i];
-        let mut out = Vec::new();
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            let key = band_key(sig, b, self.rows_per_band);
-            if let Some(members) = bucket.get(&key) {
-                out.extend(members.iter().copied().filter(|&m| m != i));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Candidates of an *external* query vector (not in the index). An empty
-    /// index has no candidates for any query.
-    pub fn query_candidates(&self, v: &[f32]) -> Vec<usize> {
-        if self.planes.is_empty() {
-            return Vec::new();
-        }
-        let sig = signature_of(&self.planes, v);
-        let mut out = Vec::new();
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            let key = band_key(&sig, b, self.rows_per_band);
-            if let Some(members) = bucket.get(&key) {
-                out.extend(members.iter().copied());
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Mean number of candidates per item — the blocking factor experiments
-    /// report against the exhaustive `n - 1`.
-    pub fn mean_candidates(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let total: usize = (0..self.len()).map(|i| self.candidates(i).len()).sum();
-        total as f64 / self.len() as f64
-    }
-
-    /// Total number of hash bits per signature.
-    pub fn signature_bits(&self) -> usize {
-        self.bands * self.rows_per_band
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The blocking behaviour the primitives add up to, checked where it
+    //! now lives: a flat exact-tier store probed through
+    //! [`LshCandidates`](crate::LshCandidates) — the paper's §4.1 recipe.
+
     use super::*;
+    use crate::store::{LshParams, StoreConfig, VectorSink};
+    use crate::{ExactScan, LshCandidates, ShardedStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -227,19 +106,45 @@ mod tests {
         (items, labels)
     }
 
+    /// A flat LSH-blocked `dim`-dimensional store over `items`, ids = item
+    /// indices.
+    fn blocked(
+        dim: usize,
+        items: &[Vec<f32>],
+        bands: usize,
+        rows_per_band: usize,
+        seed: u64,
+    ) -> ShardedStore {
+        let cfg =
+            StoreConfig { seed, ..StoreConfig::with_lsh(LshParams::new(bands, rows_per_band)) };
+        let mut store = ShardedStore::new(dim, 1, cfg);
+        for v in items {
+            store.insert(v);
+        }
+        store
+    }
+
+    /// Ids sharing at least one band bucket with `q`, ascending.
+    fn candidates(store: &ShardedStore, q: &[f32]) -> Vec<u64> {
+        let mut ids: Vec<u64> =
+            store.search(q, store.len(), &LshCandidates).iter().map(|h| h.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn near_duplicates_are_candidates() {
         let (items, labels) = clustered(5, 8, 16, 1);
-        let idx = LshIndex::build(&items, 8, 4, 2);
+        let store = blocked(16, &items, 8, 4, 2);
         // Most same-cluster members should appear among candidates.
         let mut recall_hits = 0usize;
         let mut recall_total = 0usize;
         for i in 0..items.len() {
-            let cands = idx.candidates(i);
+            let cands = candidates(&store, &items[i]);
             for j in 0..items.len() {
                 if j != i && labels[j] == labels[i] {
                     recall_total += 1;
-                    if cands.contains(&j) {
+                    if cands.contains(&(j as u64)) {
                         recall_hits += 1;
                     }
                 }
@@ -253,47 +158,47 @@ mod tests {
     fn blocking_reduces_candidate_count() {
         let (items, _) = clustered(20, 5, 16, 3);
         // Narrow bands => aggressive blocking.
-        let idx = LshIndex::build(&items, 4, 8, 4);
-        let mean = idx.mean_candidates();
+        let store = blocked(16, &items, 4, 8, 4);
+        let total: usize = items.iter().map(|q| store.candidate_count(q, &LshCandidates)).sum();
+        let mean = total as f64 / items.len() as f64;
         assert!(
-            mean < (items.len() - 1) as f64 * 0.6,
+            mean < items.len() as f64 * 0.6,
             "blocking did not prune: mean {mean} of {}",
-            items.len() - 1
+            items.len()
         );
+        assert_eq!(store.candidate_count(&items[0], &ExactScan), items.len());
     }
 
     #[test]
     fn query_candidates_match_member_candidates() {
         let (items, _) = clustered(4, 4, 8, 5);
-        let idx = LshIndex::build(&items, 6, 3, 6);
-        let q = items[0].clone();
-        let cands = idx.query_candidates(&q);
+        let store = blocked(8, &items, 6, 3, 6);
         // The item itself hashes identically, so it must be in its own
         // query candidates.
-        assert!(cands.contains(&0));
+        assert!(candidates(&store, &items[0]).contains(&0));
     }
 
     #[test]
     fn deterministic_per_seed() {
         let (items, _) = clustered(3, 3, 8, 7);
-        let a = LshIndex::build(&items, 4, 4, 9);
-        let b = LshIndex::build(&items, 4, 4, 9);
-        for i in 0..items.len() {
-            assert_eq!(a.candidates(i), b.candidates(i));
+        let a = blocked(8, &items, 4, 4, 9);
+        let b = blocked(8, &items, 4, 4, 9);
+        for q in &items {
+            assert_eq!(candidates(&a, q), candidates(&b, q));
         }
+        let planes = random_planes(16, 8, 9);
+        assert_eq!(planes, random_planes(16, 8, 9));
+        assert_eq!(signature_of(&planes, &items[0]), signature_of(&planes, &items[0]));
     }
 
     #[test]
     fn empty_index() {
-        let idx = LshIndex::build(&[], 4, 4, 1);
-        assert!(idx.is_empty());
-        assert_eq!(idx.len(), 0);
-        assert_eq!(idx.mean_candidates(), 0.0);
-        // The explicit empty index carries no degenerate zero-dimensional
-        // hyperplanes, and queries against it return no candidates instead
-        // of hashing everything into one silent empty-signature bucket.
-        assert!(idx.query_candidates(&[1.0, 2.0, 3.0]).is_empty());
-        assert!(idx.query_candidates(&[]).is_empty());
+        let store = blocked(4, &[], 4, 4, 1);
+        assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
+        // Nothing indexed, nothing nominated — no silent everything-bucket.
+        assert_eq!(store.candidate_count(&[1.0, 2.0, 3.0, 4.0], &LshCandidates), 0);
+        assert!(store.search(&[1.0, 2.0, 3.0, 4.0], 5, &LshCandidates).is_empty());
     }
 
     #[test]
@@ -315,13 +220,18 @@ mod tests {
     #[test]
     fn from_embeddings_streams_and_matches_build() {
         let (items, _) = clustered(4, 4, 8, 11);
-        let built = LshIndex::build(&items, 4, 4, 13);
-        // Feed the same vectors through the iterator path, consuming them.
-        let streamed = LshIndex::from_embeddings(items.clone(), 4, 4, 13);
-        assert_eq!(streamed.len(), built.len());
-        for i in 0..items.len() {
-            assert_eq!(streamed.candidates(i), built.candidates(i));
+        let built = blocked(8, &items, 4, 4, 13);
+        // Feed the same vectors through the `VectorSink` surface the
+        // batched embedding pipeline streams into, consuming them.
+        let mut streamed = blocked(8, &[], 4, 4, 13);
+        let sink: &mut dyn VectorSink = &mut streamed;
+        assert_eq!(sink.dim(), 8);
+        for v in items.clone() {
+            sink.insert(&v);
         }
-        assert_eq!(streamed.query_candidates(&items[0]), built.query_candidates(&items[0]));
+        assert_eq!(streamed.len(), built.len());
+        for q in &items {
+            assert_eq!(candidates(&streamed, q), candidates(&built, q));
+        }
     }
 }

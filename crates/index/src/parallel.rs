@@ -1,10 +1,10 @@
 //! Scoped-thread fan-out shared across the workspace's bulk paths.
 //!
 //! Both the batched embedding pipeline (`tabbin_core::batch`) and the
-//! store's batched queries ([`crate::VectorStore::query_batch`]) dispatch
-//! the same way: chunk a task list across crossbeam scoped workers once the
-//! batch is big enough to amortize thread spawn, preserving input order.
-//! This module is the single implementation both lean on.
+//! store's batched queries ([`crate::ShardedStore::search_batch_probed`])
+//! dispatch the same way: chunk a task list across crossbeam scoped workers
+//! once the batch is big enough to amortize thread spawn, preserving input
+//! order. This module is the single implementation both lean on.
 
 /// Task count at which work fans out across worker threads. Below this,
 /// thread spawn overhead beats the win.

@@ -22,7 +22,7 @@
 //!
 //! Placement and probing both rank shards by dot product against
 //! L2-normalized centroids (cosine similarity — the same geometry the
-//! store scores with), via the batched [`crate::simd::matvec_dots`]
+//! store scores with), via the batched `simd::matvec_dots`
 //! kernel.
 
 use crate::simd::{l2_normalize, matvec_dots};
@@ -205,7 +205,7 @@ impl IvfRouter {
         Self { dim, centroids }
     }
 
-    /// Reconstructs a router from persisted centroids (the TBIX v3 load
+    /// Reconstructs a router from persisted centroids (the snapshot load
     /// path). Centroids are taken as-is — they were normalized before
     /// capture, and re-normalizing could shift bits and change placements.
     ///

@@ -7,8 +7,8 @@
 //! Sealed segments are immutable except for tombstones — a deleted row's
 //! data stays in place (and keeps its bucket entries) until compaction
 //! rewrites the segment list without the dead rows. Only the store mutates
-//! segments; candidate sources read them through accessors on
-//! [`VectorStore`](crate::VectorStore).
+//! segments; candidate sources read them through accessors on the
+//! crate-private per-shard store (`store.rs`).
 
 use std::collections::HashMap;
 

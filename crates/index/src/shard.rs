@@ -1,46 +1,49 @@
-//! The sharded store: many [`VectorStore`]s behind one surface.
+//! The store: per-shard slabs behind one routed, durable surface.
 //!
-//! [`ShardedStore`] places every vector in one of `n_shards` inner stores
-//! through a pluggable [`Router`]: by default a deterministic hash of the
-//! id ([`crate::router::HashRouter`], the historical behavior), or a
-//! learned k-means coarse quantizer ([`crate::router::IvfRouter`]) that
-//! co-locates geometrically-similar vectors so a query needs to probe only
-//! its `nprobe` nearest cells instead of fanning out to every shard — the
-//! sublinear-scan step. Each shard keeps its own segments, LSH buckets, and
-//! tombstones, and runs the shared [`CompactionPolicy`] locally: a busy
-//! shard compacts without pausing its siblings. Placements are remembered
-//! per id, so a re-upsert that the router sends elsewhere moves the row
-//! (tombstone in the old shard, insert in the new), and
-//! [`ShardedStore::rebalance`] replays that move for every row the current
-//! router disagrees with — the online answer to centroid drift under
-//! churn, observable through [`ShardedStats::imbalance`] and the per-shard
-//! mean placement residuals.
+//! [`ShardedStore`] is the crate's one store; `ShardedStore::new(dim, 1,
+//! cfg)` is the flat one. It places every vector in one of `n_shards`
+//! crate-private slabs (`store.rs`) through a pluggable [`Router`]:
+//! by default a deterministic hash of the id
+//! ([`crate::router::HashRouter`]), or a learned k-means coarse quantizer
+//! ([`crate::router::IvfRouter`]) that co-locates geometrically-similar
+//! vectors so a query needs to probe only its `nprobe` nearest cells
+//! instead of fanning out to every shard — the sublinear-scan step. Each
+//! shard keeps its own segments, LSH buckets, and tombstones, and runs the
+//! shared [`CompactionPolicy`] locally: a busy shard compacts without
+//! pausing its siblings. Placements are remembered per id, so a re-upsert
+//! that the router sends elsewhere moves the row (tombstone in the old
+//! shard, insert in the new), and [`ShardedStore::rebalance`] replays that
+//! move for every row the current router disagrees with — the online
+//! answer to centroid drift under churn, observable through
+//! [`ShardedStats::imbalance`] and the per-shard mean placement residuals.
 //!
-//! Queries fan out (to the probe set) and merge back:
+//! There is **one search core**: a query is prepared once (all shards
+//! share one configuration — same seed, same banding — so it is normalized
+//! and signed once, not per shard), the router picks its probe set, and
 //!
-//! * [`ShardedStore::search_batch`] spreads (shard × query) tasks across the
-//!   workspace's crossbeam scoped workers ([`crate::parallel`]), exactly
-//!   like the single store spreads (segment × query) tasks;
-//! * per-shard top-k lists come back ranked, and a k-way **heap merge**
-//!   ([`merge_ranked`]) folds them into one global top-k. Ids are unique
-//!   across shards and ties break by id, so merged results are identical
-//!   to what one big store would return — the routing is invisible to
-//!   callers (property-tested in `tests/prop_index.rs`).
-//! * On the **quantized tier** ([`crate::ScoringTier::Quantized`]) the
-//!   merge happens one stage earlier: per-shard coarse Hamming top-R
-//!   accumulators fold into one *global* top-R under the (distance, id)
-//!   total order, and only that merged selection is re-scored with the f32
-//!   kernel (each id re-ranked against its owning shard's copy). Selecting
-//!   globally before re-ranking is what keeps quantized sharded results
-//!   bit-identical to a single store's (property-tested in
-//!   `tests/prop_quantized.rs`).
+//! * on the **exact tier** every probed shard scores the rows the
+//!   [`CandidateSource`] nominates and the ranked per-shard lists k-way
+//!   **heap merge** (`merge_ranked`) into one global top-k. Ids are
+//!   unique across shards and ties break by id, so merged results are
+//!   identical to what one flat store would return — the routing is
+//!   invisible to callers (property-tested in `tests/prop_index.rs`);
+//! * on the **quantized tier** ([`crate::ScoringTier::Quantized`]) one
+//!   coarse Hamming top-R accumulator is carried across the probed shards
+//!   — a *global* selection under the (distance, id) total order — and
+//!   only that selection is re-scored with the f32 kernel (each id against
+//!   its owning shard's copy). Selecting globally before re-ranking is
+//!   what keeps quantized results bit-identical across shard layouts
+//!   (property-tested in `tests/prop_quantized.rs`).
 //!
-//! All shards share one configuration — same seed, same banding — so LSH
-//! signatures agree across shards and a query is normalized and signed
-//! **once**, not per shard. Snapshots persist through the same `TBIX`
-//! binary codec as the single store ([`crate::snapshot`]), with the shard
-//! count in the header; ids re-route on load, so only the merged entry
-//! list is stored.
+//! [`ShardedStore::search`], [`search_probed`](ShardedStore::search_probed),
+//! [`search_batch`](ShardedStore::search_batch) and
+//! [`search_batch_probed`](ShardedStore::search_batch_probed) are wrappers
+//! over that core; a batch is the same per-query call spread across the
+//! workspace's crossbeam scoped workers ([`crate::parallel`]).
+//!
+//! Snapshots persist through the `TBIX` v4 binary codec
+//! ([`crate::snapshot`]): one merged entry list plus the shard count, and
+//! the router section under a learned router.
 
 use crate::candidates::{CandidateSource, QueryContext};
 use crate::engine::Queryable;
@@ -48,10 +51,10 @@ use crate::lsh::unpack_signature;
 use crate::parallel::par_chunk_map;
 use crate::router::{splitmix64, HashRouter, IvfRouter, Router};
 use crate::simd::{dot, l2_normalize, rank_cmp, CoarseHit, CoarseTopR, Hit, TopK};
-use crate::snapshot::{self, RouterSnapshot, StoreSnapshot, MAX_SNAPSHOT_SHARDS, SNAPSHOT_VERSION};
+use crate::snapshot::{self, RouterSnapshot, StoreSnapshot, MAX_SNAPSHOT_SHARDS};
 use crate::store::{
-    bar_from_samples, coarse_r, CompactionPolicy, PreparedQuery, ScoringTier, StoreConfig,
-    StoreStats, VectorSink, VectorStore,
+    bar_from_samples, coarse_r, CompactionPolicy, ScoringTier, StoreConfig, StoreStats, VectorSink,
+    VectorStore,
 };
 use crate::wal::{DurabilityPolicy, FsStorage, Storage, WalRecord, WalSet, WalStats};
 use serde::{Deserialize, Serialize};
@@ -124,7 +127,7 @@ impl ShardedStats {
     }
 }
 
-/// A sharded vector store: `n_shards` independent [`VectorStore`]s behind a
+/// The vector store: `n_shards` independent slabs behind a
 /// pluggable [`Router`] (hash placement + full fan-out by default, learned
 /// IVF placement + `nprobe`-bounded probing optionally), parallel fan-out
 /// queries, and a k-way merged global top-k. See the [module docs](self)
@@ -180,8 +183,10 @@ impl ShardedStore {
     ///
     /// # Panics
     /// On `n_shards == 0`, `n_shards` past the snapshot format's shard
-    /// bound (65536 — so `save` can never write a file `load` rejects), or
-    /// any config `VectorStore::new` rejects.
+    /// bound (65536 — so `save` can never write a file `load` rejects),
+    /// `dim == 0`, a zero `seal_threshold`, LSH params with zero
+    /// bands/rows, or a [`ScoringTier::Quantized`] tier without LSH or with
+    /// a zero `rerank_factor`.
     pub fn new(dim: usize, n_shards: usize, cfg: StoreConfig) -> Self {
         Self::with_router(dim, n_shards, cfg, Arc::new(HashRouter))
     }
@@ -263,7 +268,7 @@ impl ShardedStore {
 
     /// The configured scoring tier (uniform across shards).
     pub fn tier(&self) -> ScoringTier {
-        self.shards[0].tier()
+        self.shards[0].config().tier
     }
 
     /// The shard `id` lives in: the recorded placement when the id has
@@ -426,7 +431,7 @@ impl ShardedStore {
     /// Every shard's recorded compaction pauses (seconds), concatenated in
     /// shard order — the raw series the `index` bench turns into p50/p99.
     /// Each shard retains at least its most recent
-    /// [`crate::store::MAX_PAUSE_SAMPLES`] runs (trimmed amortized, see
+    /// [`crate::MAX_PAUSE_SAMPLES`] runs (trimmed amortized, see
     /// that constant's docs).
     pub fn compaction_pauses(&self) -> Vec<f64> {
         self.shards.iter().flat_map(|s| s.compaction_pauses().iter().copied()).collect()
@@ -442,14 +447,22 @@ impl ShardedStore {
 
     /// Inserts or replaces `id` in the shard the router places it — moving
     /// it (tombstone + re-insert) when a previous copy lives elsewhere. The
-    /// touched shards may run a policy compaction afterwards; siblings are
-    /// untouched.
+    /// vector is L2-normalized on the way in (zero vectors are stored as-is
+    /// and score 0 against everything). The touched shards may run a policy
+    /// compaction afterwards; siblings are untouched.
+    ///
+    /// # Panics
+    /// If `v.len()` differs from the store dimension.
     pub fn upsert(&mut self, id: u64, v: &[f32]) {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
+        assert_eq!(
+            v.len(),
+            self.dim,
+            "upsert of a {}-dim vector into a {}-dim store",
+            v.len(),
+            self.dim
+        );
         // Normalize once up front: the router ranks centroids over the same
-        // unit vector the shard stores, and the single shared
-        // `l2_normalize` keeps the stored bits identical to what
-        // `VectorStore::upsert` would have produced.
+        // unit vector the shard stores.
         let mut nv = v.to_vec();
         l2_normalize(&mut nv);
         let target = self.router.place(id, &nv, self.shards.len());
@@ -505,20 +518,27 @@ impl ShardedStore {
 
     // --- queries -----------------------------------------------------------
 
-    /// Top-`k` search with an explicit candidate source, full fan-out:
-    /// every shard scans its own segments, and the ranked per-shard lists
-    /// k-way merge into the global result. Identical output to one
-    /// unsharded store over the same corpus.
+    /// Top-`k` search, full fan-out: every shard is probed. Scores are dot
+    /// products of normalized vectors (cosine similarity); ties break by
+    /// ascending id, so the output is identical to one flat store's over
+    /// the same corpus. `source` picks the exact tier's candidate rows
+    /// ([`crate::ExactScan`] or [`crate::LshCandidates`]); the quantized
+    /// tier sweeps every signature regardless. Fewer than `k` hits come
+    /// back when the source yields fewer candidates (or the store is
+    /// small).
+    ///
+    /// # Panics
+    /// If `q.len()` differs from the store dimension.
     pub fn search(&self, q: &[f32], k: usize, source: &dyn CandidateSource) -> Vec<Hit> {
         self.search_probed(q, k, source, self.shards.len())
     }
 
     /// [`search`](Self::search) bounded to the router's `nprobe` nearest
-    /// cells. Under a geometry-blind router the bound is ignored (probing a
-    /// subset of hash-placed shards would drop neighbors); under IVF with
+    /// cells — the one search core every query path runs. Under a
+    /// geometry-blind router the bound is ignored (probing a subset of
+    /// hash-placed shards would drop neighbors); under IVF with
     /// `nprobe == n_shards` the probe set is every shard in ascending
-    /// order, so results are bit-identical to full fan-out. `nprobe == 1`
-    /// takes a single-shard fast path: no merge, no pooled bar union.
+    /// order, so results are bit-identical to full fan-out.
     pub fn search_probed(
         &self,
         q: &[f32],
@@ -533,11 +553,6 @@ impl ShardedStore {
         self.shards_probed.fetch_add(probes.len() as u64, Ordering::Relaxed);
         match self.tier() {
             ScoringTier::Exact => {
-                if let [only] = probes[..] {
-                    // Single-shard fast path: the shard's own top-k IS the
-                    // answer — skip the heap merge entirely.
-                    return self.shards[only].scan_prepared(&ctx, k, source).into_sorted();
-                }
                 let lists: Vec<Vec<Hit>> = probes
                     .iter()
                     .map(|&si| self.shards[si].scan_prepared(&ctx, k, source).into_sorted())
@@ -546,17 +561,15 @@ impl ShardedStore {
             }
             ScoringTier::Quantized { rerank_factor } => {
                 let r = coarse_r(k, rerank_factor);
-                let qsig = self.shards[0].packed_query_sig(&ctx);
+                let qsig = ctx.packed.expect("an LSH store packs every query's signature");
                 // One union entry bar and one accumulator threaded across
                 // the probed shards: the bar tightened by probe `i` prunes
-                // probe `i + 1`'s sweep, exactly as the single-store path
-                // carries it across segments. The bar samples only probed
-                // shards — pooling buckets the sweep will never visit
-                // would spend probe budget on rows that can't survive.
-                let mut top =
-                    CoarseTopR::with_cap(r, self.union_entry_bar(&ctx, &qsig, r, &probes));
+                // probe `i + 1`'s sweep. The bar samples only probed shards
+                // — pooling buckets the sweep will never visit would spend
+                // probe budget on rows that can't survive.
+                let mut top = CoarseTopR::with_cap(r, self.union_entry_bar(&ctx, qsig, r, &probes));
                 for &si in &probes {
-                    self.shards[si].coarse_sweep_into(&qsig, &ctx, source, &mut top);
+                    self.shards[si].coarse_sweep_into(qsig, &mut top);
                 }
                 self.rerank(&prepared.nq, &top.into_sorted(), k)
             }
@@ -566,13 +579,15 @@ impl ShardedStore {
     /// The coarse pass's pre-sweep entry bar, pooled across the probed
     /// shards: the `r`-th smallest Hamming distance over the query's own
     /// LSH band buckets of every shard the sweep will visit (all of them
-    /// under full fan-out). Sharding splits each bucket's rows ~N
-    /// ways, so a per-shard probe must walk ~N× the bands for the same
-    /// sample size — the pooled probe restores the single-store sampling
-    /// cost (band-major, shared budget) and yields one bar valid for every
-    /// shard's sweep: it is the `r`-th smallest of a subset of all live
-    /// rows, which can never undercut the global final bar, so no true
-    /// survivor is rejected (the invariant `tests/prop_quantized.rs` pins).
+    /// under full fan-out). Sharding splits each bucket's rows ~N ways, so
+    /// the probe walks band-major over one shared budget and yields one bar
+    /// valid for every shard's sweep. Correctness does not depend on bucket
+    /// quality: the bar is the `r`-th smallest of a ≥ r-sized *subset* of
+    /// the probed live rows, which can never undercut the `r`-th smallest
+    /// of all of them (the sweep's final bar), so no true survivor is
+    /// rejected (the invariant `tests/prop_quantized.rs` pins). Too few
+    /// bucketed rows — sparse buckets, unlucky query — degrade to
+    /// `u32::MAX`, the open bar.
     fn union_entry_bar(
         &self,
         ctx: &QueryContext<'_>,
@@ -591,8 +606,8 @@ impl ShardedStore {
                 self.shards[si].bar_band_samples(ctx, qsig, band, &mut seen[pi]);
                 total += seen[pi].len() - before;
             }
-            // Same stopping rule as the single-store probe, applied to the
-            // pooled sample — not per shard.
+            // A handful of bands is enough signal; probing all of them
+            // would spend more on bucket lookups than the bound saves.
             if total >= 4 * r {
                 break;
             }
@@ -613,16 +628,7 @@ impl ShardedStore {
         topk.into_sorted()
     }
 
-    /// Batched [`search`](Self::search): every (query, shard) pair becomes
-    /// one task fanned across crossbeam scoped workers; per-query results
-    /// k-way merge as the partials land. Queries are normalized and LSH
-    /// signatures computed once each, shared by every shard task.
-    ///
-    /// Tasks are laid out **shard-major** — all queries of shard 0, then
-    /// all of shard 1, … — so each worker's contiguous chunk stays inside
-    /// one shard: a shard's slab and bucket maps are a fraction of the
-    /// whole corpus (often cache-resident) and get reused across many
-    /// queries back-to-back, which a query-major order would thrash.
+    /// Batched [`search`](Self::search), full fan-out.
     pub fn search_batch(
         &self,
         queries: &[Vec<f32>],
@@ -632,10 +638,9 @@ impl ShardedStore {
         self.search_batch_probed(queries, k, source, self.shards.len())
     }
 
-    /// [`search_batch`](Self::search_batch) bounded to each query's own
-    /// `nprobe` nearest cells: only (query, probed-shard) pairs become
-    /// tasks, so the fan-out work shrinks with the probe budget instead of
-    /// staying O(queries × shards).
+    /// [`search_probed`](Self::search_probed) per query, the queries spread
+    /// across crossbeam scoped workers once the batch is large enough to
+    /// amortize thread spawn; output order is input order.
     pub fn search_batch_probed(
         &self,
         queries: &[Vec<f32>],
@@ -643,125 +648,39 @@ impl ShardedStore {
         source: &dyn CandidateSource,
         nprobe: usize,
     ) -> Vec<Vec<Hit>> {
-        let prepared: Vec<PreparedQuery> =
-            queries.iter().map(|q| self.shards[0].prepare_query(q)).collect();
-        let probe_sets: Vec<Vec<usize>> =
-            prepared.iter().map(|p| self.router.probe(&p.nq, nprobe, self.shards.len())).collect();
-        self.queries.fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.shards_probed
-            .fetch_add(probe_sets.iter().map(|p| p.len() as u64).sum(), Ordering::Relaxed);
-        let mut tasks = Vec::with_capacity(probe_sets.iter().map(Vec::len).sum());
-        for shard in 0..self.shards.len() {
-            for (qi, probes) in probe_sets.iter().enumerate() {
-                // Probe sets are ascending (the Router contract), so
-                // membership is a binary search.
-                if probes.binary_search(&shard).is_ok() {
-                    tasks.push((qi as u32, shard as u32));
-                }
-            }
-        }
-        match self.tier() {
-            ScoringTier::Exact => {
-                let partials = par_chunk_map(&tasks, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&(qi, shard)| {
-                            let ctx = prepared[qi as usize].ctx();
-                            let shard = &self.shards[shard as usize];
-                            (qi, shard.scan_prepared(&ctx, k, source).into_sorted())
-                        })
-                        .collect()
-                });
-                let mut per_query: Vec<Vec<Vec<Hit>>> =
-                    (0..queries.len()).map(|_| Vec::with_capacity(self.shards.len())).collect();
-                for (qi, list) in partials {
-                    per_query[qi as usize].push(list);
-                }
-                per_query.into_iter().map(|lists| merge_ranked(&lists, k)).collect()
-            }
-            ScoringTier::Quantized { rerank_factor } => {
-                let r = coarse_r(k, rerank_factor);
-                // Round one: one probe-union entry bar per query (see
-                // `union_entry_bar`), fanned across workers by query. Bars
-                // must exist before any sweep — each (query × shard) task
-                // starts capped, instead of recomputing a per-shard bar
-                // from buckets sharding made ~N× sparser (that recompute
-                // is what sank sharded quantized below sharded LSH).
-                let qis: Vec<u32> = (0..queries.len() as u32).collect();
-                let bar_pairs = par_chunk_map(&qis, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&qi| {
-                            let ctx = prepared[qi as usize].ctx();
-                            let qsig = self.shards[0].packed_query_sig(&ctx);
-                            (qi, self.union_entry_bar(&ctx, &qsig, r, &probe_sets[qi as usize]))
-                        })
-                        .collect()
-                });
-                let mut bars = vec![u32::MAX; queries.len()];
-                for (qi, bar) in bar_pairs {
-                    bars[qi as usize] = bar;
-                }
-                // Round two: capped per-shard sweeps, shard-major like the
-                // exact path, merged into per-query heaps. The merged
-                // survivor set equals the bar-carried serial sweep's — the
-                // (dist, id) total order is layout-independent and the cap
-                // never undercuts the global final bar.
-                let partials = par_chunk_map(&tasks, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&(qi, shard)| {
-                            let ctx = prepared[qi as usize].ctx();
-                            let qsig = self.shards[0].packed_query_sig(&ctx);
-                            let mut top = CoarseTopR::with_cap(r, bars[qi as usize]);
-                            self.shards[shard as usize]
-                                .coarse_sweep_into(&qsig, &ctx, source, &mut top);
-                            (qi, top)
-                        })
-                        .collect()
-                });
-                let mut merged: Vec<CoarseTopR> =
-                    bars.iter().map(|&bar| CoarseTopR::with_cap(r, bar)).collect();
-                for (qi, partial) in partials {
-                    merged[qi as usize].merge(partial);
-                }
-                merged
-                    .into_iter()
-                    .zip(&prepared)
-                    .map(|(top, p)| self.rerank(&p.nq, &top.into_sorted(), k))
-                    .collect()
-            }
-        }
+        par_chunk_map(queries, |chunk| {
+            chunk.iter().map(|q| self.search_probed(q, k, source, nprobe)).collect()
+        })
     }
 
-    /// Candidate rows `source` would score for `q`, summed across shards —
-    /// the blocking factor to report against the exhaustive `len()`.
+    /// Candidate rows `source` would score for `q` on the exact tier,
+    /// summed across shards — the blocking factor to report against the
+    /// exhaustive `len()`.
     pub fn candidate_count(&self, q: &[f32], source: &dyn CandidateSource) -> usize {
         self.shards.iter().map(|s| s.candidate_count(q, source)).sum()
     }
 
     // --- persistence -------------------------------------------------------
 
-    /// Saves the whole store to `path` in the `TBIX` binary format: one
-    /// merged entry list (shard order) plus the shard count, and — under a
-    /// learned router — a v3 router section (centroids + per-shard entry
-    /// counts) so placements restore *exactly*, even for rows an older
-    /// router placed somewhere the current one wouldn't. Hash-routed
-    /// stores skip the section; their ids re-route deterministically on
-    /// load.
+    /// Saves the whole store to `path` in the `TBIX` v4 binary format: one
+    /// merged entry list (shard order, tombstones dropped) plus the shard
+    /// count, and — under a learned router — the router section (centroids
+    /// and per-shard entry counts) so placements restore *exactly*, even for
+    /// rows an older router placed somewhere the current one wouldn't.
+    /// Hash-routed stores skip the section; their ids re-route
+    /// deterministically on load. The compaction policy is runtime tuning
+    /// and is not part of a snapshot.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let cfg = self.shards[0].config();
         let mut entries = Vec::with_capacity(self.len());
         let mut sigs = Vec::with_capacity(if self.has_lsh() { self.len() } else { 0 });
         let mut counts = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let snap = shard.snapshot();
-            counts.push(snap.entries.len() as u64);
-            entries.extend(snap.entries);
-            sigs.extend(snap.sigs);
+            counts.push(shard.len() as u64);
+            entries.extend(shard.live_entries());
+            sigs.extend(shard.live_packed_sigs());
         }
         let snap = StoreSnapshot {
-            version: SNAPSHOT_VERSION,
             dim: self.dim,
             seed: cfg.seed,
             seal_threshold: cfg.seal_threshold,
@@ -778,17 +697,19 @@ impl ShardedStore {
         snapshot::write_file(path, &snap, self.shards.len() as u32)
     }
 
-    /// Loads a store from `path` (binary or JSON, autodetected). The shard
-    /// count comes from the snapshot header; a single-store snapshot loads
-    /// as one shard. A v3 router section reconstructs the [`IvfRouter`]
-    /// and assigns entries positionally by the persisted per-shard counts
-    /// (the save order), so every placement — and therefore every probe
-    /// decision — replays exactly; v1/v2 files have no section and load
-    /// with [`HashRouter`] as always. Entries re-insert through the raw
-    /// normalized path, so loaded stores answer queries byte-identically.
+    /// Loads a store from a `TBIX` v4 file; any other version — or
+    /// anything that is not `TBIX` — is an error. The shard count comes
+    /// from the snapshot header. A router section reconstructs the
+    /// [`IvfRouter`] and assigns entries positionally by the persisted
+    /// per-shard counts (the save order), so every placement — and
+    /// therefore every probe decision — replays exactly; without one the
+    /// store is hash-routed and ids re-route by hash. Entries re-insert
+    /// with their persisted vectors and signatures untouched (they were
+    /// normalized before capture, and re-normalizing could shift low bits),
+    /// so loaded stores answer queries byte-identically.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let (marker, snap) = snapshot::read_file(path)?;
-        let n_shards = (marker as usize).max(1);
+        let (n_shards, snap) = snapshot::read_file(path)?;
+        let n_shards = n_shards as usize;
         let cfg = StoreConfig {
             seal_threshold: snap.seal_threshold,
             lsh: snap.lsh,
@@ -830,26 +751,15 @@ impl ShardedStore {
                 (store, shard_for)
             }
         };
-        if store.has_lsh() && snap.sigs.len() == snap.entries.len() {
-            // Reuse the persisted packed signatures instead of redoing the
-            // hyperplane dots per row (legacy snapshots lack them and fall
-            // through to the deterministic rebuild below).
-            let bits = snap.lsh.map_or(0, |p| p.bands * p.rows_per_band);
-            for (((id, v), sig), &shard) in snap.entries.iter().zip(&snap.sigs).zip(&shard_for) {
-                store.shards[shard as usize].insert_prepared(
-                    *id,
-                    v,
-                    Some(unpack_signature(sig, bits)),
-                );
-                store.placements.insert(*id, shard);
-                store.next_id = store.next_id.max(*id + 1);
-            }
-        } else {
-            for ((id, v), &shard) in snap.entries.iter().zip(&shard_for) {
-                store.shards[shard as usize].insert_normalized(*id, v);
-                store.placements.insert(*id, shard);
-                store.next_id = store.next_id.max(*id + 1);
-            }
+        // `validate` pairs every entry of an LSH snapshot with its packed
+        // signature, so the band buckets rebuild without redoing the
+        // hyperplane dots per row.
+        let bits = snap.lsh.map_or(0, |p| p.bands * p.rows_per_band);
+        for (i, ((id, v), &shard)) in snap.entries.iter().zip(&shard_for).enumerate() {
+            let sig = snap.sigs.get(i).map(|sig| unpack_signature(sig, bits));
+            store.shards[shard as usize].insert_prepared(*id, v, sig);
+            store.placements.insert(*id, shard);
+            store.next_id = store.next_id.max(*id + 1);
         }
         store.reset_residuals();
         store.next_id = store.next_id.max(snap.next_id);
@@ -1006,9 +916,8 @@ impl ShardedStore {
         self.wal.as_ref().map(|w| w.lock().expect("WAL lock poisoned").stats())
     }
 
-    /// Swaps the fsync policy at runtime (`tabbin-serve`'s durable mode
-    /// applies `ServeConfig::durability` here at bind). A no-op on
-    /// non-durable stores.
+    /// Swaps the fsync policy `StoreConfig::durability` set at open. A
+    /// no-op on non-durable stores.
     pub fn set_durability(&self, policy: DurabilityPolicy) -> io::Result<()> {
         match &self.wal {
             Some(w) => w.lock().expect("WAL lock poisoned").set_policy(policy),
@@ -1064,19 +973,6 @@ impl Queryable for ShardedStore {
 
     fn tier(&self) -> ScoringTier {
         ShardedStore::tier(self)
-    }
-
-    fn search(&self, q: &[f32], k: usize, source: &dyn CandidateSource) -> Vec<Hit> {
-        ShardedStore::search(self, q, k, source)
-    }
-
-    fn search_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        source: &dyn CandidateSource,
-    ) -> Vec<Vec<Hit>> {
-        ShardedStore::search_batch(self, queries, k, source)
     }
 
     fn routes(&self) -> usize {
@@ -1245,7 +1141,7 @@ mod tests {
     fn sharded_matches_single_store_bit_for_bit() {
         for lsh in [false, true] {
             let vecs = random_vecs(120, 10, 2);
-            let mut single = VectorStore::new(10, cfg(lsh));
+            let mut single = ShardedStore::new(10, 1, cfg(lsh));
             let mut sharded = ShardedStore::new(10, 4, cfg(lsh));
             for v in &vecs {
                 single.insert(v);
@@ -1274,7 +1170,7 @@ mod tests {
     fn quantized_sharded_matches_single_store_bit_for_bit() {
         let quant = StoreConfig { tier: ScoringTier::Quantized { rerank_factor: 4 }, ..cfg(true) };
         let vecs = random_vecs(120, 10, 2);
-        let mut single = VectorStore::new(10, quant);
+        let mut single = ShardedStore::new(10, 1, quant);
         let mut sharded = ShardedStore::new(10, 4, quant);
         for v in &vecs {
             single.insert(v);
@@ -1376,34 +1272,35 @@ mod tests {
     #[test]
     fn single_store_snapshot_loads_as_one_shard() {
         let vecs = random_vecs(25, 8, 6);
-        let mut single = VectorStore::new(8, cfg(false));
+        let mut single = ShardedStore::new(8, 1, cfg(false));
         for v in &vecs {
             single.insert(v);
         }
         let path = std::env::temp_dir()
             .join(format!("tabbin_index_single_as_sharded_{}.tbix", std::process::id()));
         single.save(&path).expect("save");
-        let sharded = ShardedStore::load(&path).expect("load");
-        // And the reverse direction is refused with a pointer here.
-        let err = {
-            let mut s4 = ShardedStore::new(8, 4, cfg(false));
-            for v in &vecs {
-                s4.insert(v);
-            }
-            s4.save(&path).expect("save sharded");
-            VectorStore::load(&path).expect_err("single load of sharded file must fail")
-        };
+        let loaded = ShardedStore::load(&path).expect("load");
+        // The shard count is the file's, not the caller's: a 4-shard save
+        // over the same path loads back as 4 shards.
+        let mut s4 = ShardedStore::new(8, 4, cfg(false));
+        for v in &vecs {
+            s4.insert(v);
+        }
+        s4.save(&path).expect("save sharded");
+        let loaded4 = ShardedStore::load(&path).expect("load sharded");
         std::fs::remove_file(&path).ok();
-        assert_eq!(sharded.n_shards(), 1);
-        assert_eq!(sharded.search(&vecs[3], 5, &ExactScan), single.search(&vecs[3], 5, &ExactScan));
-        assert!(err.to_string().contains("ShardedStore::load"), "unhelpful error: {err}");
+        assert_eq!(loaded.n_shards(), 1);
+        assert_eq!(loaded4.n_shards(), 4);
+        let want = single.search(&vecs[3], 5, &ExactScan);
+        assert_eq!(loaded.search(&vecs[3], 5, &ExactScan), want);
+        assert_eq!(loaded4.search(&vecs[3], 5, &ExactScan), want);
     }
 
     #[test]
     fn candidate_count_sums_across_shards() {
         let vecs = random_vecs(60, 8, 7);
         let mut store = ShardedStore::new(8, 3, cfg(true));
-        let mut single = VectorStore::new(8, cfg(true));
+        let mut single = ShardedStore::new(8, 1, cfg(true));
         for v in &vecs {
             store.insert(v);
             single.insert(v);

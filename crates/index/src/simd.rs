@@ -207,7 +207,7 @@ pub(crate) fn matvec_dots(mat: &[f32], dim: usize, v: &[f32], out: &mut [f32]) {
 }
 
 /// L2-normalizes `v` in place — the **single** normalization everything
-/// routes through: stored vectors ([`crate::VectorStore::upsert`]), query
+/// routes through: stored vectors ([`crate::ShardedStore::upsert`]), query
 /// preparation, and the engine's cache keys. One implementation is a
 /// correctness requirement, not a style choice: the engine's cache is
 /// keyed on these exact bits, and a key computed by a divergent copy would
@@ -275,14 +275,6 @@ impl TopK {
         self.hits.insert(pos, hit);
     }
 
-    /// Folds another accumulator's hits in. The result is a function of the
-    /// combined hit *set*, so merge order never matters.
-    pub(crate) fn merge(&mut self, other: TopK) {
-        for h in other.hits {
-            self.push(h.id, h.score);
-        }
-    }
-
     /// The final ranked hits, best first.
     pub(crate) fn into_sorted(self) -> Vec<Hit> {
         self.hits
@@ -315,9 +307,9 @@ pub(crate) fn coarse_cmp(a: &CoarseHit, b: &CoarseHit) -> Ordering {
 /// O(log r) sifting instead of an O(r) array memmove, while rejection
 /// stays one compare against the root. The survivor *set* is the r
 /// smallest under a total order, so it is independent of scan order; the
-/// quantized tier fills one accumulator per segment (or shard), merges
-/// them into the global coarse top-`r`, and re-ranks only that slice with
-/// the f32 [`dot`] kernel.
+/// quantized tier threads one accumulator through every segment of every
+/// probed shard — the global coarse top-`r` — and re-ranks only that slice
+/// with the f32 [`dot`] kernel.
 #[derive(Clone, Debug)]
 pub(crate) struct CoarseTopR {
     r: usize,
@@ -408,14 +400,6 @@ impl CoarseTopR {
         }
     }
 
-    /// Folds another accumulator's hits in. Like [`TopK::merge`], the
-    /// result depends only on the combined hit *set*, never on merge order.
-    pub(crate) fn merge(&mut self, other: CoarseTopR) {
-        for h in other.hits {
-            self.push(h.id, h.dist);
-        }
-    }
-
     /// The final coarse candidates, best (closest) first.
     pub(crate) fn into_sorted(mut self) -> Vec<CoarseHit> {
         self.hits.sort_unstable_by(coarse_cmp);
@@ -474,11 +458,16 @@ mod tests {
                 right.push(*id, *s);
             }
         }
-        let mut forward = left.clone();
-        forward.merge(right.clone());
-        let mut backward = right;
-        backward.merge(left);
-        assert_eq!(forward.into_sorted(), backward.into_sorted());
+        // Folding one accumulator's hits into another is a function of the
+        // combined hit *set* — what lets scans thread a single accumulator
+        // through segments and shards in any order.
+        let fold = |mut into: TopK, from: &TopK| {
+            for h in &from.hits {
+                into.push(h.id, h.score);
+            }
+            into.into_sorted()
+        };
+        assert_eq!(fold(left.clone(), &right), fold(right, &left));
     }
 
     #[test]
@@ -532,11 +521,13 @@ mod tests {
                 right.push(*id, *d);
             }
         }
-        let mut forward = left.clone();
-        forward.merge(right.clone());
-        let mut backward = right;
-        backward.merge(left);
-        assert_eq!(forward.into_sorted(), backward.into_sorted());
+        let fold = |mut into: CoarseTopR, from: &CoarseTopR| {
+            for h in &from.hits {
+                into.push(h.id, h.dist);
+            }
+            into.into_sorted()
+        };
+        assert_eq!(fold(left.clone(), &right), fold(right, &left));
     }
 
     #[test]

@@ -1,81 +1,55 @@
-//! Snapshot capture and the on-disk codecs.
+//! Snapshot capture and the on-disk codec.
 //!
 //! A [`StoreSnapshot`] is the logical content of a store: its configuration
 //! plus every live `(id, normalized vector)` entry in physical order.
 //! Tombstones are dropped on capture — a snapshot is implicitly compacted.
 //!
-//! Two codecs move snapshots through disk behind the same `save`/`load`
-//! API on [`VectorStore`](crate::VectorStore) and
-//! [`ShardedStore`](crate::ShardedStore):
+//! One codec moves snapshots through disk behind
+//! [`ShardedStore::save`](crate::ShardedStore::save) /
+//! [`load`](crate::ShardedStore::load): **`TBIX` version 4** — a 4-byte
+//! magic, a little-endian header (shard count, dimension, seal threshold,
+//! hyperplane seed, LSH banding, the quantized tier's re-rank factor and
+//! packed-signature width), the router section (a learned router's
+//! k-means centroids plus the per-shard entry counts in save order, so a
+//! routed store's placements — and therefore its probe decisions — replay
+//! exactly on load; absent for hash-routed stores, whose ids re-route
+//! deterministically), the raw f32 payload with each entry's sign-bit LSH
+//! signature riding along after its vector, and a CRC32 (IEEE) footer
+//! over every preceding byte, so a corrupt or bit-flipped file is rejected
+//! with a clear error instead of being decoded into garbage vectors.
+//! Vector bits round-trip exactly; loaded stores answer queries
+//! byte-identically. The compaction policy is runtime tuning, not data,
+//! and is not persisted — loaded stores run the policy they are
+//! configured with.
 //!
-//! * **`TBIX` binary** (the write path) — a 4-byte magic, little-endian
-//!   header, and the raw f32 payload. Roughly 3× smaller than JSON (each
-//!   f32 is 4 bytes instead of ~12 characters of decimal text).
-//! * **JSON** (read back-compat) — the serde format earlier builds wrote.
-//!
-//! Loading autodetects the codec by the magic bytes, so snapshots saved by
-//! any build read back transparently. Both codecs round-trip vector bits
-//! exactly; loaded stores answer queries byte-identically.
-//!
-//! The binary header carries a shard count so one format serves both store
-//! tiers: `0` marks a single-store snapshot, `n ≥ 1` a sharded one (ids
-//! re-route deterministically on load, so only the merged entry list is
-//! persisted). The compaction policy is runtime tuning, not data, and is
-//! not persisted — loaded stores run the policy they are configured with.
-//!
-//! **Versioning.** Version 2 added the quantized scoring tier: the header
-//! carries the re-rank factor and the packed-signature width, and each
-//! entry's sign-bit LSH signature rides along after its vector. Version 3
-//! added the router section: a learned router's k-means centroids plus the
-//! per-shard entry counts (save order), so a routed store's placements —
-//! and therefore its probe decisions — replay exactly on load. Version 4
-//! appends a CRC32 (IEEE) footer over every preceding byte, so a corrupt
-//! or bit-flipped file is rejected with a clear error instead of being
-//! decoded into garbage vectors. Version 1–3 files (binary or JSON) still
-//! load: v1 carries no signatures (the store rebuilds them from the
-//! persisted seed), v1/v2 carry no router section (stores load with hash
-//! routing, as they were saved), and pre-v4 files have no footer to check.
+//! Files of any other version — and files that are not `TBIX` at all — are
+//! refused with an `unsupported snapshot version` / `not a TBIX snapshot`
+//! error; `tests/golden_snapshot.rs` pins the format against a checked-in
+//! file.
 
 use crate::lsh::packed_len;
 use crate::store::LshParams;
 use crate::wal::crc32;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::io;
 use std::path::Path;
 
-/// The snapshot format version this build writes.
+/// The one snapshot format version this build writes and reads.
 pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// The version that introduced the router section.
-pub(crate) const ROUTER_SNAPSHOT_VERSION: u32 = 3;
-
-/// The version that introduced the trailing CRC32 integrity footer.
-pub(crate) const CRC_SNAPSHOT_VERSION: u32 = 4;
-
-/// The version that introduced the quantized-tier header fields (re-rank
-/// factor, packed-signature width) and per-entry signatures.
-pub(crate) const QUANTIZED_SNAPSHOT_VERSION: u32 = 2;
-
-/// The oldest snapshot version this build still reads: the pre-quantized
-/// layout without packed signatures or a re-rank factor.
-pub const LEGACY_SNAPSHOT_VERSION: u32 = 1;
-
-/// Magic bytes opening a binary snapshot file.
+/// Magic bytes opening a snapshot file.
 pub(crate) const TBIX_MAGIC: [u8; 4] = *b"TBIX";
 
-/// Upper bound on the shard-count marker a snapshot may carry. Snapshots
+/// Upper bound on the shard count a snapshot may carry. Snapshots
 /// are untrusted input: without this, a corrupt header could make
 /// `ShardedStore::load` construct billions of empty shards before any
 /// entry is read. Far above any sane deployment, far below harm.
 pub(crate) const MAX_SNAPSHOT_SHARDS: u32 = 65_536;
 
-/// A serializable snapshot of a store: its configuration plus every live
+/// A snapshot of a store: its configuration plus every live
 /// `(id, normalized vector)` entry in physical order. Tombstones are
 /// dropped on capture — a snapshot is implicitly compacted.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StoreSnapshot {
-    /// Snapshot format version; bumped on incompatible layout changes.
-    pub version: u32,
     /// Vector dimensionality.
     pub dim: usize,
     /// Hyperplane seed (see [`crate::StoreConfig::seed`]).
@@ -88,14 +62,13 @@ pub struct StoreSnapshot {
     pub rerank: u64,
     /// The next auto-assigned id.
     pub next_id: u64,
-    /// Live entries in segment-then-row order.
+    /// Live entries in shard-then-segment-then-row order.
     pub entries: Vec<(u64, Vec<f32>)>,
-    /// Packed sign-bit LSH signatures, aligned with `entries`. Empty when
-    /// LSH is off — or in legacy snapshots, which predate signatures (the
-    /// store rebuilds them from `seed` on load).
+    /// Packed sign-bit LSH signatures, aligned with `entries`; empty when
+    /// LSH is off.
     pub sigs: Vec<Vec<u64>>,
-    /// The learned router, when the sharded store had one (v3). `None` for
-    /// hash-routed stores, single stores, and all pre-v3 snapshots.
+    /// The learned router, when the store had one; `None` for hash-routed
+    /// stores.
     pub router: Option<RouterSnapshot>,
 }
 
@@ -104,7 +77,7 @@ pub struct StoreSnapshot {
 /// shard-major, so `counts` partitions `entries` positionally and load
 /// restores every placement exactly (including rows an older router placed
 /// where the current centroids wouldn't).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RouterSnapshot {
     /// One L2-normalized centroid per shard, shard order.
     pub centroids: Vec<Vec<f32>>,
@@ -113,48 +86,11 @@ pub struct RouterSnapshot {
     pub counts: Vec<u64>,
 }
 
-// Hand-written so the version-2 and version-3 fields stay optional:
-// version-1 JSON snapshots carry none of them, and the derive errors on
-// missing fields.
-impl Deserialize for StoreSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        use serde::derive_support::field;
-        const TY: &str = "StoreSnapshot";
-        Ok(Self {
-            version: u32::from_value(field(v, TY, "version")?)?,
-            dim: usize::from_value(field(v, TY, "dim")?)?,
-            seed: u64::from_value(field(v, TY, "seed")?)?,
-            seal_threshold: usize::from_value(field(v, TY, "seal_threshold")?)?,
-            lsh: Option::<LshParams>::from_value(field(v, TY, "lsh")?)?,
-            rerank: match v.get("rerank") {
-                Some(r) => u64::from_value(r)?,
-                None => 0,
-            },
-            next_id: u64::from_value(field(v, TY, "next_id")?)?,
-            entries: Vec::from_value(field(v, TY, "entries")?)?,
-            sigs: match v.get("sigs") {
-                Some(s) => Vec::from_value(s)?,
-                None => Vec::new(),
-            },
-            router: match v.get("router") {
-                Some(r) => Option::<RouterSnapshot>::from_value(r)?,
-                None => None,
-            },
-        })
-    }
-}
-
 impl StoreSnapshot {
     /// Checks the invariants a store rebuild relies on. Snapshots are an
     /// untrusted-input boundary (files on disk), so violations must come
     /// back as errors rather than tripping constructor asserts.
     pub(crate) fn validate(&self) -> io::Result<()> {
-        if !(LEGACY_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&self.version) {
-            return Err(invalid(format!(
-                "unsupported snapshot version {} (want {LEGACY_SNAPSHOT_VERSION}..={SNAPSHOT_VERSION})",
-                self.version
-            )));
-        }
         if self.dim == 0 || self.seal_threshold == 0 {
             return Err(invalid("snapshot with zero dim or seal_threshold".into()));
         }
@@ -175,25 +111,28 @@ impl StoreSnapshot {
                 )));
             }
         }
-        if !self.sigs.is_empty() {
-            let Some(p) = self.lsh else {
+        match self.lsh {
+            None if !self.sigs.is_empty() => {
                 return Err(invalid("snapshot carries signatures but no LSH params".into()));
-            };
-            if self.sigs.len() != self.entries.len() {
-                return Err(invalid(format!(
-                    "snapshot has {} signatures for {} entries",
-                    self.sigs.len(),
-                    self.entries.len()
-                )));
             }
-            let words = packed_len(p.bands * p.rows_per_band);
-            for (i, sig) in self.sigs.iter().enumerate() {
-                if sig.len() != words {
+            None => {}
+            Some(p) => {
+                if self.sigs.len() != self.entries.len() {
                     return Err(invalid(format!(
-                        "signature width mismatch: entry {i} has {} words (want {words} for {} bits)",
-                        sig.len(),
-                        p.bands * p.rows_per_band
+                        "snapshot has {} signatures for {} entries",
+                        self.sigs.len(),
+                        self.entries.len()
                     )));
+                }
+                let words = packed_len(p.bands * p.rows_per_band);
+                for (i, sig) in self.sigs.iter().enumerate() {
+                    if sig.len() != words {
+                        return Err(invalid(format!(
+                            "signature width mismatch: entry {i} has {} words (want {words} for {} bits)",
+                            sig.len(),
+                            p.bands * p.rows_per_band
+                        )));
+                    }
                 }
             }
         }
@@ -232,23 +171,15 @@ fn invalid(msg: String) -> io::Error {
 
 // --- binary codec ----------------------------------------------------------
 
-/// Encodes a snapshot into the `TBIX` binary format. `n_shards == 0` marks
-/// a single-store snapshot; `n ≥ 1` a sharded one. The layout follows
-/// `snap.version`: version-2+ snapshots interleave each entry's packed
-/// signature after its vector, version-3 adds the variable-length router
-/// section after the signature-width field, and version-1 is the legacy
-/// vectors-only layout.
+/// Encodes a snapshot of an `n_shards`-shard store into the `TBIX` v4
+/// format (see the [module docs](self) for the layout). An LSH snapshot's
+/// `sigs` must align with its `entries`.
 pub(crate) fn encode_binary(snap: &StoreSnapshot, n_shards: u32) -> Vec<u8> {
-    let sig_words =
-        if snap.version >= QUANTIZED_SNAPSHOT_VERSION && snap.sigs.len() == snap.entries.len() {
-            snap.lsh.map_or(0, |p| packed_len(p.bands * p.rows_per_band))
-        } else {
-            0
-        };
+    let sig_words = snap.lsh.map_or(0, |p| packed_len(p.bands * p.rows_per_band));
     let per_entry = 8 + snap.dim * 4 + sig_words * 8;
     let mut out = Vec::with_capacity(80 + snap.entries.len() * per_entry);
     out.extend_from_slice(&TBIX_MAGIC);
-    out.extend_from_slice(&snap.version.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&n_shards.to_le_bytes());
     out.extend_from_slice(&(snap.dim as u32).to_le_bytes());
     out.extend_from_slice(&(snap.seal_threshold as u64).to_le_bytes());
@@ -261,28 +192,24 @@ pub(crate) fn encode_binary(snap: &StoreSnapshot, n_shards: u32) -> Vec<u8> {
         }
         None => out.push(0),
     }
-    if snap.version >= QUANTIZED_SNAPSHOT_VERSION {
-        out.extend_from_slice(&snap.rerank.to_le_bytes());
-        out.extend_from_slice(&(sig_words as u32).to_le_bytes());
-    }
-    if snap.version >= ROUTER_SNAPSHOT_VERSION {
-        // The router section sits before the entry count so the decoder's
-        // exact-length check still covers the (fixed-size) entry payload.
-        match &snap.router {
-            Some(r) => {
-                out.push(1);
-                out.extend_from_slice(&(r.centroids.len() as u32).to_le_bytes());
-                for c in &r.centroids {
-                    for x in c {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                for n in &r.counts {
-                    out.extend_from_slice(&n.to_le_bytes());
+    out.extend_from_slice(&snap.rerank.to_le_bytes());
+    out.extend_from_slice(&(sig_words as u32).to_le_bytes());
+    // The router section sits before the entry count so the decoder's
+    // exact-length check still covers the (fixed-size) entry payload.
+    match &snap.router {
+        Some(r) => {
+            out.push(1);
+            out.extend_from_slice(&(r.centroids.len() as u32).to_le_bytes());
+            for c in &r.centroids {
+                for x in c {
+                    out.extend_from_slice(&x.to_le_bytes());
                 }
             }
-            None => out.push(0),
+            for n in &r.counts {
+                out.extend_from_slice(&n.to_le_bytes());
+            }
         }
+        None => out.push(0),
     }
     out.extend_from_slice(&snap.next_id.to_le_bytes());
     out.extend_from_slice(&(snap.entries.len() as u64).to_le_bytes());
@@ -297,10 +224,8 @@ pub(crate) fn encode_binary(snap: &StoreSnapshot, n_shards: u32) -> Vec<u8> {
             }
         }
     }
-    if snap.version >= CRC_SNAPSHOT_VERSION {
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -340,41 +265,40 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes a `TBIX` binary snapshot, returning the shard count marker
-/// (`0` = single store) and the validated snapshot.
+/// Decodes a `TBIX` v4 snapshot, returning the shard count and the
+/// validated snapshot.
 fn decode_binary(bytes: &[u8]) -> io::Result<(u32, StoreSnapshot)> {
-    if bytes.len() < TBIX_MAGIC.len() + 4 {
-        return Err(invalid("truncated binary snapshot".into()));
+    if !bytes.starts_with(&TBIX_MAGIC) {
+        return Err(invalid("not a TBIX snapshot (bad magic)".into()));
     }
-    // Peek the version to learn whether a CRC footer exists, verify it,
-    // and decode over the trimmed payload — so a bit-flip anywhere in the
-    // file surfaces as this one clear error, not as garbage field values.
-    let peek_version = u32::from_le_bytes(
-        bytes[TBIX_MAGIC.len()..TBIX_MAGIC.len() + 4].try_into().expect("4 bytes"),
-    );
-    let bytes = if peek_version >= CRC_SNAPSHOT_VERSION {
-        let body_len = bytes
-            .len()
-            .checked_sub(4)
-            .filter(|&n| n >= TBIX_MAGIC.len() + 4)
-            .ok_or_else(|| invalid("binary snapshot too short for its CRC footer".into()))?;
-        let footer = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[..body_len]);
-        if footer != computed {
-            return Err(invalid(format!(
-                "snapshot CRC mismatch (footer {footer:08x}, computed {computed:08x}) — the file is corrupt"
-            )));
-        }
-        &bytes[..body_len]
-    } else {
-        bytes
-    };
     let mut c = Cursor { bytes, pos: TBIX_MAGIC.len() };
     let version = c.u32()?;
-    let n_shards = c.u32()?;
-    if n_shards > MAX_SNAPSHOT_SHARDS {
+    if version != SNAPSHOT_VERSION {
         return Err(invalid(format!(
-            "snapshot claims {n_shards} shards (max {MAX_SNAPSHOT_SHARDS}) — corrupt header?"
+            "unsupported snapshot version {version} (this build reads only {SNAPSHOT_VERSION})"
+        )));
+    }
+    // Verify the CRC footer and decode over the trimmed payload — so a
+    // bit-flip anywhere in the file surfaces as this one clear error, not
+    // as garbage field values.
+    let body_len = bytes
+        .len()
+        .checked_sub(4)
+        .filter(|&n| n >= c.pos)
+        .ok_or_else(|| invalid("binary snapshot too short for its CRC footer".into()))?;
+    let footer = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
+    let computed = crc32(&bytes[..body_len]);
+    if footer != computed {
+        return Err(invalid(format!(
+            "snapshot CRC mismatch (footer {footer:08x}, computed {computed:08x}) — the file is corrupt"
+        )));
+    }
+    let bytes = &bytes[..body_len];
+    let mut c = Cursor { bytes, pos: c.pos };
+    let n_shards = c.u32()?;
+    if n_shards == 0 || n_shards > MAX_SNAPSHOT_SHARDS {
+        return Err(invalid(format!(
+            "snapshot claims {n_shards} shards (want 1..={MAX_SNAPSHOT_SHARDS}) — corrupt header?"
         )));
     }
     let dim = c.u32()? as usize;
@@ -385,41 +309,35 @@ fn decode_binary(bytes: &[u8]) -> io::Result<(u32, StoreSnapshot)> {
         1 => Some(LshParams { bands: c.u32()? as usize, rows_per_band: c.u32()? as usize }),
         flag => return Err(invalid(format!("bad LSH flag byte {flag}"))),
     };
-    // Version 1 predates the quantized-tier header fields and the
-    // per-entry signatures; any later version carries both.
-    let (rerank, sig_words) =
-        if version >= QUANTIZED_SNAPSHOT_VERSION { (c.u64()?, c.u32()? as usize) } else { (0, 0) };
-    // Version 3 adds the router section: absent (flag 0) for hash-routed
-    // and single stores. The cell count is header-bounded like the shard
-    // marker — untrusted input must not size allocations unchecked.
-    let router = if version >= ROUTER_SNAPSHOT_VERSION {
-        match c.u8()? {
-            0 => None,
-            1 => {
-                let nlist = c.u32()?;
-                if nlist == 0 || nlist > MAX_SNAPSHOT_SHARDS {
-                    return Err(invalid(format!(
-                        "router section claims {nlist} cells (max {MAX_SNAPSHOT_SHARDS}) — corrupt header?"
-                    )));
-                }
-                let mut centroids = Vec::with_capacity(nlist as usize);
-                for _ in 0..nlist {
-                    let mut cvec = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        cvec.push(c.f32()?);
-                    }
-                    centroids.push(cvec);
-                }
-                let mut counts = Vec::with_capacity(nlist as usize);
-                for _ in 0..nlist {
-                    counts.push(c.u64()?);
-                }
-                Some(RouterSnapshot { centroids, counts })
+    let rerank = c.u64()?;
+    let sig_words = c.u32()? as usize;
+    // The router section: absent (flag 0) for hash-routed stores. The cell
+    // count is header-bounded like the shard count — untrusted input must
+    // not size allocations unchecked.
+    let router = match c.u8()? {
+        0 => None,
+        1 => {
+            let nlist = c.u32()?;
+            if nlist == 0 || nlist > MAX_SNAPSHOT_SHARDS {
+                return Err(invalid(format!(
+                    "router section claims {nlist} cells (max {MAX_SNAPSHOT_SHARDS}) — corrupt header?"
+                )));
             }
-            flag => return Err(invalid(format!("bad router flag byte {flag}"))),
+            let mut centroids = Vec::with_capacity(nlist as usize);
+            for _ in 0..nlist {
+                let mut cvec = Vec::with_capacity(dim);
+                for _ in 0..dim {
+                    cvec.push(c.f32()?);
+                }
+                centroids.push(cvec);
+            }
+            let mut counts = Vec::with_capacity(nlist as usize);
+            for _ in 0..nlist {
+                counts.push(c.u64()?);
+            }
+            Some(RouterSnapshot { centroids, counts })
         }
-    } else {
-        None
+        flag => return Err(invalid(format!("bad router flag byte {flag}"))),
     };
     let next_id = c.u64()?;
     let n_entries = c.u64()? as usize;
@@ -457,49 +375,23 @@ fn decode_binary(bytes: &[u8]) -> io::Result<(u32, StoreSnapshot)> {
             sigs.push(sig);
         }
     }
-    let snap = StoreSnapshot {
-        version,
-        dim,
-        seed,
-        seal_threshold,
-        lsh,
-        rerank,
-        next_id,
-        entries,
-        sigs,
-        router,
-    };
+    let snap =
+        StoreSnapshot { dim, seed, seal_threshold, lsh, rerank, next_id, entries, sigs, router };
     snap.validate()?;
     Ok((n_shards, snap))
 }
 
-// --- autodetecting file I/O ------------------------------------------------
+// --- file I/O --------------------------------------------------------------
 
-/// Writes a snapshot to `path` in the binary format.
+/// Writes a snapshot of an `n_shards`-shard store to `path`.
 pub(crate) fn write_file(path: &Path, snap: &StoreSnapshot, n_shards: u32) -> io::Result<()> {
     std::fs::write(path, encode_binary(snap, n_shards))
 }
 
-/// Writes a snapshot to `path` as JSON — the legacy format, kept for
-/// interchange with older builds (and for the size comparison tests).
-pub(crate) fn write_file_json(path: &Path, snap: &StoreSnapshot) -> io::Result<()> {
-    let json = serde_json::to_string(snap).map_err(|e| invalid(e.to_string()))?;
-    std::fs::write(path, json)
-}
-
-/// Reads a snapshot from `path`, autodetecting the codec by the magic
-/// bytes: `TBIX` → binary, anything else → JSON. Returns the shard-count
-/// marker (`0` for single-store snapshots, including all JSON ones) and
-/// the validated snapshot.
+/// Reads a snapshot from `path`, returning the shard count and the
+/// validated snapshot.
 pub(crate) fn read_file(path: &Path) -> io::Result<(u32, StoreSnapshot)> {
-    let bytes = std::fs::read(path)?;
-    if bytes.starts_with(&TBIX_MAGIC) {
-        return decode_binary(&bytes);
-    }
-    let text = std::str::from_utf8(&bytes).map_err(|e| invalid(e.to_string()))?;
-    let snap: StoreSnapshot = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
-    snap.validate()?;
-    Ok((0, snap))
+    decode_binary(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -508,7 +400,6 @@ mod tests {
 
     fn sample() -> StoreSnapshot {
         StoreSnapshot {
-            version: SNAPSHOT_VERSION,
             dim: 3,
             seed: 7,
             seal_threshold: 16,
@@ -516,15 +407,15 @@ mod tests {
             rerank: 0,
             next_id: 2,
             entries: vec![(0, vec![1.0, 0.0, 0.0]), (1, vec![0.0, 0.6, 0.8])],
-            sigs: Vec::new(),
+            sigs: vec![vec![0b1010_1010], vec![0b0101_0101]],
             router: None,
         }
     }
 
-    /// `sample()` with the quantized tier on: 8-bit signatures (one word)
-    /// and a re-rank factor in the header.
+    /// `sample()` with the quantized tier on: a re-rank factor in the
+    /// header beside the 8-bit (one-word) signatures.
     fn sample_quantized() -> StoreSnapshot {
-        StoreSnapshot { rerank: 4, sigs: vec![vec![0b1010_1010], vec![0b0101_0101]], ..sample() }
+        StoreSnapshot { rerank: 4, ..sample() }
     }
 
     /// `sample()` with a two-cell router section: one entry per shard.
@@ -541,9 +432,9 @@ mod tests {
     #[test]
     fn binary_roundtrips_bit_exact() {
         let snap = sample();
-        let bytes = encode_binary(&snap, 0);
+        let bytes = encode_binary(&snap, 1);
         let (n_shards, back) = decode_binary(&bytes).expect("decode");
-        assert_eq!(n_shards, 0);
+        assert_eq!(n_shards, 1);
         assert_eq!(back.dim, snap.dim);
         assert_eq!(back.next_id, snap.next_id);
         assert_eq!(back.lsh, snap.lsh);
@@ -564,14 +455,27 @@ mod tests {
 
     #[test]
     fn truncated_or_padded_binary_is_rejected() {
-        let bytes = encode_binary(&sample(), 0);
+        let bytes = encode_binary(&sample(), 1);
         assert!(decode_binary(&bytes[..bytes.len() - 3]).is_err(), "truncated must fail");
+        for cut in 0..12 {
+            assert!(decode_binary(&bytes[..cut]).is_err(), "a {cut}-byte file must fail");
+        }
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_binary(&padded).is_err(), "padded must fail");
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        assert!(decode_binary(&bad_version).is_err(), "bad version must fail");
+        // Every version but the current one — the retired 1..=3 included —
+        // is refused by name, before the CRC is even looked at.
+        for version in [0u32, 1, 2, 3, 5, 99] {
+            let mut other = bytes.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = decode_binary(&other).expect_err("other versions must fail");
+            assert!(
+                err.to_string().contains("unsupported snapshot version"),
+                "unhelpful error for version {version}: {err}"
+            );
+        }
+        let err = decode_binary(b"{\"version\":4}").expect_err("JSON must fail");
+        assert!(err.to_string().contains("not a TBIX snapshot"), "unhelpful error: {err}");
     }
 
     #[test]
@@ -595,6 +499,11 @@ mod tests {
         at_max[8..12].copy_from_slice(&MAX_SNAPSHOT_SHARDS.to_le_bytes());
         refit_crc(&mut at_max);
         assert!(decode_binary(&at_max).is_ok());
+        // And a store has at least one shard.
+        let mut zero = encode_binary(&sample(), 4);
+        zero[8..12].copy_from_slice(&0u32.to_le_bytes());
+        refit_crc(&mut zero);
+        assert!(decode_binary(&zero).is_err(), "a zero-shard header must fail");
     }
 
     #[test]
@@ -607,50 +516,10 @@ mod tests {
     #[test]
     fn binary_roundtrips_signatures_and_rerank() {
         let snap = sample_quantized();
-        let bytes = encode_binary(&snap, 0);
+        let bytes = encode_binary(&snap, 1);
         let (_, back) = decode_binary(&bytes).expect("decode");
         assert_eq!(back.rerank, 4);
         assert_eq!(back.sigs, snap.sigs);
-    }
-
-    #[test]
-    fn legacy_v1_binary_still_decodes() {
-        let mut snap = sample();
-        snap.version = LEGACY_SNAPSHOT_VERSION;
-        let bytes = encode_binary(&snap, 0);
-        let (n_shards, back) = decode_binary(&bytes).expect("v1 decode");
-        assert_eq!(n_shards, 0);
-        assert_eq!(back.version, LEGACY_SNAPSHOT_VERSION);
-        assert_eq!(back.rerank, 0, "v1 has no quantized tier");
-        assert!(back.sigs.is_empty(), "v1 carries no signatures");
-        assert_eq!(back.entries.len(), snap.entries.len());
-        // And the v1 layout really is the old one: no rerank/sig_words
-        // header fields, no router flag, no per-entry signature words, no
-        // CRC footer (all of which the current version adds).
-        let v4 = encode_binary(&sample_quantized(), 0);
-        assert_eq!(v4.len(), bytes.len() + 12 + 1 + snap.entries.len() * 8 + 4);
-    }
-
-    #[test]
-    fn legacy_v2_binary_still_decodes() {
-        // A v2 file: quantized header fields and signatures, but no router
-        // flag byte. `encode_binary` follows `snap.version`, so this writes
-        // the exact bytes the previous build wrote.
-        let mut snap = sample_quantized();
-        snap.version = QUANTIZED_SNAPSHOT_VERSION;
-        let bytes = encode_binary(&snap, 4);
-        let v4 = encode_binary(&sample_quantized(), 4);
-        assert_eq!(
-            v4.len(),
-            bytes.len() + 1 + 4,
-            "v4 without a router adds only the flag byte and the CRC footer"
-        );
-        let (n_shards, back) = decode_binary(&bytes).expect("v2 decode");
-        assert_eq!(n_shards, 4);
-        assert_eq!(back.version, QUANTIZED_SNAPSHOT_VERSION);
-        assert_eq!(back.rerank, 4);
-        assert_eq!(back.sigs, snap.sigs);
-        assert!(back.router.is_none(), "v2 has no router section");
     }
 
     #[test]
@@ -687,7 +556,7 @@ mod tests {
         let good = encode_binary(&sample_routed(), 2);
         let flag_pos = good.len()
             - 4
-            - (8 + 8 + sample_routed().entries.len() * (8 + 3 * 4))
+            - (8 + 8 + sample_routed().entries.len() * (8 + 3 * 4 + 8))
             - (2 * 3 * 4 + 2 * 8 + 4)
             - 1;
         let mut bad = good.clone();
@@ -716,24 +585,6 @@ mod tests {
                 "unhelpful error for flip at {pos}: {err}"
             );
         }
-        // Pre-v4 files have no footer and still decode.
-        let mut legacy = sample_quantized();
-        legacy.version = QUANTIZED_SNAPSHOT_VERSION;
-        let bytes = encode_binary(&legacy, 2);
-        assert!(decode_binary(&bytes).is_ok(), "v2 files must keep loading");
-    }
-
-    #[test]
-    fn legacy_json_without_new_fields_still_parses() {
-        let text = concat!(
-            r#"{"version":1,"dim":2,"seed":7,"seal_threshold":16,"#,
-            r#""lsh":{"bands":2,"rows_per_band":2},"next_id":1,"#,
-            r#""entries":[[0,[1.0,0.0]]]}"#
-        );
-        let snap: StoreSnapshot = serde_json::from_str(text).expect("parse");
-        assert_eq!(snap.rerank, 0);
-        assert!(snap.sigs.is_empty());
-        snap.validate().expect("validate");
     }
 
     #[test]
@@ -747,12 +598,17 @@ mod tests {
         let mut snap = sample_quantized();
         snap.sigs.pop();
         assert!(snap.validate().is_err());
+        // ...and an LSH snapshot must carry them: there is no rebuild path.
+        let mut snap = sample();
+        snap.sigs.clear();
+        assert!(snap.validate().is_err());
         // Signatures (or a re-rank factor) without LSH make no sense.
         let mut snap = sample_quantized();
         snap.lsh = None;
         assert!(snap.validate().is_err());
         let mut snap = sample();
         snap.lsh = None;
+        snap.sigs.clear();
         snap.rerank = 4;
         assert!(snap.validate().is_err());
     }

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tabbin_index::{
     CandidateSource, CompactionPolicy, EngineConfig, ExactScan, LshCandidates, LshParams,
-    QueryEngine, ShardedStore, StoreConfig, VectorStore,
+    QueryEngine, ShardedStore, StoreConfig,
 };
 
 /// Random centered embeddings: draw uniform vectors, then subtract the mean
@@ -55,7 +55,7 @@ proptest! {
             policy: CompactionPolicy::default(),
             ..StoreConfig::default()
         };
-        let mut store = VectorStore::new(DIM, cfg);
+        let mut store = ShardedStore::new(DIM, 1, cfg);
         for v in &items {
             store.insert(v);
         }
@@ -93,7 +93,7 @@ proptest! {
             policy: CompactionPolicy::default(),
             ..StoreConfig::default()
         };
-        let mut store = VectorStore::new(DIM, cfg);
+        let mut store = ShardedStore::new(DIM, 1, cfg);
         for v in &items {
             store.insert(v);
         }
@@ -120,8 +120,8 @@ proptest! {
         prop_assert_eq!(store.search_batch(&items[..10], 5, &LshCandidates), before);
     }
 
-    /// Sharding is invisible: a `ShardedStore` answers every query exactly
-    /// like one flat `VectorStore` over the same corpus — same ids, same
+    /// Sharding is invisible: an N-shard store answers every query exactly
+    /// like the flat `ShardedStore::new(dim, 1, cfg)` over the same corpus — same ids, same
     /// score bits — under both candidate sources and through arbitrary
     /// upsert/delete mutations. This is the routing + k-way-merge
     /// equivalence the sharded tier is built on (ids are unique across
@@ -145,7 +145,7 @@ proptest! {
             policy: CompactionPolicy::default(),
             ..StoreConfig::default()
         };
-        let mut single = VectorStore::new(DIM, cfg);
+        let mut single = ShardedStore::new(DIM, 1, cfg);
         let mut sharded = ShardedStore::new(DIM, n_shards, cfg);
         for v in &items {
             single.insert(v);
@@ -260,8 +260,8 @@ proptest! {
             policy: CompactionPolicy::default(),
             ..StoreConfig::default()
         };
-        let mut store = VectorStore::new(DIM, cfg);
-        let mut shadow = VectorStore::new(DIM, cfg);
+        let mut store = ShardedStore::new(DIM, 1, cfg);
+        let mut shadow = ShardedStore::new(DIM, 1, cfg);
         for v in &items {
             store.insert(v);
             shadow.insert(v);

@@ -1,14 +1,14 @@
 //! Property tests for the quantized scoring tier: the coarse sign-bit pass
 //! plus f32 re-rank must keep recall@10 ≥ 0.99 on clustered corpora, stay
 //! bit-identical across shard layouts and mutations, and survive snapshot
-//! round-trips — including legacy version-1 files, which carry no packed
-//! signatures and force the deterministic rebuild path.
+//! round-trips.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tabbin_index::wal::crc32;
 use tabbin_index::{
-    ExactScan, LshCandidates, LshParams, ScoringTier, ShardedStore, StoreConfig, VectorStore,
+    ExactScan, LshCandidates, LshParams, ScoringTier, ShardedStore, StoreConfig,
     DEFAULT_RERANK_FACTOR, SNAPSHOT_VERSION,
 };
 
@@ -56,8 +56,8 @@ proptest! {
         const K: usize = 10;
         let vecs = clustered(6, 25, 32, seed);
         let params = LshParams::default_blocking();
-        let mut exact = VectorStore::new(32, StoreConfig::with_lsh(params));
-        let mut quant = VectorStore::new(32, quantized_cfg());
+        let mut exact = ShardedStore::new(32, 1, StoreConfig::with_lsh(params));
+        let mut quant = ShardedStore::new(32, 1, quantized_cfg());
         for v in &vecs {
             exact.insert(v);
             quant.insert(v);
@@ -90,7 +90,7 @@ proptest! {
         const N: usize = 80;
         const DIM: usize = 16;
         let vecs = centered_random(N, DIM, seed);
-        let mut flat = VectorStore::new(DIM, quantized_cfg());
+        let mut flat = ShardedStore::new(DIM, 1, quantized_cfg());
         let mut sharded = ShardedStore::new(DIM, 4, quantized_cfg());
         for v in &vecs {
             flat.insert(v);
@@ -123,7 +123,7 @@ proptest! {
     }
 }
 
-/// A quantized sharded store survives a TBIX v2 round-trip: the tier, the
+/// A quantized sharded store survives a TBIX round-trip: the tier, the
 /// packed signatures, and every score bit replay identically after
 /// save/load.
 #[test]
@@ -148,7 +148,7 @@ fn tbix_v2_quantized_sharded_roundtrip_replays_bit_identically() {
     assert_eq!(
         loaded.tier(),
         ScoringTier::Quantized { rerank_factor: DEFAULT_RERANK_FACTOR },
-        "tier must persist through TBIX v2"
+        "tier must persist through TBIX"
     );
     let after = loaded.search_batch(&queries, 6, &ExactScan);
     assert_eq!(after, before);
@@ -157,68 +157,43 @@ fn tbix_v2_quantized_sharded_roundtrip_replays_bit_identically() {
     }
 }
 
-/// A legacy version-1 binary snapshot — no rerank field, no packed
-/// signatures — still loads: the store rebuilds every signature from the
-/// persisted hyperplane seed, deterministically enough that LSH-blocked
-/// queries replay bit-identically against the pre-snapshot store.
+/// Corrupt signature widths are rejected at the snapshot boundary with a
+/// diagnosable error, not a panic deep in the Hamming kernel: a well-formed
+/// (CRC-valid) v4 file whose header claims 7 signature words per entry
+/// where 128-bit signatures pack into 2.
 #[test]
-fn legacy_v1_binary_loads_and_rebuilds_signatures() {
-    let vecs = clustered(3, 18, 16, 404);
-    let mut reference = VectorStore::new(16, StoreConfig::with_lsh(LshParams::default_blocking()));
-    for v in &vecs {
-        reference.insert(v);
-    }
-    reference.delete(11);
-    let snap = reference.snapshot();
-    assert_eq!(snap.version, SNAPSHOT_VERSION);
-
-    // Hand-encode the version-1 layout: header without the v2 rerank /
-    // sig-words fields, entries without per-entry signatures. The f32 bits
-    // come straight from the live snapshot, so normalization is identical.
+fn from_snapshot_rejects_signature_width_mismatch() {
+    let cfg = quantized_cfg();
+    let lsh = cfg.lsh.expect("quantized config has LSH");
+    let vecs = centered_random(12, 8, 505);
     let mut bytes = Vec::new();
     bytes.extend_from_slice(b"TBIX");
-    bytes.extend_from_slice(&1u32.to_le_bytes()); // version 1
-    bytes.extend_from_slice(&0u32.to_le_bytes()); // single store
-    bytes.extend_from_slice(&(snap.dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&(snap.seal_threshold as u64).to_le_bytes());
-    bytes.extend_from_slice(&snap.seed.to_le_bytes());
-    let lsh = snap.lsh.expect("reference store has LSH");
+    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // one shard
+    bytes.extend_from_slice(&8u32.to_le_bytes()); // dim
+    bytes.extend_from_slice(&(cfg.seal_threshold as u64).to_le_bytes());
+    bytes.extend_from_slice(&cfg.seed.to_le_bytes());
     bytes.push(1);
     bytes.extend_from_slice(&(lsh.bands as u32).to_le_bytes());
     bytes.extend_from_slice(&(lsh.rows_per_band as u32).to_le_bytes());
-    bytes.extend_from_slice(&snap.next_id.to_le_bytes());
-    bytes.extend_from_slice(&(snap.entries.len() as u64).to_le_bytes());
-    for (id, v) in &snap.entries {
-        bytes.extend_from_slice(&id.to_le_bytes());
+    bytes.extend_from_slice(&(DEFAULT_RERANK_FACTOR as u64).to_le_bytes());
+    bytes.extend_from_slice(&7u32.to_le_bytes()); // wrong: 128 bits are 2 words
+    bytes.push(0); // no router section
+    bytes.extend_from_slice(&(vecs.len() as u64).to_le_bytes()); // next_id
+    bytes.extend_from_slice(&(vecs.len() as u64).to_le_bytes());
+    for (id, v) in vecs.iter().enumerate() {
+        bytes.extend_from_slice(&(id as u64).to_le_bytes());
         for x in v {
             bytes.extend_from_slice(&x.to_le_bytes());
         }
+        bytes.extend_from_slice(&[0u8; 7 * 8]);
     }
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
     let path =
-        std::env::temp_dir().join(format!("tabbin_prop_quant_v1_{}.tbix", std::process::id()));
-    std::fs::write(&path, &bytes).expect("write v1 file");
-    let loaded = VectorStore::load(&path).expect("legacy v1 file must load");
+        std::env::temp_dir().join(format!("tabbin_prop_quant_width_{}.tbix", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write crafted file");
+    let err = ShardedStore::load(&path).expect_err("wrong width must be rejected");
     std::fs::remove_file(&path).ok();
-
-    assert_eq!(loaded.tier(), ScoringTier::Exact, "version 1 predates tiers");
-    for q in vecs.iter().step_by(4) {
-        // LSH-blocked agreement is the signature-rebuild proof: band
-        // buckets only exist if the signatures were recomputed on load.
-        assert_eq!(loaded.search(q, 5, &LshCandidates), reference.search(q, 5, &LshCandidates));
-        assert_eq!(loaded.search(q, 5, &ExactScan), reference.search(q, 5, &ExactScan));
-    }
-}
-
-/// Corrupt signature widths are rejected at the snapshot boundary with a
-/// diagnosable error, not a panic deep in the Hamming kernel.
-#[test]
-fn from_snapshot_rejects_signature_width_mismatch() {
-    let mut store = VectorStore::new(8, quantized_cfg());
-    for v in centered_random(12, 8, 505) {
-        store.insert(&v);
-    }
-    let mut snap = store.snapshot();
-    snap.sigs[3] = vec![0u64; 7]; // 128-bit signatures pack into 2 words, not 7
-    let err = VectorStore::from_snapshot(&snap).expect_err("wrong width must be rejected");
     assert!(err.to_string().contains("signature width mismatch"), "unexpected error: {err}");
 }

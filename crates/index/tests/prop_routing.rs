@@ -1,15 +1,15 @@
 //! Property tests for learned IVF routing: full-fan-out probes must be
 //! bit-identical to hash routing, `nprobe = nlist/4` must keep
-//! recall@10 ≥ 0.95 on clustered corpora, TBIX v3 round-trips must restore
-//! every routing decision exactly (while v1/v2 files still load), and
-//! rebalancing under churn must never change a top-k bit.
+//! recall@10 ≥ 0.95 on clustered corpora, TBIX round-trips must restore
+//! every routing decision exactly, and rebalancing under churn must never
+//! change a top-k bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabbin_index::{
-    ExactScan, HashRouter, IvfRouter, LshParams, Router, ShardedStore, StoreConfig, VectorStore,
+    ExactScan, HashRouter, IvfRouter, LshParams, Router, ShardedStore, StoreConfig,
 };
 
 /// Clustered embeddings: random ±1 sign-pattern anchors with jittered
@@ -90,7 +90,7 @@ proptest! {
         const K: usize = 10;
         const NLIST: usize = 8;
         let vecs = clustered(NLIST, 25, 32, seed);
-        let mut flat = VectorStore::new(32, exact_cfg());
+        let mut flat = ShardedStore::new(32, 1, exact_cfg());
         for v in &vecs {
             flat.insert(v);
         }
@@ -111,7 +111,7 @@ proptest! {
         prop_assert!(stats.avg_shards_probed() <= (NLIST / 4) as f64 + 1e-9);
     }
 
-    /// Property (c): a TBIX v3 round-trip restores the router kind, every
+    /// Property (c): a TBIX round-trip restores the router kind, every
     /// placement, and every probed top-k bit — including rows a delete /
     /// upsert cycle moved around before the save.
     #[test]
@@ -203,63 +203,6 @@ proptest! {
         for q in vecs.iter().step_by(3) {
             prop_assert_eq!(a.probe(q, 2, 6), b.probe(q, 2, 6));
             prop_assert_eq!(a.place(0, q, 6), b.place(0, q, 6));
-        }
-    }
-}
-
-/// Legacy files carry no router section: a hand-encoded v1 binary (and its
-/// v2 sibling with the quantized header fields) must still load — as
-/// hash-routed stores whose queries replay the reference bit-for-bit.
-#[test]
-fn legacy_v1_and_v2_binaries_load_as_hash_routed() {
-    const N_SHARDS: usize = 4;
-    let vecs = clustered(3, 15, 8, 606);
-    let mut reference = ShardedStore::new(8, N_SHARDS, exact_cfg());
-    for v in &vecs {
-        reference.insert(v);
-    }
-
-    // Entries in id order with the store's own normalized bits; v1/v2 load
-    // re-routes each id by splitmix64, matching the reference placement.
-    let encode = |version: u32| {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"TBIX");
-        bytes.extend_from_slice(&version.to_le_bytes());
-        bytes.extend_from_slice(&(N_SHARDS as u32).to_le_bytes());
-        bytes.extend_from_slice(&8u32.to_le_bytes()); // dim
-        bytes.extend_from_slice(&32u64.to_le_bytes()); // seal_threshold
-        bytes.extend_from_slice(&42u64.to_le_bytes()); // seed
-        bytes.push(0); // no LSH
-        if version >= 2 {
-            bytes.extend_from_slice(&0u64.to_le_bytes()); // rerank: exact tier
-            bytes.extend_from_slice(&0u32.to_le_bytes()); // no packed sigs
-        }
-        bytes.extend_from_slice(&(vecs.len() as u64).to_le_bytes()); // next_id
-        bytes.extend_from_slice(&(vecs.len() as u64).to_le_bytes());
-        for id in 0..vecs.len() as u64 {
-            bytes.extend_from_slice(&id.to_le_bytes());
-            for x in reference.get(id).expect("live row") {
-                bytes.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        bytes
-    };
-
-    for version in [1u32, 2] {
-        let path = std::env::temp_dir()
-            .join(format!("tabbin_prop_route_v{version}_{}.tbix", std::process::id()));
-        std::fs::write(&path, encode(version)).expect("write legacy file");
-        let loaded = ShardedStore::load(&path).expect("legacy file must load");
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(loaded.router_name(), "hash", "v{version} predates routers");
-        assert_eq!(loaded.n_shards(), N_SHARDS);
-        for q in vecs.iter().step_by(4) {
-            assert_eq!(
-                loaded.search(q, 5, &ExactScan),
-                reference.search(q, 5, &ExactScan),
-                "v{version} replay diverged"
-            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The readiness-driven event loop: a few I/O threads own every client
 //! socket, nonblocking, behind one epoll [`Poller`] each.
 //!
-//! Each I/O thread runs [`run_io_loop`] over its own connection table.
-//! The acceptor hands it new sockets through [`IoHandle::push_conn`];
-//! workers hand it finished replies through [`IoHandle::push_completion`];
+//! Each I/O thread runs `run_io_loop` over its own connection table.
+//! The acceptor hands it new sockets through `IoHandle::push_conn`;
+//! workers hand it finished replies through `IoHandle::push_completion`;
 //! both nudge the poller's eventfd so a blocked `wait` wakes. All poller
 //! registration calls happen on the owning I/O thread — cross-thread
 //! traffic is only the two mailboxes plus `notify`.

@@ -51,9 +51,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tabbin_index::{DurabilityPolicy, MicroBatcher, QueryEngine, ShardedStore};
+use tabbin_index::{MicroBatcher, QueryEngine, ShardedStore};
 
-/// Construction-time options for a [`Server`].
+/// Construction-time options for a [`Server`]. How many shards a query
+/// probes and when the WAL fsyncs are not server options: the engine's
+/// `NprobePolicy` and the store's `StoreConfig::durability` say each once.
+/// Graceful [`shutdown`](Server::shutdown) always flushes the WAL.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the admission queue.
@@ -71,24 +74,11 @@ pub struct ServeConfig {
     /// Per-connection outbound queue bound in bytes; past it the reactor
     /// pauses reads on that connection until replies drain.
     pub max_conn_queued_bytes: usize,
-    /// Shards each query probes over a routed store. `0` means the
-    /// engine's configured `NprobePolicy` decides; a nonzero value
-    /// overrides it for every request this server executes (clamped to
-    /// the shard count).
-    pub nprobe: usize,
-    /// Durable mode: `Some(policy)` applies this fsync policy to the
-    /// engine's store at bind (the store must have been opened through
-    /// `ShardedStore::open_durable` for it to matter — on a non-durable
-    /// store this is a no-op). `None` leaves the store's own policy
-    /// untouched. Graceful [`shutdown`](Server::shutdown) always flushes
-    /// the WAL either way.
-    pub durability: Option<DurabilityPolicy>,
 }
 
 impl Default for ServeConfig {
     /// Four workers, two I/O threads, auto queue capacity (32), 1024
-    /// connections, 4 MiB of queued replies per connection, and the
-    /// engine's own `nprobe` policy.
+    /// connections, and 4 MiB of queued replies per connection.
     fn default() -> Self {
         Self {
             workers: 4,
@@ -96,8 +86,6 @@ impl Default for ServeConfig {
             queue_capacity: 0,
             max_connections: 1024,
             max_conn_queued_bytes: 4 << 20,
-            nprobe: 0,
-            durability: None,
         }
     }
 }
@@ -161,7 +149,7 @@ impl Shared {
             shed: self.shed.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
             router: engine.store().router_name().to_string(),
-            nprobe: engine.plan_probed(1, self.batcher.nprobe()).nprobe,
+            nprobe: engine.plan(1).nprobe,
             wal_depth_bytes: wal.map_or(0, |w| w.depth_bytes),
             last_fsync_lsn: wal.map_or(0, |w| w.last_fsync_lsn),
             replay_records: wal.map_or(0, |w| w.replay_records),
@@ -204,9 +192,6 @@ impl Server {
             cfg.max_conn_queued_bytes > MAX_FRAME_LEN as usize,
             "write-queue bound below one frame would wedge large replies"
         );
-        if let Some(policy) = cfg.durability {
-            engine.store().set_durability(policy)?;
-        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let (admit, jobs) = mpsc::sync_channel(cfg.resolved_queue_capacity());
@@ -214,7 +199,7 @@ impl Server {
             .map(|_| IoHandle::new().map(Arc::new))
             .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
-            batcher: MicroBatcher::with_nprobe(engine, (cfg.nprobe > 0).then_some(cfg.nprobe)),
+            batcher: MicroBatcher::new(engine),
             cfg,
             admit,
             io,
@@ -359,11 +344,7 @@ fn handle_payload(
             // completion round-trip. This is what makes a pipelined
             // connection over a warm cache transport-bound rather than
             // scheduler-bound.
-            // `try_cached_probed` shares the batcher's nprobe override, so
-            // the inline hit and the worker-path miss compute one cache key.
-            if let Some(hits) =
-                shared.engine().try_cached_probed(&vector, k as usize, shared.batcher.nprobe())
-            {
+            if let Some(hits) = shared.engine().try_cached(&vector, k as usize) {
                 state.finish_tag(tag);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 return Action::Reply(encode_hits_payloads(tag, &hits));

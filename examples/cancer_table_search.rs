@@ -57,10 +57,10 @@ fn main() {
     );
 
     // Serve retrieval through the query-execution layer: the engine plans
-    // the candidate source (exact here — 40 tables is far below the Auto
-    // cutoff), pins a 2-cell probe budget (Auto keeps full fan-out on a
-    // corpus this small), and caches results keyed on the normalized query
-    // vector.
+    // the quantized store's signature sweep (a quantized plan never blocks
+    // on LSH buckets), pins a 2-cell probe budget (Auto keeps full fan-out
+    // on a corpus this small), and caches results keyed on the normalized
+    // query vector.
     let engine = QueryEngine::new(
         store,
         EngineConfig { nprobe: NprobePolicy::Fixed(2), ..EngineConfig::default() },

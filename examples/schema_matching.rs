@@ -50,13 +50,11 @@ fn main() {
     // embeddings places each column under its nearest centroid; every shard
     // still hashes with the same planes).
     center(&mut embs);
-    // The quantized tier reuses the same hyperplane signatures twice: banded
-    // into LSH buckets for blocking, and packed into sign bits for the
-    // popcount-Hamming coarse pass that precedes the f32 re-rank.
-    let cfg = StoreConfig {
-        seed: 99,
-        ..StoreConfig::quantized(LshParams { bands: 8, rows_per_band: 4 })
-    };
+    // The exact tier with LSH on is the paper's recipe: the band buckets
+    // block, the f32 kernel scores what survives. (A quantized store would
+    // sweep every signature instead and never consult the buckets.)
+    let cfg =
+        StoreConfig { seed: 99, ..StoreConfig::with_lsh(LshParams { bands: 8, rows_per_band: 4 }) };
     let router = Arc::new(IvfRouter::train(&embs, 4, cfg.seed));
     let mut store = ShardedStore::with_router(embs[0].len(), 4, cfg, router);
     for (next, v) in embs.iter().enumerate() {
@@ -69,16 +67,18 @@ fn main() {
         store,
         EngineConfig { nprobe: NprobePolicy::Fixed(2), ..EngineConfig::lsh() },
     );
+    let plan = engine.plan(6);
     println!(
-        "scoring tier: {:?} — coarse pass ranks LSH-blocked candidates by packed \
-         sign-bit Hamming, then re-ranks the survivors with f32 dots",
-        engine.store().tier()
+        "scoring tier: {:?} (plan: lsh={}) — f32 dots over the LSH-blocked candidates",
+        engine.store().tier(),
+        plan.lsh
     );
+    assert!(plan.lsh, "the blocking factor below describes the plan the query runs");
     println!(
         "router: {} over {} shards, probing {} cells per query",
         engine.store().router_name(),
         engine.store().n_shards(),
-        engine.plan(6).nprobe
+        plan.nprobe
     );
 
     let query = 0;
