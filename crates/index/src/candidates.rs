@@ -7,11 +7,11 @@
 //! a source: its coarse pass sweeps every signature of the probed shards.
 //!
 //! Sources receive a [`QueryContext`] rather than a bare vector: the store
-//! computes per-query state (the normalized vector, and the LSH signature
-//! when LSH is enabled) exactly once, so probing N segments never repeats
-//! the `bands * rows_per_band` hyperplane dot products per segment.
+//! computes per-query state (the normalized vector, and the packed LSH
+//! signature when LSH is enabled) exactly once, so probing N segments never
+//! repeats the `bands * rows_per_band` hyperplane dot products per segment.
 
-use crate::lsh::{band_key, signature_of};
+use crate::lsh::{band_key, pack_signature, signature_of};
 use crate::store::VectorStore;
 
 /// Per-query state shared across every segment probe of one search.
@@ -19,12 +19,10 @@ use crate::store::VectorStore;
 pub struct QueryContext<'a> {
     /// The L2-normalized query vector.
     pub vector: &'a [f32],
-    /// The query's LSH signature, precomputed once by the store when LSH is
-    /// enabled; `None` on stores without LSH.
-    pub signature: Option<&'a [bool]>,
-    /// The same signature packed into `u64` words — what the quantized
-    /// tier's coarse Hamming pass scores against; `None` on stores without
-    /// LSH.
+    /// The query's LSH signature packed into `u64` words, precomputed once
+    /// by the store when LSH is enabled — what band keys are cut from and
+    /// what the quantized tier's Hamming pass scores against; `None` on
+    /// stores without LSH.
     pub packed: Option<&'a [u64]>,
 }
 
@@ -62,8 +60,10 @@ impl CandidateSource for ExactScan {
 }
 
 /// LSH banded blocking: rows sharing at least one band bucket with the
-/// query. Requires a store built with `StoreConfig::lsh`; on a store without
-/// LSH it degrades to [`ExactScan`] rather than silently returning nothing.
+/// query. Requires an exact-tier store built with `StoreConfig::lsh` (the
+/// quantized tier keeps no buckets and never consults a source); on a store
+/// without LSH it degrades to [`ExactScan`] rather than silently returning
+/// nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LshCandidates;
 
@@ -75,10 +75,10 @@ impl CandidateSource for LshCandidates {
         // The store hands LSH-enabled queries a precomputed signature; the
         // fallback covers contexts built by hand.
         let computed;
-        let sig: &[bool] = match query.signature {
+        let sig: &[u64] = match query.packed {
             Some(s) => s,
             None => {
-                computed = signature_of(store.lsh_planes(), query.vector);
+                computed = pack_signature(&signature_of(store.lsh_planes(), query.vector));
                 &computed
             }
         };
@@ -102,7 +102,7 @@ mod tests {
     use crate::ShardedStore;
 
     fn ctx<'a>(v: &'a [f32]) -> QueryContext<'a> {
-        QueryContext { vector: v, signature: None, packed: None }
+        QueryContext { vector: v, packed: None }
     }
 
     /// One shard's slab holding `rows` (normalized on the way in).

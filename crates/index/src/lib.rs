@@ -12,8 +12,8 @@
 //!   cfg)` is the flat store.
 //! * the per-shard slab (crate-private `store`, over [`segment`]) —
 //!   segmented L2-normalized embeddings with SIMD dot-product top-k
-//!   ([`simd`]), tombstones, per-segment LSH band buckets and packed
-//!   signature slabs, and **policy-driven compaction**
+//!   ([`simd`]), tombstones, packed signature slabs (plus LSH band
+//!   buckets on the exact tier), and **policy-driven compaction**
 //!   ([`CompactionPolicy`]) that rewrites dead rows automatically on
 //!   mutation instead of at caller discretion.
 //! * [`Router`] ([`router`]) — how vectors map to shards: [`HashRouter`]
@@ -26,10 +26,11 @@
 //!   the f32 dot kernel over the rows a [`CandidateSource`] nominates —
 //!   [`ExactScan`], or [`LshCandidates`] (banded SimHash blocking, the
 //!   paper's §4.1 recipe, maintained incrementally as vectors arrive);
-//!   [`ScoringTier::Quantized`] sweeps packed sign-bit signatures by SIMD
-//!   popcount Hamming distance and re-scores only the top
-//!   `rerank_factor × k` survivors exactly. Coarse selection is a global
-//!   top-R, so quantized results are shard-layout-independent.
+//!   [`ScoringTier::Quantized`] ranks packed sign-bit signatures by SIMD
+//!   popcount Hamming distance and re-scores only the closest
+//!   `rerank_factor × k` exactly, picked by a counting select (distance
+//!   histogram, cut, smallest ids at the cut) — a global selection, so
+//!   quantized results are shard-layout-independent.
 //! * [`snapshot`] — persistence: the `TBIX` v4 binary codec, the one
 //!   format written and read. Loaded stores answer queries
 //!   byte-identically.

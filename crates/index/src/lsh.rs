@@ -8,8 +8,9 @@
 //!
 //! These are the primitives; the crate-private per-shard store
 //! (`store.rs`) hashes vectors **incrementally** as they are
-//! upserted, maintaining per-segment band buckets and packed signature
-//! slabs, and [`crate::LshCandidates`] probes the buckets at query time.
+//! upserted, maintaining packed signature slabs (both tiers) and, on the
+//! exact tier, per-segment band buckets that [`crate::LshCandidates`]
+//! probes at query time.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,18 +51,22 @@ pub fn pack_signature(sig: &[bool]) -> Vec<u64> {
     words
 }
 
-/// Unpacks `bits` signature bits from packed words — the inverse of
-/// [`pack_signature`], used when a snapshot carries persisted signatures
-/// and the band buckets must be rebuilt without re-hashing every vector.
-pub fn unpack_signature(packed: &[u64], bits: usize) -> Vec<bool> {
-    (0..bits).map(|i| packed[i / 64] >> (i % 64) & 1 == 1).collect()
+/// Zeroes the bits past `bits` in the last word of a packed signature —
+/// the tail invariant [`pack_signature`] establishes, re-imposed on
+/// signatures that arrive from outside (a snapshot file).
+pub(crate) fn mask_tail(packed: &mut [u64], bits: usize) {
+    let tail = bits % 64;
+    if let Some(last) = packed.last_mut().filter(|_| tail != 0) {
+        *last &= (1u64 << tail) - 1;
+    }
 }
 
-/// Packs `rows` consecutive signature bits of one band into a bucket key.
-pub fn band_key(sig: &[bool], band: usize, rows: usize) -> u64 {
+/// Packs `rows` consecutive bits of one band of a packed signature into a
+/// bucket key (the band's first bit most significant).
+pub fn band_key(sig: &[u64], band: usize, rows: usize) -> u64 {
     let mut key = 0u64;
-    for r in 0..rows {
-        key = (key << 1) | sig[band * rows + r] as u64;
+    for i in band * rows..(band + 1) * rows {
+        key = (key << 1) | (sig[i / 64] >> (i % 64) & 1);
     }
     // Mix the band id in so identical bit patterns in different bands do not
     // collide into one bucket map (they live in separate maps anyway; this
@@ -207,12 +212,22 @@ mod tests {
             let sig: Vec<bool> = (0..bits).map(|i| (i * 7 + bits) % 3 == 0).collect();
             let packed = pack_signature(&sig);
             assert_eq!(packed.len(), packed_len(bits));
-            assert_eq!(unpack_signature(&packed, bits), sig, "bits={bits}");
-            // Tail bits beyond `bits` in the last word must be zero.
+            let unpacked: Vec<bool> =
+                (0..bits).map(|i| packed[i / 64] >> (i % 64) & 1 == 1).collect();
+            assert_eq!(unpacked, sig, "bits={bits}");
+            // A band key reads the same bits, first bit most significant.
+            let key = (0..bits.min(8)).fold(0u64, |key, i| (key << 1) | sig[i] as u64);
+            assert_eq!(band_key(&packed, 0, bits.min(8)), key, "bits={bits}");
+            // Tail bits beyond `bits` in the last word must be zero, and
+            // `mask_tail` restores exactly that on a dirtied copy.
+            let mut dirty = packed.clone();
             if bits % 64 != 0 {
                 let tail = packed[packed.len() - 1] >> (bits % 64);
                 assert_eq!(tail, 0, "bits={bits}: tail not masked");
+                dirty[packed.len() - 1] |= !0u64 << (bits % 64);
             }
+            mask_tail(&mut dirty, bits);
+            assert_eq!(dirty, packed, "bits={bits}: mask_tail");
         }
         assert_eq!(pack_signature(&[]).len(), 0);
     }

@@ -8,7 +8,7 @@
 //! ([`crate::router::IvfRouter`]) that co-locates geometrically-similar
 //! vectors so a query needs to probe only its `nprobe` nearest cells
 //! instead of fanning out to every shard — the sublinear-scan step. Each
-//! shard keeps its own segments, LSH buckets, and tombstones, and runs the
+//! shard keeps its own segments, signatures, and tombstones, and runs the
 //! shared [`CompactionPolicy`] locally: a busy shard compacts without
 //! pausing its siblings. Placements are remembered per id, so a re-upsert
 //! that the router sends elsewhere moves the row (tombstone in the old
@@ -27,13 +27,20 @@
 //!   unique across shards and ties break by id, so merged results are
 //!   identical to what one flat store would return — the routing is
 //!   invisible to callers (property-tested in `tests/prop_index.rs`);
-//! * on the **quantized tier** ([`crate::ScoringTier::Quantized`]) one
-//!   coarse Hamming top-R accumulator is carried across the probed shards
-//!   — a *global* selection under the (distance, id) total order — and
-//!   only that selection is re-scored with the f32 kernel (each id against
-//!   its owning shard's copy). Selecting globally before re-ranking is
-//!   what keeps quantized results bit-identical across shard layouts
-//!   (property-tested in `tests/prop_quantized.rs`).
+//! * on the **quantized tier** ([`crate::ScoringTier::Quantized`]) a
+//!   **counting select** picks the `r = rerank_factor × k` rows to re-rank
+//!   across all probed shards at once. Pass 1 writes every probed row's
+//!   Hamming distance into one per-query buffer (tombstones at a sentinel)
+//!   and tallies a `bits + 1`-bin histogram; the cut `T` is the smallest
+//!   distance with `count(d ≤ T) ≥ r`; pass 2 walks the buffer once more,
+//!   re-ranks every row with `d < T` with the f32 kernel — its vector read
+//!   through the (shard, segment, row) the walk already holds — and keeps
+//!   the `r − count(d < T)` smallest ids among the rows at `T`. That is
+//!   exactly the `r` smallest rows under the (distance, id) total order: a
+//!   *global* selection, so quantized results are bit-identical across
+//!   shard layouts (property-tested in `tests/prop_quantized.rs` and
+//!   against a brute-force reference in `tests/prop_select.rs`), and its
+//!   cost is two linear walks however the distances are distributed.
 //!
 //! [`ShardedStore::search`], [`search_probed`](ShardedStore::search_probed),
 //! [`search_batch`](ShardedStore::search_batch) and
@@ -45,16 +52,15 @@
 //! ([`crate::snapshot`]): one merged entry list plus the shard count, and
 //! the router section under a learned router.
 
-use crate::candidates::{CandidateSource, QueryContext};
+use crate::candidates::CandidateSource;
 use crate::engine::Queryable;
-use crate::lsh::unpack_signature;
+use crate::lsh::mask_tail;
 use crate::parallel::par_chunk_map;
 use crate::router::{splitmix64, HashRouter, IvfRouter, Router};
-use crate::simd::{dot, l2_normalize, rank_cmp, CoarseHit, CoarseTopR, Hit, TopK};
+use crate::simd::{dot, l2_normalize, rank_cmp, DistHistogram, Hit, TopK};
 use crate::snapshot::{self, RouterSnapshot, StoreSnapshot, MAX_SNAPSHOT_SHARDS};
 use crate::store::{
-    bar_from_samples, coarse_r, CompactionPolicy, ScoringTier, StoreConfig, StoreStats, VectorSink,
-    VectorStore,
+    coarse_r, CompactionPolicy, ScoringTier, StoreConfig, StoreStats, VectorSink, VectorStore,
 };
 use crate::wal::{DurabilityPolicy, FsStorage, Storage, WalRecord, WalSet, WalStats};
 use serde::{Deserialize, Serialize};
@@ -560,70 +566,45 @@ impl ShardedStore {
                 merge_ranked(&lists, k)
             }
             ScoringTier::Quantized { rerank_factor } => {
-                let r = coarse_r(k, rerank_factor);
                 let qsig = ctx.packed.expect("an LSH store packs every query's signature");
-                // One union entry bar and one accumulator threaded across
-                // the probed shards: the bar tightened by probe `i` prunes
-                // probe `i + 1`'s sweep. The bar samples only probed shards
-                // — pooling buckets the sweep will never visit would spend
-                // probe budget on rows that can't survive.
-                let mut top = CoarseTopR::with_cap(r, self.union_entry_bar(&ctx, qsig, r, &probes));
-                for &si in &probes {
-                    self.shards[si].coarse_sweep_into(qsig, &mut top);
-                }
-                self.rerank(&prepared.nq, &top.into_sorted(), k)
+                self.counting_select(&prepared.nq, qsig, &probes, coarse_r(k, rerank_factor), k)
             }
         }
     }
 
-    /// The coarse pass's pre-sweep entry bar, pooled across the probed
-    /// shards: the `r`-th smallest Hamming distance over the query's own
-    /// LSH band buckets of every shard the sweep will visit (all of them
-    /// under full fan-out). Sharding splits each bucket's rows ~N ways, so
-    /// the probe walks band-major over one shared budget and yields one bar
-    /// valid for every shard's sweep. Correctness does not depend on bucket
-    /// quality: the bar is the `r`-th smallest of a ≥ r-sized *subset* of
-    /// the probed live rows, which can never undercut the `r`-th smallest
-    /// of all of them (the sweep's final bar), so no true survivor is
-    /// rejected (the invariant `tests/prop_quantized.rs` pins). Too few
-    /// bucketed rows — sparse buckets, unlucky query — degrade to
-    /// `u32::MAX`, the open bar.
-    fn union_entry_bar(
+    /// The quantized tier over the probed shards (see the
+    /// [module docs](self)): pass 1 tallies every row's Hamming distance,
+    /// the histogram gives the cut, pass 2 re-ranks the rows under it by
+    /// location, and the `r − count(d < T)` smallest ids among the rows at
+    /// the cut re-rank last. The f32 top-k is a function of the re-ranked
+    /// *set* alone, so the order the survivors arrive in never shows.
+    fn counting_select(
         &self,
-        ctx: &QueryContext<'_>,
+        nq: &[f32],
         qsig: &[u64],
-        r: usize,
         probes: &[usize],
-    ) -> u32 {
-        if r == 0 || !self.shards[0].bar_probe_ready(ctx) {
-            return u32::MAX;
+        r: usize,
+        k: usize,
+    ) -> Vec<Hit> {
+        let mut dists = Vec::new();
+        let mut hist = DistHistogram::new(self.shards[0].sig_bits());
+        for &si in probes {
+            self.shards[si].hamming_pass(qsig, &mut dists, &mut hist);
         }
-        let mut seen: Vec<Vec<u64>> = probes.iter().map(|_| Vec::with_capacity(r + 16)).collect();
-        let mut total = 0usize;
-        for band in 0..self.shards[0].lsh_bands() {
-            for (pi, &si) in probes.iter().enumerate() {
-                let before = seen[pi].len();
-                self.shards[si].bar_band_samples(ctx, qsig, band, &mut seen[pi]);
-                total += seen[pi].len() - before;
-            }
-            // A handful of bands is enough signal; probing all of them
-            // would spend more on bucket lookups than the bound saves.
-            if total >= 4 * r {
-                break;
-            }
-        }
-        bar_from_samples(seen.iter_mut(), r)
-    }
-
-    /// The quantized tier's second pass over a globally-merged coarse
-    /// selection: each id re-scores against its owning shard's copy via
-    /// O(1) routing. Coarse scans skip tombstones, so every id is live.
-    fn rerank(&self, nq: &[f32], coarse: &[CoarseHit], k: usize) -> Vec<Hit> {
+        let cut = hist.cut(r);
         let mut topk = TopK::new(k);
-        for ch in coarse {
-            if let Some(v) = self.get(ch.id) {
-                topk.push(ch.id, dot(nq, v));
-            }
+        let mut ties = Vec::new();
+        let mut rest = dists.as_slice();
+        for &si in probes {
+            rest = self.shards[si].cut_pass(si as u32, nq, rest, cut.t, &mut topk, &mut ties);
+        }
+        if ties.len() > cut.ties {
+            ties.select_nth_unstable_by_key(cut.ties, |t| t.id);
+            ties.truncate(cut.ties);
+        }
+        for t in &ties {
+            let v = self.shards[t.shard as usize].row(t.seg as usize, t.row as usize);
+            topk.push(t.id, dot(nq, v));
         }
         topk.into_sorted()
     }
@@ -653,9 +634,12 @@ impl ShardedStore {
         })
     }
 
-    /// Candidate rows `source` would score for `q` on the exact tier,
-    /// summed across shards — the blocking factor to report against the
-    /// exhaustive `len()`.
+    /// Rows a full fan-out query for `q` would score, summed across
+    /// shards. On the exact tier: the live rows `source` nominates — the
+    /// blocking factor to report against the exhaustive `len()`. On the
+    /// quantized tier, which consults no source and keeps no band buckets:
+    /// `len()` whatever the source, every live row its Hamming pass ranks
+    /// (what `rows_scanned` grows by per full fan-out query).
     pub fn candidate_count(&self, q: &[f32], source: &dyn CandidateSource) -> usize {
         self.shards.iter().map(|s| s.candidate_count(q, source)).sum()
     }
@@ -708,7 +692,7 @@ impl ShardedStore {
     /// normalized before capture, and re-normalizing could shift low bits),
     /// so loaded stores answer queries byte-identically.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let (n_shards, snap) = snapshot::read_file(path)?;
+        let (n_shards, mut snap) = snapshot::read_file(path)?;
         let n_shards = n_shards as usize;
         let cfg = StoreConfig {
             seal_threshold: snap.seal_threshold,
@@ -752,11 +736,15 @@ impl ShardedStore {
             }
         };
         // `validate` pairs every entry of an LSH snapshot with its packed
-        // signature, so the band buckets rebuild without redoing the
-        // hyperplane dots per row.
+        // signature, so rows re-insert (and exact-tier band buckets
+        // rebuild) without redoing the hyperplane dots per row; the tail
+        // mask restores the zero padding the Hamming kernel relies on.
         let bits = snap.lsh.map_or(0, |p| p.bands * p.rows_per_band);
+        for sig in &mut snap.sigs {
+            mask_tail(sig, bits);
+        }
         for (i, ((id, v), &shard)) in snap.entries.iter().zip(&shard_for).enumerate() {
-            let sig = snap.sigs.get(i).map(|sig| unpack_signature(sig, bits));
+            let sig = snap.sigs.get(i).map(Vec::as_slice);
             store.shards[shard as usize].insert_prepared(*id, v, sig);
             store.placements.insert(*id, shard);
             store.next_id = store.next_id.max(*id + 1);
@@ -1312,6 +1300,27 @@ mod tests {
             single.candidate_count(&vecs[0], &LshCandidates)
         );
         assert_eq!(store.candidate_count(&vecs[0], &ExactScan), 60);
+    }
+
+    #[test]
+    fn candidate_count_on_a_quantized_store_is_every_live_row() {
+        let vecs = random_vecs(60, 8, 7);
+        let quant = StoreConfig { tier: ScoringTier::Quantized { rerank_factor: 4 }, ..cfg(true) };
+        let mut store = ShardedStore::new(8, 3, quant);
+        for v in &vecs {
+            store.insert(v);
+        }
+        for id in [4u64, 9, 33] {
+            store.delete(id);
+        }
+        // No source is consulted and no bucket exists: the count is the
+        // live rows the Hamming pass ranks, whichever source is named —
+        // exactly what one full fan-out query adds to `rows_scanned`.
+        assert_eq!(store.candidate_count(&vecs[0], &LshCandidates), 57);
+        assert_eq!(store.candidate_count(&vecs[0], &ExactScan), 57);
+        let before = store.stats().totals().rows_scanned;
+        store.search(&vecs[0], 5, &LshCandidates);
+        assert_eq!(store.stats().totals().rows_scanned - before, 57);
     }
 
     #[test]

@@ -1,4 +1,14 @@
-//! SIMD-friendly dot-product scoring and bounded top-k selection.
+//! SIMD-friendly scoring kernels and the two selections built on them.
+//!
+//! * [`dot`] and [`hamming`] — the f32 and packed sign-bit kernels.
+//! * `TopK` — the bounded top-k by (score, id) every search ends in.
+//! * `DistHistogram` / `Cut` — the quantized tier's **counting select**:
+//!   pass 1 tallies every probed row's Hamming distance (`bits + 1` bins,
+//!   four interleaved sub-histograms), the cut `T` is the smallest distance
+//!   covering `r` rows, and pass 2 keeps the rows under `T` plus the
+//!   smallest ids at `T`. Its cost is two linear walks whatever the
+//!   distance distribution — no heap, no entry bar to estimate, no
+//!   tie-churn on concentrated signatures.
 //!
 //! The store keeps every vector L2-normalized, so similarity search reduces
 //! to a plain dot product — one FMA per element instead of the three the
@@ -281,129 +291,64 @@ impl TopK {
     }
 }
 
-/// One coarse-pass candidate: a stored id and its Hamming distance to the
-/// query signature.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct CoarseHit {
-    pub(crate) id: u64,
-    pub(crate) dist: u32,
-}
-
-/// Coarse ranking order: smaller Hamming distance first, ties broken by
-/// ascending id. Ids are unique, so this is a **total** order over live
-/// rows — which is what makes the quantized tier's re-rank set a function
-/// of the corpus alone, never of how rows are partitioned into segments or
-/// shards (the sharded-equals-single property test leans on exactly this).
-#[inline]
-pub(crate) fn coarse_cmp(a: &CoarseHit, b: &CoarseHit) -> Ordering {
-    a.dist.cmp(&b.dist).then(a.id.cmp(&b.id))
-}
-
-/// A bounded best-`r` accumulator over coarse hits, kept as a binary
-/// max-heap under [`coarse_cmp`] (worst survivor at the root). Unlike
-/// [`TopK`]'s sorted array — fine at k ≈ 10 — the coarse pass holds
-/// `rerank_factor × k` entries and, early in a sweep (while the entry bar
-/// is still loose), accepts thousands of rows; a heap makes each accept
-/// O(log r) sifting instead of an O(r) array memmove, while rejection
-/// stays one compare against the root. The survivor *set* is the r
-/// smallest under a total order, so it is independent of scan order; the
-/// quantized tier threads one accumulator through every segment of every
-/// probed shard — the global coarse top-`r` — and re-ranks only that slice
-/// with the f32 [`dot`] kernel.
+/// Pass 1's tally of the quantized tier's counting select: how many probed
+/// rows sit at each Hamming distance `0..=bits`, plus one bin for the
+/// tombstone [`sentinel`](Self::sentinel) that [`cut`](Self::cut) never
+/// reads. The counts live in four interleaved sub-histograms picked by row
+/// index: on concentrated signatures consecutive rows land in the same bin,
+/// and four separate counters keep those increments from forming one
+/// store-to-load dependency chain.
 #[derive(Clone, Debug)]
-pub(crate) struct CoarseTopR {
-    r: usize,
-    /// Externally-proven upper bound on the final worst survivor distance
-    /// (`u32::MAX` when unknown). While the heap is still filling,
-    /// [`worst_dist`](Self::worst_dist) reports this cap instead of
-    /// `u32::MAX`, so sweeps can reject far rows from the very first row —
-    /// rejection under a valid cap never drops a true survivor, because
-    /// every survivor's distance is at most the cap by definition.
-    cap: u32,
-    hits: Vec<CoarseHit>,
+pub(crate) struct DistHistogram {
+    /// `bins[d][lane]`: rows at distance `d` whose index is `lane` mod 4.
+    bins: Vec<[u32; 4]>,
 }
 
-impl CoarseTopR {
-    /// An accumulator with an open entry bar — every production sweep now
-    /// starts capped ([`with_cap`](Self::with_cap)); this is the
-    /// reference behavior the cap must never diverge from.
-    #[cfg(test)]
-    pub(crate) fn new(r: usize) -> Self {
-        Self::with_cap(r, u32::MAX)
+/// Where the counting select cuts to keep `r` rows: every row closer than
+/// `t`, and the `ties` smallest ids among the rows at exactly `t`. That is
+/// the `r` smallest rows under the (distance, id) total order — a function
+/// of the live probed rows alone, never of segment or shard layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Cut {
+    /// The smallest distance `T` with `count(d ≤ T) ≥ r`; the widest
+    /// distance when fewer than `r` rows are live.
+    pub(crate) t: u32,
+    /// `r − count(d < T)`: how many rows at distance `T` survive (at least
+    /// all of them when fewer than `r` rows are live).
+    pub(crate) ties: usize,
+}
+
+impl DistHistogram {
+    /// An empty tally for `bits`-bit signatures.
+    pub(crate) fn new(bits: usize) -> Self {
+        Self { bins: vec![[0; 4]; bits + 2] }
     }
 
-    /// An accumulator whose entry bar starts at `cap` instead of open.
-    /// `cap` must upper-bound the final worst survivor distance over the
-    /// rows this accumulator will sweep (e.g. the r-th smallest distance of
-    /// any ≥ r-sized subset of them).
-    pub(crate) fn with_cap(r: usize, cap: u32) -> Self {
-        Self { r, cap, hits: Vec::with_capacity(r.min(128)) }
+    /// The distance a tombstoned row is recorded at: `bits + 1`, past every
+    /// real distance, so pass 2 never keeps it.
+    pub(crate) fn sentinel(&self) -> u32 {
+        (self.bins.len() - 1) as u32
     }
 
-    /// The distance a candidate must beat to enter a full accumulator; the
-    /// cap (default `u32::MAX`) while there is still room. Scan loops cache
-    /// this to reject the common case (a far row) on one compare, without
-    /// paying the `push` call.
-    #[inline]
-    pub(crate) fn worst_dist(&self) -> u32 {
-        if self.hits.len() < self.r {
-            self.cap
-        } else {
-            self.hits.first().map_or(self.cap, |h| h.dist)
-        }
+    /// Counts row number `row` at distance `d` (≤ the sentinel).
+    #[inline(always)]
+    pub(crate) fn add(&mut self, row: usize, d: u32) {
+        self.bins[d as usize][row & 3] += 1;
     }
 
-    /// Offers one candidate.
-    #[inline]
-    pub(crate) fn push(&mut self, id: u64, dist: u32) {
-        if self.r == 0 {
-            return;
-        }
-        let hit = CoarseHit { id, dist };
-        if self.hits.len() < self.r {
-            self.hits.push(hit);
-            self.sift_up(self.hits.len() - 1);
-        } else if coarse_cmp(&hit, &self.hits[0]) == Ordering::Less {
-            self.hits[0] = hit;
-            self.sift_down();
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if coarse_cmp(&self.hits[i], &self.hits[parent]) != Ordering::Greater {
+    /// The cut that keeps `r` rows (see [`Cut`]).
+    pub(crate) fn cut(&self, r: usize) -> Cut {
+        let widest = self.bins.len() - 2;
+        let (mut t, mut below) = (0, 0usize);
+        while t < widest {
+            let at: usize = self.bins[t].iter().map(|&n| n as usize).sum();
+            if below + at >= r {
                 break;
             }
-            self.hits.swap(i, parent);
-            i = parent;
+            below += at;
+            t += 1;
         }
-    }
-
-    fn sift_down(&mut self) {
-        let n = self.hits.len();
-        let mut i = 0;
-        loop {
-            let mut largest = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < n
-                    && coarse_cmp(&self.hits[child], &self.hits[largest]) == Ordering::Greater
-                {
-                    largest = child;
-                }
-            }
-            if largest == i {
-                return;
-            }
-            self.hits.swap(i, largest);
-            i = largest;
-        }
-    }
-
-    /// The final coarse candidates, best (closest) first.
-    pub(crate) fn into_sorted(mut self) -> Vec<CoarseHit> {
-        self.hits.sort_unstable_by(coarse_cmp);
-        self.hits
+        Cut { t: t as u32, ties: r - below }
     }
 }
 
@@ -498,42 +443,41 @@ mod tests {
         assert_eq!(hamming(&[u64::MAX; 5], &[0; 5]), 320);
     }
 
-    #[test]
-    fn coarse_topr_keeps_closest_and_breaks_ties_by_id() {
-        let mut t = CoarseTopR::new(3);
-        for (id, dist) in [(5u64, 4u32), (1, 9), (2, 4), (3, 1), (4, 9)] {
-            t.push(id, dist);
+    /// A tally of `dists` (the sentinel marks tombstones) over 8-bit
+    /// signatures.
+    fn tally(dists: &[u32]) -> DistHistogram {
+        let mut h = DistHistogram::new(8);
+        for (row, &d) in dists.iter().enumerate() {
+            h.add(row, d);
         }
-        let ids: Vec<u64> = t.into_sorted().iter().map(|h| h.id).collect();
-        // dist 1 first; the dist-4 tie keeps both ids in ascending order.
-        assert_eq!(ids, vec![3, 2, 5]);
+        h
     }
 
     #[test]
-    fn coarse_topr_merge_is_order_independent() {
-        let hits = [(1u64, 7u32), (2, 3), (3, 3), (4, 12), (5, 6)];
-        let mut left = CoarseTopR::new(3);
-        let mut right = CoarseTopR::new(3);
-        for (i, (id, d)) in hits.iter().enumerate() {
-            if i % 2 == 0 {
-                left.push(*id, *d);
-            } else {
-                right.push(*id, *d);
-            }
-        }
-        let fold = |mut into: CoarseTopR, from: &CoarseTopR| {
-            for h in &from.hits {
-                into.push(h.id, h.dist);
-            }
-            into.into_sorted()
-        };
-        assert_eq!(fold(left.clone(), &right), fold(right, &left));
+    fn cut_is_the_smallest_distance_covering_r() {
+        let h = tally(&[4, 9, 4, 1, 9, 4, 4, 4, 4]);
+        // One row at 1, six at 4: keeping 3 takes the 1 and two of the 4s.
+        assert_eq!(h.cut(3), Cut { t: 4, ties: 2 });
+        assert_eq!(h.cut(1), Cut { t: 1, ties: 1 });
+        // r landing exactly on a bin's end keeps every row at it.
+        assert_eq!(h.cut(7), Cut { t: 4, ties: 6 });
+        assert_eq!(h.cut(8), Cut { t: 8, ties: 1 }, "the two 9s are past 8 bits");
     }
 
     #[test]
-    fn coarse_topr_zero_r_stays_empty() {
-        let mut t = CoarseTopR::new(0);
-        t.push(1, 0);
-        assert!(t.into_sorted().is_empty());
+    fn cut_ignores_tombstones_and_keeps_every_row_past_the_live_count() {
+        // Rows 1 and 2 are tombstones (at the sentinel): three live rows.
+        let h = tally(&[2, 9, 9, 3, 2]);
+        assert_eq!(h.sentinel(), 9);
+        assert_eq!(h.cut(3), Cut { t: 3, ties: 1 });
+        // r = 40 over three live rows: the cut opens to the widest distance,
+        // so every live row survives and no tombstone is at or under it.
+        assert_eq!(h.cut(40), Cut { t: 8, ties: 37 });
+    }
+
+    #[test]
+    fn cut_of_zero_r_keeps_no_row() {
+        assert_eq!(tally(&[0, 0, 5]).cut(0), Cut { t: 0, ties: 0 });
+        assert_eq!(DistHistogram::new(8).cut(0).ties, 0);
     }
 }

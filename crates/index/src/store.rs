@@ -1,5 +1,5 @@
 //! The per-shard slab: segments, tombstones, compaction, signature slabs and
-//! band buckets.
+//! (exact tier) band buckets.
 //!
 //! [`VectorStore`] is crate-private — one shard of a
 //! [`crate::ShardedStore`], which owns routing, the search core and
@@ -23,18 +23,21 @@
 //!   [`ExactScan`](crate::ExactScan) or LSH banded blocking
 //!   ([`LshCandidates`](crate::LshCandidates), the paper's §4.1 recipe),
 //!   over per-segment band buckets maintained incrementally as vectors
-//!   arrive. [`ScoringTier::Quantized`] always sweeps the packed sign-bit
-//!   LSH signatures by Hamming distance (a popcount coarse pass over
-//!   ~64×-denser data) and re-scores only the top `rerank_factor × k`
-//!   survivors with the f32 kernel; there the band buckets only seed the
-//!   sweep's entry bar. Coarse selection is a *global* top-R under the
-//!   (distance, id) total order, so quantized results are independent of
-//!   segment — and shard — layout.
+//!   arrive. [`ScoringTier::Quantized`] keeps no buckets: it ranks every
+//!   row of the probed shards by the Hamming distance of its packed
+//!   sign-bit signature (a popcount pass over ~64×-denser data) and
+//!   re-scores only the `rerank_factor × k` closest with the f32 kernel.
+//!   This slab runs the two per-shard walks of that counting select —
+//!   [`VectorStore::hamming_pass`] tallies distances, and
+//!   [`VectorStore::cut_pass`] keeps the rows under the cut by location —
+//!   while [`crate::ShardedStore`] owns the cut itself, so the selection
+//!   is a *global* `r` smallest under the (distance, id) total order and
+//!   quantized results are independent of segment — and shard — layout.
 
 use crate::candidates::{CandidateSource, Candidates, QueryContext};
 use crate::lsh::{band_key, pack_signature, packed_len, random_planes, signature_of};
 use crate::segment::Segment;
-use crate::simd::{dot, hamming, CoarseTopR, TopK};
+use crate::simd::{dot, hamming, DistHistogram, TopK};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,7 +103,7 @@ pub enum ScoringTier {
     Quantized {
         /// Coarse over-fetch multiple: the Hamming pass keeps
         /// `rerank_factor × k` rows for exact re-ranking. Must be ≥ 1;
-        /// larger values trade coarse-pass speed for recall.
+        /// larger values trade re-rank dots for recall.
         rerank_factor: usize,
     },
 }
@@ -110,51 +113,31 @@ pub(crate) fn coarse_r(k: usize, rerank_factor: usize) -> usize {
     k.saturating_mul(rerank_factor.max(1))
 }
 
-/// The `r`-th smallest sampled Hamming distance across one or more
-/// per-shard sample sets from
-/// [`VectorStore::bar_band_samples`] — `u32::MAX` (the open bar) when the
-/// pooled sample is thinner than `r`. Each set is sorted and deduped
-/// *independently*: packed `(segment, row, dist)` entries identify a row
-/// only within one store, so cross-store dedup would drop legitimately
-/// distinct rows and undercut the bound, which must never happen —
-/// deduping within a store is equally load-bearing, because a row probed
-/// through several bands would otherwise inflate the low end of the
-/// sample.
-pub(crate) fn bar_from_samples<'a, I>(sample_sets: I, r: usize) -> u32
-where
-    I: Iterator<Item = &'a mut Vec<u64>>,
-{
-    let mut dists: Vec<u32> = Vec::new();
-    for seen in sample_sets {
-        seen.sort_unstable();
-        seen.dedup();
-        dists.extend(seen.iter().map(|&e| (e & 0xFFFF) as u32));
-    }
-    if dists.len() < r || r == 0 {
-        return u32::MAX;
-    }
-    let (_, bar, _) = dists.select_nth_unstable(r - 1);
-    *bar
+/// A row the quantized tier's pass 2 found at exactly the cut distance:
+/// its id (the tie-break) and where its vector lives, so the survivors of
+/// the tie re-rank without an id lookup.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tie {
+    pub(crate) id: u64,
+    pub(crate) shard: u32,
+    pub(crate) seg: u32,
+    pub(crate) row: u32,
 }
 
-/// Everything a store computes once per query: the normalized vector, the
-/// LSH signature (when LSH is on), and that signature packed into `u64`
-/// words for the quantized tier's Hamming pass. Owns its buffers;
-/// [`ctx`](Self::ctx) lends them out as a [`QueryContext`] per probe.
+/// Everything a store computes once per query: the normalized vector and
+/// (when LSH is on) its signature packed into `u64` words — what band keys
+/// are cut from and what the quantized tier's Hamming pass scores against.
+/// Owns its buffers; [`ctx`](Self::ctx) lends them out as a
+/// [`QueryContext`] per probe.
 #[derive(Clone, Debug)]
 pub(crate) struct PreparedQuery {
     pub(crate) nq: Vec<f32>,
-    pub(crate) sig: Option<Vec<bool>>,
     pub(crate) packed: Option<Vec<u64>>,
 }
 
 impl PreparedQuery {
     pub(crate) fn ctx(&self) -> QueryContext<'_> {
-        QueryContext {
-            vector: &self.nq,
-            signature: self.sig.as_deref(),
-            packed: self.packed.as_deref(),
-        }
+        QueryContext { vector: &self.nq, packed: self.packed.as_deref() }
     }
 }
 
@@ -213,8 +196,9 @@ impl CompactionPolicy {
 pub struct StoreConfig {
     /// Rows per segment before it seals and a new one opens.
     pub seal_threshold: usize,
-    /// `Some` enables incremental LSH bucket maintenance (and makes
-    /// [`crate::LshCandidates`] meaningful); `None` leaves exact scan only.
+    /// `Some` enables LSH signatures: incremental band buckets on the exact
+    /// tier (what makes [`crate::LshCandidates`] meaningful), the packed
+    /// slabs the quantized tier ranks by; `None` leaves exact scan only.
     pub lsh: Option<LshParams>,
     /// Seed for the LSH hyperplanes — two stores with the same seed, params,
     /// and dimension hash identically.
@@ -394,9 +378,21 @@ impl VectorStore {
         self.locs.is_empty()
     }
 
-    /// Whether LSH candidate generation is enabled.
+    /// Whether LSH signatures are kept.
     pub(crate) fn has_lsh(&self) -> bool {
         !self.planes.is_empty()
+    }
+
+    /// The banding whose buckets this store maintains: the LSH params on
+    /// the exact tier, `None` without LSH and on the quantized tier — whose
+    /// Hamming pass reads signatures, never buckets.
+    fn bucketed(&self) -> Option<LshParams> {
+        self.cfg.lsh.filter(|_| self.cfg.tier == ScoringTier::Exact)
+    }
+
+    /// Signature width in bits (0 without LSH).
+    pub(crate) fn sig_bits(&self) -> usize {
+        self.cfg.lsh.map_or(0, |p| p.bands * p.rows_per_band)
     }
 
     /// The configuration the store was built with.
@@ -446,16 +442,18 @@ impl VectorStore {
     /// policy compaction — mutators do that after the write, which keeps
     /// `compact`'s own rebuild loop off the policy path.
     fn insert_normalized(&mut self, id: u64, nv: &[f32]) {
-        let sig = self.has_lsh().then(|| signature_of(&self.planes, nv));
-        self.insert_prepared(id, nv, sig);
+        let sig = self.has_lsh().then(|| pack_signature(&signature_of(&self.planes, nv)));
+        self.insert_prepared(id, nv, sig.as_deref());
     }
 
-    /// [`insert_normalized`](Self::insert_normalized) with the LSH signature
-    /// already in hand — snapshot loading passes the persisted one through
-    /// instead of recomputing `bands * rows_per_band` hyperplane dots per
-    /// row (and re-normalizing could perturb the stored bits). `sig` must
-    /// be `Some` exactly when the store has LSH.
-    pub(crate) fn insert_prepared(&mut self, id: u64, nv: &[f32], sig: Option<Vec<bool>>) {
+    /// [`insert_normalized`](Self::insert_normalized) with the packed LSH
+    /// signature already in hand — snapshot loading passes the persisted
+    /// one through instead of recomputing `bands * rows_per_band`
+    /// hyperplane dots per row (and re-normalizing could perturb the stored
+    /// bits). `sig` must be `Some` exactly when the store has LSH. Band
+    /// buckets are built on the exact tier only: the quantized tier never
+    /// reads them.
+    pub(crate) fn insert_prepared(&mut self, id: u64, nv: &[f32], sig: Option<&[u64]>) {
         if let Some(&(seg, row)) = self.locs.get(&id) {
             self.tombstone(seg as usize, row as usize);
         }
@@ -467,8 +465,7 @@ impl VectorStore {
             if let Some(tail) = self.segments.last_mut() {
                 tail.sealed = true;
             }
-            let bands = self.cfg.lsh.map_or(0, |p| p.bands);
-            self.segments.push(Segment::new(bands));
+            self.segments.push(Segment::new(self.bucketed().map_or(0, |p| p.bands)));
         }
         let seg_idx = self.segments.len() - 1;
         let seg = &mut self.segments[seg_idx];
@@ -478,11 +475,12 @@ impl VectorStore {
         seg.deleted.push(false);
         if let Some(p) = self.cfg.lsh {
             let sig = sig.expect("LSH store insert without a signature");
+            // Empty on the quantized tier (see `bucketed`).
             for (b, bucket) in seg.buckets.iter_mut().enumerate() {
-                let key = band_key(&sig, b, p.rows_per_band);
+                let key = band_key(sig, b, p.rows_per_band);
                 bucket.entry(key).or_insert_with(Vec::new).push(row as u32);
             }
-            seg.sigs.extend_from_slice(&pack_signature(&sig));
+            seg.sigs.extend_from_slice(sig);
         }
         if seg.rows() >= self.cfg.seal_threshold {
             seg.sealed = true;
@@ -523,8 +521,10 @@ impl VectorStore {
         self.locs.contains_key(&id)
     }
 
+    /// The vector at a `(segment, row)` location — how the quantized tier's
+    /// re-rank reads its survivors, with no id lookup.
     #[inline]
-    fn row(&self, seg: usize, row: usize) -> &[f32] {
+    pub(crate) fn row(&self, seg: usize, row: usize) -> &[f32] {
         &self.segments[seg].data[row * self.dim..(row + 1) * self.dim]
     }
 
@@ -552,9 +552,14 @@ impl VectorStore {
         rows.iter().map(|&r| r as usize).filter(|&r| r < s.rows() && !s.deleted[r])
     }
 
-    /// How many candidate rows `source` would score for `q` on the exact
-    /// tier — the blocking factor to report against the exhaustive `len()`.
+    /// How many rows a query for `q` would score here: on the exact tier
+    /// the live rows `source` nominates — the blocking factor to report
+    /// against the exhaustive `len()`; on the quantized tier, which
+    /// consults no source, every live row (what its Hamming pass ranks).
     pub(crate) fn candidate_count(&self, q: &[f32], source: &dyn CandidateSource) -> usize {
+        if self.cfg.tier != ScoringTier::Exact {
+            return self.len();
+        }
         let prepared = self.prepare_query(q);
         let ctx = prepared.ctx();
         self.segments
@@ -583,9 +588,8 @@ impl VectorStore {
         );
         let mut nq = q.to_vec();
         crate::simd::l2_normalize(&mut nq);
-        let sig = self.has_lsh().then(|| signature_of(&self.planes, &nq));
-        let packed = sig.as_deref().map(pack_signature);
-        PreparedQuery { nq, sig, packed }
+        let packed = self.has_lsh().then(|| pack_signature(&signature_of(&self.planes, &nq)));
+        PreparedQuery { nq, packed }
     }
 
     /// Scores every segment's candidates for one prepared query into a
@@ -604,88 +608,66 @@ impl VectorStore {
         topk
     }
 
-    /// Hamming-ranks every segment of this store into the caller's
-    /// accumulator — the quantized tier's coarse sweep, so
-    /// [`crate::ShardedStore`] can thread one capped accumulator across
-    /// many shards: the entry bar tightened by one segment (or shard)
-    /// prunes the next one's sweep. The survivor *set* is a global top-R
-    /// under the (Hamming distance, id) total order and scan-order
-    /// independent, so results stay a function of the live rows alone,
-    /// never of segment (or shard) layout.
-    pub(crate) fn coarse_sweep_into(&self, qsig: &[u64], top: &mut CoarseTopR) {
-        let w = self.sig_words;
+    /// Pass 1 of the quantized tier's counting select over this shard:
+    /// appends the Hamming distance of every row — tombstones as
+    /// `hist.sentinel()` — to `dists` in segment-then-row order, and
+    /// tallies each into `hist`. One branch-free XOR+POPCNT step per row,
+    /// whatever the distances are.
+    pub(crate) fn hamming_pass(
+        &self,
+        qsig: &[u64],
+        dists: &mut Vec<u32>,
+        hist: &mut DistHistogram,
+    ) {
         for s in &self.segments {
             self.rows_scanned.fetch_add((s.rows() - s.n_deleted) as u64, Ordering::Relaxed);
-            // Monomorphize the sweep on the signature width so the inner
-            // loop is straight-line XOR+POPCNT with the query words pinned
-            // in registers — the width is a store constant, so deciding it
-            // per row would waste most of the scan.
-            match w {
-                1 => coarse_scan_all::<1>(qsig, s, top),
-                2 => coarse_scan_all::<2>(qsig, s, top),
-                3 => coarse_scan_all::<3>(qsig, s, top),
-                4 => coarse_scan_all::<4>(qsig, s, top),
-                _ => {
-                    let mut worst = top.worst_dist();
-                    for ((sig, &id), &dead) in s.sigs.chunks_exact(w).zip(&s.ids).zip(&s.deleted) {
-                        let dist = hamming(qsig, sig);
-                        if dist > worst || dead {
-                            continue;
-                        }
-                        top.push(id, dist);
-                        worst = top.worst_dist();
+            // Monomorphize on the signature width so the inner loop is
+            // straight-line XOR+POPCNT with the query words pinned in
+            // registers — the width is a store constant.
+            match self.sig_words {
+                1 => tally_fixed::<1>(qsig, s, dists, hist),
+                2 => tally_fixed::<2>(qsig, s, dists, hist),
+                3 => tally_fixed::<3>(qsig, s, dists, hist),
+                4 => tally_fixed::<4>(qsig, s, dists, hist),
+                w => tally_rows(s, w, dists, hist, |sig| hamming(qsig, sig)),
+            }
+        }
+    }
+
+    /// Pass 2 over this shard's stretch of the distance buffer, as
+    /// [`hamming_pass`](Self::hamming_pass) wrote it: every row closer
+    /// than `t` re-ranks straight into `topk`, its vector read by location;
+    /// every row at exactly `t` joins `ties` for the caller's global id
+    /// tie-break. Returns the rest of the buffer — the next shard's.
+    pub(crate) fn cut_pass<'d>(
+        &self,
+        shard: u32,
+        nq: &[f32],
+        dists: &'d [u32],
+        t: u32,
+        topk: &mut TopK,
+        ties: &mut Vec<Tie>,
+    ) -> &'d [u32] {
+        let mut rest = dists;
+        for (seg, s) in self.segments.iter().enumerate() {
+            let (mine, next) = rest.split_at(s.rows());
+            rest = next;
+            // Nearly every row sits past the cut: rule sixteen out at once on
+            // one vectorizable min before looking at any of them alone.
+            for (c, chunk) in mine.chunks(16).enumerate() {
+                if chunk.iter().fold(u32::MAX, |m, &d| m.min(d)) > t {
+                    continue;
+                }
+                for (row, &d) in (c * 16..).zip(chunk) {
+                    if d < t {
+                        topk.push(s.ids[row], dot(nq, self.row(seg, row)));
+                    } else if d == t {
+                        ties.push(Tie { id: s.ids[row], shard, seg: seg as u32, row: row as u32 });
                     }
                 }
             }
         }
-    }
-
-    /// Whether entry-bar sampling is sound for this query: LSH configured,
-    /// a query signature present, and Hamming distances that fit the
-    /// sample packing's 16-bit distance field.
-    pub(crate) fn bar_probe_ready(&self, ctx: &QueryContext<'_>) -> bool {
-        self.cfg.lsh.is_some() && ctx.signature.is_some() && self.sig_words <= 1023
-    }
-
-    /// Band count of the configured LSH geometry (0 without LSH).
-    pub(crate) fn lsh_bands(&self) -> usize {
-        self.cfg.lsh.map_or(0, |p| p.bands)
-    }
-
-    /// One band's worth of entry-bar samples from this store's buckets,
-    /// appended to `seen` as packed `(segment, row, dist)` entries, so
-    /// [`crate::ShardedStore`] can pool one band across every probed shard
-    /// before deciding it has enough signal. Those buckets concentrate the
-    /// query's near neighbors, so on clustered corpora the pooled bar lands
-    /// within a few bits of the sweep's final one — and a sweep that starts
-    /// there rejects nearly every far row on one predictable compare. A row
-    /// probed through several bands yields byte-identical entries, so
-    /// per-store sort + dedup leaves distinct rows. Requires
-    /// [`bar_probe_ready`](Self::bar_probe_ready).
-    pub(crate) fn bar_band_samples(
-        &self,
-        ctx: &QueryContext<'_>,
-        qsig: &[u64],
-        band: usize,
-        seen: &mut Vec<u64>,
-    ) {
-        let (Some(p), Some(sig)) = (self.cfg.lsh, ctx.signature) else {
-            return;
-        };
-        let w = self.sig_words;
-        let key = band_key(sig, band, p.rows_per_band);
-        for (si, s) in self.segments.iter().enumerate() {
-            let Some(rows) = self.bucket_rows(si, band, key) else {
-                continue;
-            };
-            for &row in rows {
-                let ri = row as usize;
-                if ri < s.rows() && !s.deleted[ri] {
-                    let d = hamming(qsig, &s.sigs[ri * w..(ri + 1) * w]);
-                    seen.push((si as u64) << 48 | (row as u64) << 16 | d as u64);
-                }
-            }
-        }
+        rest
     }
 
     /// Scores one segment's candidates for one prepared query into the
@@ -775,27 +757,35 @@ impl VectorStore {
     }
 }
 
-/// One segment's full coarse sweep at a compile-time signature width: the
-/// query words live in registers, the per-row work is `W` XOR+POPCNT pairs
-/// plus one compare against the accumulator's cached entry bar. Ties
-/// (`dist == worst`) still route through [`CoarseTopR::push`], which owns
-/// the (distance, id) total order.
-#[inline]
-fn coarse_scan_all<const W: usize>(qsig: &[u64], s: &Segment, top: &mut CoarseTopR) {
+/// Pass 1 over one segment: each row's distance — `dist` of its
+/// `w`-word packed signature, or the sentinel for a tombstone — appended to
+/// `dists` and tallied into `hist`.
+#[inline(always)]
+fn tally_rows(
+    s: &Segment,
+    w: usize,
+    dists: &mut Vec<u32>,
+    hist: &mut DistHistogram,
+    dist: impl Fn(&[u64]) -> u32,
+) {
+    let sentinel = hist.sentinel();
+    dists.extend(s.sigs.chunks_exact(w).zip(&s.deleted).enumerate().map(|(row, (sig, &dead))| {
+        let d = if dead { sentinel } else { dist(sig) };
+        hist.add(row, d);
+        d
+    }));
+}
+
+/// [`tally_rows`] at a compile-time signature width: the query words live
+/// in registers and each row is `W` straight-line XOR+POPCNT pairs.
+fn tally_fixed<const W: usize>(
+    qsig: &[u64],
+    s: &Segment,
+    dists: &mut Vec<u32>,
+    hist: &mut DistHistogram,
+) {
     let q: [u64; W] = qsig.try_into().expect("store-wide signature width");
-    let mut worst = top.worst_dist();
-    for ((sig, &id), &dead) in s.sigs.chunks_exact(W).zip(&s.ids).zip(&s.deleted) {
-        let sig: &[u64; W] = sig.try_into().expect("chunks_exact yields W words");
-        let mut dist = 0u32;
-        for i in 0..W {
-            dist += (sig[i] ^ q[i]).count_ones();
-        }
-        if dist > worst || dead {
-            continue;
-        }
-        top.push(id, dist);
-        worst = top.worst_dist();
-    }
+    tally_rows(s, W, dists, hist, |sig| hamming(&q, sig));
 }
 
 #[cfg(test)]
@@ -1255,6 +1245,29 @@ mod tests {
         // every signature whichever one the caller names.
         let via_lsh = quant.search(&vecs[0], 5, &LshCandidates);
         assert_eq!(via_lsh, quant.search(&vecs[0], 5, &ExactScan));
+    }
+
+    #[test]
+    fn only_the_exact_tier_builds_band_buckets() {
+        let vecs = clustered(25);
+        let params = LshParams::default_blocking();
+        for (cfg, bucketed) in
+            [(StoreConfig::with_lsh(params), true), (StoreConfig::quantized(params), false)]
+        {
+            let mut slab = VectorStore::new(16, StoreConfig { seal_threshold: 8, ..cfg });
+            for (id, v) in vecs.iter().enumerate() {
+                let mut nv = v.clone();
+                crate::simd::l2_normalize(&mut nv);
+                slab.upsert_normalized(id as u64, &nv);
+            }
+            slab.delete(3);
+            slab.compact();
+            assert!(slab.segments.len() > 1);
+            for s in &slab.segments {
+                assert_eq!(s.buckets.len(), if bucketed { params.bands } else { 0 }, "{cfg:?}");
+                assert_eq!(s.sigs.len(), s.rows() * 2, "both tiers keep the signature slab");
+            }
+        }
     }
 
     #[test]
