@@ -17,4 +17,4 @@ pub mod similarity;
 
 pub use clustering::{evaluate_retrieval, evaluate_retrieval_blocked, RetrievalEval};
 pub use metrics::{ap_at_k, f1_score, map_at_k, mrr_at_k, PrecisionRecall};
-pub use similarity::{center, cosine, normalize, rank_by_cosine, try_cosine};
+pub use similarity::{cosine, normalize, rank_by_cosine, try_cosine};

@@ -35,36 +35,6 @@ pub fn try_cosine(a: &[f32], b: &[f32]) -> Option<f64> {
     Some(cosine(a, b))
 }
 
-/// Subtracts the mean vector from every item in place.
-///
-/// Transformer mean-pooled embeddings are strongly anisotropic (all vectors
-/// share a large common component), which makes raw cosines cluster near 1.0
-/// and defeats hyperplane LSH. Centering removes the common component; the
-/// *ranking* induced by cosine stays informative while hyperplanes regain
-/// discriminative power.
-pub fn center(items: &mut [Vec<f32>]) {
-    let Some(first) = items.first() else { return };
-    let d = first.len();
-    let mut mean = vec![0.0f32; d];
-    for v in items.iter() {
-        // Hot path over bulk corpora: ragged input is a caller bug, checked
-        // in debug builds only (release zips against the shorter side).
-        debug_assert_eq!(v.len(), d, "center over ragged vectors");
-        for (m, x) in mean.iter_mut().zip(v) {
-            *m += x;
-        }
-    }
-    let inv = 1.0 / items.len() as f32;
-    for m in &mut mean {
-        *m *= inv;
-    }
-    for v in items.iter_mut() {
-        for (x, m) in v.iter_mut().zip(&mean) {
-            *x -= m;
-        }
-    }
-}
-
 /// L2-normalizes a vector in place (no-op on the zero vector).
 pub fn normalize(v: &mut [f32]) {
     let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
@@ -140,24 +110,5 @@ mod tests {
         let items = vec![vec![1.0, 0.0], vec![0.9, 0.1]];
         let ranked = rank_by_cosine(&[1.0, 0.0], &items, Some(0));
         assert_eq!(ranked, vec![1]);
-    }
-
-    #[test]
-    fn center_removes_common_component() {
-        let mut items = vec![vec![10.0, 1.0], vec![10.0, -1.0], vec![10.0, 0.0]];
-        center(&mut items);
-        // Mean is now zero.
-        let mean0: f32 = items.iter().map(|v| v[0]).sum();
-        let mean1: f32 = items.iter().map(|v| v[1]).sum();
-        assert!(mean0.abs() < 1e-5 && mean1.abs() < 1e-5);
-        // The previously near-parallel vectors now point apart.
-        assert!(cosine(&items[0], &items[1]) < 0.0);
-    }
-
-    #[test]
-    fn center_of_empty_is_noop() {
-        let mut items: Vec<Vec<f32>> = Vec::new();
-        center(&mut items);
-        assert!(items.is_empty());
     }
 }

@@ -10,8 +10,12 @@
 //! computes per-query state (the normalized vector, and the packed LSH
 //! signature when LSH is enabled) exactly once, so probing N segments never
 //! repeats the `bands * rows_per_band` hyperplane dot products per segment.
+//! The store is the only thing that builds contexts (the per-shard slab a
+//! source reads is crate-private), and it signs the query at its own
+//! hyperplane thresholds — a signature taken anywhere else would cut the
+//! wrong band keys on a centred store.
 
-use crate::lsh::{band_key, pack_signature, signature_of};
+use crate::lsh::band_key;
 use crate::store::VectorStore;
 
 /// Per-query state shared across every segment probe of one search.
@@ -20,9 +24,9 @@ pub struct QueryContext<'a> {
     /// The L2-normalized query vector.
     pub vector: &'a [f32],
     /// The query's LSH signature packed into `u64` words, precomputed once
-    /// by the store when LSH is enabled — what band keys are cut from and
-    /// what the quantized tier's Hamming pass scores against; `None` on
-    /// stores without LSH.
+    /// by the store at its hyperplane thresholds when LSH is enabled — what
+    /// band keys are cut from and what the quantized tier's Hamming pass
+    /// scores against; `None` on stores without LSH.
     pub packed: Option<&'a [u64]>,
 }
 
@@ -72,16 +76,7 @@ impl CandidateSource for LshCandidates {
         let Some(params) = store.lsh_params() else {
             return Candidates::All;
         };
-        // The store hands LSH-enabled queries a precomputed signature; the
-        // fallback covers contexts built by hand.
-        let computed;
-        let sig: &[u64] = match query.packed {
-            Some(s) => s,
-            None => {
-                computed = pack_signature(&signature_of(store.lsh_planes(), query.vector));
-                &computed
-            }
-        };
+        let sig = query.packed.expect("an LSH store prepares every query's signature");
         let mut rows = Vec::new();
         for band in 0..params.bands {
             let key = band_key(sig, band, params.rows_per_band);
@@ -98,6 +93,8 @@ impl CandidateSource for LshCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lsh::{pack_signature, random_planes};
+    use crate::simd::dot;
     use crate::store::{LshParams, StoreConfig};
     use crate::ShardedStore;
 
@@ -105,9 +102,10 @@ mod tests {
         QueryContext { vector: v, packed: None }
     }
 
-    /// One shard's slab holding `rows` (normalized on the way in).
-    fn slab(cfg: StoreConfig, rows: &[[f32; 4]]) -> VectorStore {
-        let mut store = VectorStore::new(4, cfg);
+    /// One shard's slab holding `rows` (normalized on the way in), its
+    /// hyperplanes centred on `centre`.
+    fn slab(cfg: StoreConfig, centre: Option<&[f32]>, rows: &[[f32; 4]]) -> VectorStore {
+        let mut store = VectorStore::new(4, cfg, centre);
         for (id, v) in rows.iter().enumerate() {
             let mut nv = v.to_vec();
             crate::simd::l2_normalize(&mut nv);
@@ -118,7 +116,7 @@ mod tests {
 
     #[test]
     fn lsh_source_on_plain_store_degrades_to_exact() {
-        let store = slab(StoreConfig::default(), &[[1.0, 0.0, 0.0, 0.0]]);
+        let store = slab(StoreConfig::default(), None, &[[1.0, 0.0, 0.0, 0.0]]);
         let q = [1.0f32, 0.0, 0.0, 0.0];
         assert_eq!(LshCandidates.candidates(&store, 0, &ctx(&q)), Candidates::All);
         // Ergo the two sources agree end to end.
@@ -130,26 +128,37 @@ mod tests {
 
     #[test]
     fn exact_scan_nominates_everything() {
-        let store = slab(StoreConfig::default(), &[]);
+        let store = slab(StoreConfig::default(), None, &[]);
         assert_eq!(ExactScan.candidates(&store, 0, &ctx(&[0.0; 4])), Candidates::All);
     }
 
     #[test]
-    fn handmade_context_without_signature_matches_store_path() {
+    fn prepared_context_on_a_centred_slab_matches_store_path() {
+        let params = LshParams { bands: 4, rows_per_band: 2 };
+        let cfg = StoreConfig { seed: 5, ..StoreConfig::with_lsh(params) };
+        let centre = [0.5f32, 0.4, 0.1, 0.0];
         let store = slab(
-            StoreConfig::with_lsh(LshParams { bands: 4, rows_per_band: 2 }),
+            cfg,
+            Some(&centre),
             &[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.7, 0.7, 0.0, 0.0]],
         );
-        // A context without a precomputed signature must produce the same
-        // candidates the store's own (signature-carrying) path does.
+        // The prepared signature is the query's projections against the
+        // centred thresholds, not against zero.
         let q = [0.9f32, 0.3, 0.0, 0.0];
         let prepared = store.prepare_query(&q);
-        let via_fallback = LshCandidates.candidates(&store, 0, &ctx(&prepared.nq));
+        let planes = random_planes(params.bands * params.rows_per_band, 4, cfg.seed);
+        let bits: Vec<bool> =
+            planes.iter().map(|p| dot(p, &prepared.nq) >= dot(p, &centre)).collect();
+        assert_eq!(prepared.packed.as_deref(), Some(pack_signature(&bits).as_slice()));
+        // The candidates the prepared context nominates are exactly the rows
+        // the store's own scan scores.
+        let nominated = LshCandidates.candidates(&store, 0, &prepared.ctx());
         let hits = store.scan_prepared(&prepared.ctx(), 3, &LshCandidates).into_sorted();
-        if let Candidates::Subset(rows) = &via_fallback {
-            assert_eq!(rows.len(), hits.len());
-        } else {
+        let Candidates::Subset(rows) = &nominated else {
             panic!("LSH-enabled store must emit a subset");
-        }
+        };
+        let mut ids: Vec<u64> = hits.iter().map(|h| h.id).collect();
+        ids.sort_unstable();
+        assert_eq!(rows.iter().map(|&r| r as u64).collect::<Vec<_>>(), ids);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`ShardedStore`] ([`shard`]) — **the** store: router-driven placement
 //!   of ids across per-shard slabs, per-shard compaction, one search core
-//!   (prepare → probe → per-tier scan → merge or re-rank), `TBIX` v4
+//!   (prepare → probe → per-tier scan → merge or re-rank), `TBIX` v5
 //!   snapshots and an optional write-ahead log. `ShardedStore::new(dim, 1,
 //!   cfg)` is the flat store.
 //! * the per-shard slab (crate-private `store`, over [`segment`]) —
@@ -21,17 +21,19 @@
 //!   [`IvfRouter`] (a deterministic k-means coarse quantizer; upserts
 //!   co-locate under their nearest centroid and queries probe only the
 //!   `nprobe` nearest cells — sublinear scans, with an online `rebalance`
-//!   path when centroids drift under churn).
+//!   path when centroids drift under churn). A trained router's sample
+//!   mean is the centre of every shard's signature hyperplanes.
 //! * [`ScoringTier`] — how a query is scored: [`ScoringTier::Exact`] runs
 //!   the f32 dot kernel over the rows a [`CandidateSource`] nominates —
 //!   [`ExactScan`], or [`LshCandidates`] (banded SimHash blocking, the
 //!   paper's §4.1 recipe, maintained incrementally as vectors arrive);
-//!   [`ScoringTier::Quantized`] ranks packed sign-bit signatures by SIMD
-//!   popcount Hamming distance and re-scores only the closest
-//!   `rerank_factor × k` exactly, picked by a counting select (distance
-//!   histogram, cut, smallest ids at the cut) — a global selection, so
-//!   quantized results are shard-layout-independent.
-//! * [`snapshot`] — persistence: the `TBIX` v4 binary codec, the one
+//!   [`ScoringTier::Quantized`] ranks packed signatures (hyperplanes
+//!   centred on the router's sample mean) by SIMD popcount Hamming
+//!   distance and re-scores only the closest `rerank_factor × k` exactly,
+//!   picked by a counting select (distance histogram, cut, smallest ids at
+//!   the cut) — a global selection, so quantized results are
+//!   shard-layout-independent.
+//! * [`snapshot`] — persistence: the `TBIX` v5 binary codec, the one
 //!   format written and read. Loaded stores answer queries
 //!   byte-identically.
 //! * [`QueryEngine`] ([`engine`]) — query *execution* extracted out of

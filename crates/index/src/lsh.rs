@@ -11,7 +11,16 @@
 //! upserted, maintaining packed signature slabs (both tiers) and, on the
 //! exact tier, per-segment band buckets that [`crate::LshCandidates`]
 //! probes at query time.
+//!
+//! The store signs through one `Signer`: the hyperplanes plus one threshold
+//! per plane, writing packed words directly. Bit `j` is
+//! `dot(P_j, v) ≥ t_j` with `t_j = dot(P_j, μ)` for the router's sample
+//! mean μ ([`crate::Router::mean`]) — the sign of `P_j · (v − μ)`, i.e.
+//! hyperplanes through the corpus centre rather than the origin, at one
+//! compare per bit and no per-vector work. Without a mean every threshold
+//! is zero and the bits are exactly [`signature_of`]'s.
 
+use crate::simd::dot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,7 +37,53 @@ pub fn random_planes(n_planes: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 /// computed once per upsert and once per query, and the `bands ×
 /// rows_per_band` hyperplane products dominate that cost.
 pub fn signature_of(planes: &[Vec<f32>], v: &[f32]) -> Vec<bool> {
-    planes.iter().map(|p| crate::simd::dot(p, v) >= 0.0).collect()
+    planes.iter().map(|p| dot(p, v) >= 0.0).collect()
+}
+
+/// Hyperplanes with one threshold each: what every shard signs its rows and
+/// queries with (see the [module docs](self)).
+#[derive(Clone, Debug)]
+pub(crate) struct Signer {
+    planes: Vec<Vec<f32>>,
+    /// `dot(P_j, μ)` per plane; all zero without a centre.
+    thresholds: Vec<f32>,
+}
+
+impl Signer {
+    /// `planes` centred on `centre` (through the origin when `None`).
+    pub(crate) fn new(planes: Vec<Vec<f32>>, centre: Option<&[f32]>) -> Self {
+        let mut signer = Self { planes, thresholds: Vec::new() };
+        signer.recentre(centre);
+        signer
+    }
+
+    /// Moves the hyperplanes onto `centre`; returns whether any threshold
+    /// changed — i.e. whether signatures taken before are now stale.
+    pub(crate) fn recentre(&mut self, centre: Option<&[f32]>) -> bool {
+        let thresholds: Vec<f32> = match centre {
+            Some(c) => self.planes.iter().map(|p| dot(p, c)).collect(),
+            None => vec![0.0; self.planes.len()],
+        };
+        let changed =
+            !thresholds.iter().map(|t| t.to_bits()).eq(self.thresholds.iter().map(|t| t.to_bits()));
+        self.thresholds = thresholds;
+        changed
+    }
+
+    /// Signature width in bits.
+    pub(crate) fn bits(&self) -> usize {
+        self.planes.len()
+    }
+
+    /// The packed signature of `v`: bit `j` set when `dot(P_j, v) ≥ t_j`,
+    /// tail bits of the last word zero (see [`pack_signature`]).
+    pub(crate) fn sign(&self, v: &[f32]) -> Vec<u64> {
+        let mut words = vec![0u64; packed_len(self.bits())];
+        for (j, (p, &t)) in self.planes.iter().zip(&self.thresholds).enumerate() {
+            words[j / 64] |= u64::from(dot(p, v) >= t) << (j % 64);
+        }
+        words
+    }
 }
 
 /// Number of `u64` words a packed `bits`-bit signature occupies.
@@ -230,6 +285,38 @@ mod tests {
             assert_eq!(dirty, packed, "bits={bits}: mask_tail");
         }
         assert_eq!(pack_signature(&[]).len(), 0);
+    }
+
+    #[test]
+    fn signer_bits_are_the_thresholded_projections() {
+        let (items, _) = clustered(3, 6, 8, 21);
+        for n_planes in [5usize, 64, 130] {
+            let planes = random_planes(n_planes, 8, 3);
+            // Uncentred, the signer is `signature_of`, packed.
+            let origin = Signer::new(planes.clone(), None);
+            for v in &items {
+                assert_eq!(origin.sign(v), pack_signature(&signature_of(&planes, v)));
+            }
+            // Centred on `mu`, bit j compares against `dot(P_j, mu)`.
+            let mu = &items[4];
+            let centred = Signer::new(planes.clone(), Some(mu));
+            for v in &items {
+                let bits: Vec<bool> = planes.iter().map(|p| dot(p, v) >= dot(p, mu)).collect();
+                assert_eq!(centred.sign(v), pack_signature(&bits), "{n_planes} planes");
+            }
+            // The centre itself sits on every hyperplane: all ones.
+            assert_eq!(centred.sign(mu), pack_signature(&vec![true; n_planes]));
+        }
+    }
+
+    #[test]
+    fn recentre_reports_whether_thresholds_moved() {
+        let planes = random_planes(16, 4, 5);
+        let mut signer = Signer::new(planes, None);
+        assert!(!signer.recentre(None), "origin to origin");
+        assert!(signer.recentre(Some(&[0.5, 0.1, -0.2, 0.0])));
+        assert!(!signer.recentre(Some(&[0.5, 0.1, -0.2, 0.0])), "same centre");
+        assert!(signer.recentre(None));
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! L2-normalized centroids (cosine similarity — the same geometry the
 //! store scores with), via the batched `simd::matvec_dots`
 //! kernel.
+//!
+//! A trained router also keeps its sample **mean** μ ([`Router::mean`]):
+//! the mean of the L2-normalized training sample, accumulated in f64 and
+//! independent of `nlist`. It plays no part in placement or probing. The
+//! store's shards centre their signature hyperplanes on it: table encoders
+//! are anisotropic (every embedding shares a large common component), so
+//! hyperplanes through the origin give nearly every row the same sign
+//! bits, while hyperplanes through μ split the corpus where it actually
+//! varies. [`HashRouter`] has no sample and no mean; its stores keep the
+//! hyperplanes through the origin.
 
 use crate::simd::{l2_normalize, matvec_dots};
 use rand::rngs::StdRng;
@@ -65,6 +75,13 @@ pub trait Router: Send + Sync + fmt::Debug {
 
     /// The router's centroids for persistence, when it has any.
     fn centroids(&self) -> Option<Vec<Vec<f32>>> {
+        None
+    }
+
+    /// The mean of the (L2-normalized) sample the router was trained on,
+    /// when it has one: the point every shard's signature hyperplanes pass
+    /// through. `None` keeps them through the origin.
+    fn mean(&self) -> Option<&[f32]> {
         None
     }
 
@@ -118,6 +135,8 @@ pub struct IvfRouter {
     /// `nlist × dim` centroid components, row-major — the layout
     /// [`matvec_dots`] consumes.
     centroids: Vec<f32>,
+    /// The training sample's mean, `dim` components (see [`Router::mean`]).
+    mean: Vec<f32>,
 }
 
 impl IvfRouter {
@@ -126,6 +145,9 @@ impl IvfRouter {
     /// (pass the store's [`crate::StoreConfig::seed`]). Sample vectors are
     /// L2-normalized copies; the input is untouched. Empty clusters are
     /// re-seeded by splitting the largest cluster at its farthest member.
+    /// The router also keeps the normalized sample's mean, accumulated in
+    /// f64 before any clustering, so it does not depend on `nlist` or
+    /// `seed`.
     ///
     /// # Panics
     /// On an empty sample, `nlist == 0`, or mixed dimensionalities.
@@ -143,6 +165,13 @@ impl IvfRouter {
                 nv
             })
             .collect();
+        let mut sum = vec![0.0f64; dim];
+        for v in &normalized {
+            for (s, x) in sum.iter_mut().zip(v) {
+                *s += *x as f64;
+            }
+        }
+        let mean = sum.iter().map(|s| (s / normalized.len() as f64) as f32).collect();
 
         let mut rng = StdRng::seed_from_u64(seed);
         let mut centroids = kmeans_pp_seed(&normalized, nlist, dim, &mut rng);
@@ -202,16 +231,17 @@ impl IvfRouter {
                 l2_normalize(&mut centroids[c * dim..(c + 1) * dim]);
             }
         }
-        Self { dim, centroids }
+        Self { dim, centroids, mean }
     }
 
-    /// Reconstructs a router from persisted centroids (the snapshot load
-    /// path). Centroids are taken as-is — they were normalized before
-    /// capture, and re-normalizing could shift bits and change placements.
+    /// Reconstructs a router from persisted centroids and sample mean (the
+    /// snapshot load path). Both are taken as-is — the centroids were
+    /// normalized before capture, and re-normalizing could shift bits and
+    /// change placements.
     ///
     /// # Panics
     /// On an empty centroid list or mixed dimensionalities.
-    pub fn from_centroids(centroids: Vec<Vec<f32>>) -> Self {
+    pub fn from_centroids(centroids: Vec<Vec<f32>>, mean: Vec<f32>) -> Self {
         assert!(!centroids.is_empty(), "IvfRouter needs at least one centroid");
         let dim = centroids[0].len();
         assert!(dim > 0, "IvfRouter over zero-dimensional centroids");
@@ -220,7 +250,8 @@ impl IvfRouter {
             assert_eq!(c.len(), dim, "IvfRouter over mixed centroid dimensions");
             flat.extend_from_slice(c);
         }
-        Self { dim, centroids: flat }
+        assert_eq!(mean.len(), dim, "IvfRouter mean must match the centroid dimension");
+        Self { dim, centroids: flat, mean }
     }
 
     /// Number of cells (= shards this router must be paired with).
@@ -276,6 +307,10 @@ impl Router for IvfRouter {
 
     fn centroids(&self) -> Option<Vec<Vec<f32>>> {
         Some(self.centroids.chunks_exact(self.dim).map(<[f32]>::to_vec).collect())
+    }
+
+    fn mean(&self) -> Option<&[f32]> {
+        Some(&self.mean)
     }
 
     fn residual(&self, v: &[f32], shard: usize) -> Option<f64> {
@@ -409,6 +444,7 @@ mod tests {
         assert_eq!(r.probe(&[1.0], 1, 4), vec![0, 1, 2, 3], "hash probing must full-fan");
         assert!(!r.is_learned());
         assert!(r.centroids().is_none());
+        assert!(r.mean().is_none(), "hash routing keeps hyperplanes through the origin");
     }
 
     #[test]
@@ -463,12 +499,41 @@ mod tests {
     fn from_centroids_round_trips_placements() {
         let sample = clustered(90, 8, 4, 11);
         let trained = IvfRouter::train(&sample, 4, 5);
-        let restored = IvfRouter::from_centroids(trained.centroids().unwrap());
+        let restored = IvfRouter::from_centroids(
+            trained.centroids().unwrap(),
+            trained.mean().unwrap().to_vec(),
+        );
+        assert_eq!(restored.mean(), trained.mean());
         for (i, v) in sample.iter().enumerate() {
             let mut nv = v.clone();
             l2_normalize(&mut nv);
             assert_eq!(trained.place(i as u64, &nv, 4), restored.place(i as u64, &nv, 4));
             assert_eq!(trained.probe(&nv, 2, 4), restored.probe(&nv, 2, 4));
+        }
+    }
+
+    #[test]
+    fn mean_is_the_normalized_sample_mean_whatever_nlist_and_seed() {
+        let sample = clustered(64, 8, 4, 19);
+        let router = IvfRouter::train(&sample, 4, 3);
+        let mean = router.mean().expect("a trained router keeps its sample mean");
+        for d in 0..8 {
+            let want = sample
+                .iter()
+                .map(|v| {
+                    let mut nv = v.clone();
+                    l2_normalize(&mut nv);
+                    nv[d] as f64
+                })
+                .sum::<f64>()
+                / sample.len() as f64;
+            assert!((mean[d] as f64 - want).abs() < 1e-6, "component {d}: {} vs {want}", mean[d]);
+        }
+        // One cell or many, any seed: the same bits.
+        for (nlist, seed) in [(1, 3), (8, 3), (4, 77)] {
+            let other = IvfRouter::train(&sample, nlist, seed);
+            let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(other.mean().unwrap()), bits(mean), "nlist {nlist}, seed {seed}");
         }
     }
 

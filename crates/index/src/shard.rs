@@ -18,8 +18,9 @@
 //! [`ShardedStats::imbalance`] and the per-shard mean placement residuals.
 //!
 //! There is **one search core**: a query is prepared once (all shards
-//! share one configuration — same seed, same banding — so it is normalized
-//! and signed once, not per shard), the router picks its probe set, and
+//! share one configuration — same seed, same banding, same router — so it
+//! is normalized and signed once, not per shard), the router picks its
+//! probe set, and
 //!
 //! * on the **exact tier** every probed shard scores the rows the
 //!   [`CandidateSource`] nominates and the ranked per-shard lists k-way
@@ -48,9 +49,15 @@
 //! over that core; a batch is the same per-query call spread across the
 //! workspace's crossbeam scoped workers ([`crate::parallel`]).
 //!
-//! Snapshots persist through the `TBIX` v4 binary codec
+//! Every shard centres its signature hyperplanes on the router's sample
+//! mean ([`Router::mean`]), so a row's signature — and with it the quantized
+//! tier's answer — depends on the router, never on which shard the row sits
+//! in. [`ShardedStore::install_router`] re-signs every row when the mean
+//! moves.
+//!
+//! Snapshots persist through the `TBIX` v5 binary codec
 //! ([`crate::snapshot`]): one merged entry list plus the shard count, and
-//! the router section under a learned router.
+//! the router section (centroids and sample mean) under a learned router.
 
 use crate::candidates::CandidateSource;
 use crate::engine::Queryable;
@@ -185,7 +192,8 @@ impl Clone for ShardedStore {
 impl ShardedStore {
     /// An empty store of `n_shards` shards for `dim`-dimensional vectors,
     /// every shard built from the same `cfg` (shared seed ⇒ shared LSH
-    /// hyperplanes, which is what makes per-shard signatures compatible).
+    /// hyperplanes, which is what makes per-shard signatures compatible),
+    /// hyperplanes through the origin.
     ///
     /// # Panics
     /// On `n_shards == 0`, `n_shards` past the snapshot format's shard
@@ -199,11 +207,12 @@ impl ShardedStore {
 
     /// An empty store placing and probing through an explicit `router` —
     /// [`ShardedStore::new`] with [`HashRouter`] swapped for, typically, a
-    /// trained [`IvfRouter`].
+    /// trained [`IvfRouter`] — whose shards centre their signature
+    /// hyperplanes on the router's sample mean.
     ///
     /// # Panics
     /// Everything [`ShardedStore::new`] panics on, plus a learned router
-    /// whose cell count or centroid dimensionality disagrees with
+    /// whose cell count, centroid or mean dimensionality disagrees with
     /// `n_shards`/`dim` (IVF requires `nlist == n_shards`).
     pub fn with_router(
         dim: usize,
@@ -216,19 +225,8 @@ impl ShardedStore {
             n_shards <= MAX_SNAPSHOT_SHARDS as usize,
             "ShardedStore supports at most {MAX_SNAPSHOT_SHARDS} shards (asked for {n_shards})"
         );
-        if let Some(centroids) = router.centroids() {
-            assert_eq!(
-                centroids.len(),
-                n_shards,
-                "router has {} cells but the store has {n_shards} shards",
-                centroids.len()
-            );
-            assert!(
-                centroids.iter().all(|c| c.len() == dim),
-                "router centroids must be {dim}-dimensional"
-            );
-        }
-        let shards = (0..n_shards).map(|_| VectorStore::new(dim, cfg)).collect();
+        check_router_geometry(router.as_ref(), n_shards, dim);
+        let shards = (0..n_shards).map(|_| VectorStore::new(dim, cfg, router.mean())).collect();
         Self {
             dim,
             shards,
@@ -318,32 +316,26 @@ impl ShardedStore {
     /// Swaps the router without moving any data: existing placements stay
     /// where they physically are (queries remain correct — results are
     /// layout-independent), new upserts follow the new router, and the
-    /// drift accumulators restart against the new centroids. Call
-    /// [`rebalance`](Self::rebalance) afterwards to migrate existing rows.
+    /// drift accumulators restart against the new centroids. When the new
+    /// router's sample mean differs from the old one, every shard re-signs
+    /// its rows through the compaction rewrite, so the store answers as one
+    /// built with this router would. Call [`rebalance`](Self::rebalance)
+    /// afterwards to migrate existing rows.
     ///
     /// # Panics
     /// If a learned router's geometry disagrees with the store (same checks
     /// as [`with_router`](Self::with_router)).
     pub fn install_router(&mut self, router: Arc<dyn Router>) {
-        if let Some(centroids) = router.centroids() {
-            assert_eq!(
-                centroids.len(),
-                self.shards.len(),
-                "router has {} cells but the store has {} shards",
-                centroids.len(),
-                self.shards.len()
-            );
-            assert!(
-                centroids.iter().all(|c| c.len() == self.dim),
-                "router centroids must be {}-dimensional",
-                self.dim
-            );
+        check_router_geometry(router.as_ref(), self.shards.len(), self.dim);
+        for shard in &mut self.shards {
+            shard.recentre(router.mean());
         }
         self.router = router;
         self.reset_residuals();
         // Centroids are not logged as WAL records; a durable store persists
         // them by checkpointing immediately, so reopening reconstructs the
-        // same router (and the same probe decisions) from the snapshot.
+        // same router (and the same probe decisions and signatures) from the
+        // snapshot.
         if self.wal.is_some() {
             self.checkpoint().expect("checkpoint after router install failed");
         }
@@ -586,7 +578,10 @@ impl ShardedStore {
         r: usize,
         k: usize,
     ) -> Vec<Hit> {
-        let mut dists = Vec::new();
+        // One distance per probed row, tombstones included: sized up front,
+        // pass 1 never reallocates.
+        let rows = probes.iter().map(|&si| self.shards[si].rows()).sum();
+        let mut dists = Vec::with_capacity(rows);
         let mut hist = DistHistogram::new(self.shards[0].sig_bits());
         for &si in probes {
             self.shards[si].hamming_pass(qsig, &mut dists, &mut hist);
@@ -646,11 +641,13 @@ impl ShardedStore {
 
     // --- persistence -------------------------------------------------------
 
-    /// Saves the whole store to `path` in the `TBIX` v4 binary format: one
+    /// Saves the whole store to `path` in the `TBIX` v5 binary format: one
     /// merged entry list (shard order, tombstones dropped) plus the shard
-    /// count, and — under a learned router — the router section (centroids
-    /// and per-shard entry counts) so placements restore *exactly*, even for
-    /// rows an older router placed somewhere the current one wouldn't.
+    /// count, and — under a learned router — the router section (centroids,
+    /// sample mean and per-shard entry counts) so placements and signature
+    /// thresholds restore *exactly*, even for rows an older router placed
+    /// somewhere the current one wouldn't. A learned router without a mean
+    /// persists a zero one, which centres nothing.
     /// Hash-routed stores skip the section; their ids re-route
     /// deterministically on load. The compaction policy is runtime tuning
     /// and is not part of a snapshot.
@@ -676,17 +673,23 @@ impl ShardedStore {
             next_id: self.next_id,
             entries,
             sigs,
-            router: self.router.centroids().map(|centroids| RouterSnapshot { centroids, counts }),
+            router: self.router.centroids().map(|centroids| RouterSnapshot {
+                centroids,
+                mean: self.router.mean().map_or_else(|| vec![0.0; self.dim], <[f32]>::to_vec),
+                counts,
+            }),
         };
         snapshot::write_file(path, &snap, self.shards.len() as u32)
     }
 
-    /// Loads a store from a `TBIX` v4 file; any other version — or
+    /// Loads a store from a `TBIX` v5 file; any other version — or
     /// anything that is not `TBIX` — is an error. The shard count comes
     /// from the snapshot header. A router section reconstructs the
-    /// [`IvfRouter`] and assigns entries positionally by the persisted
-    /// per-shard counts (the save order), so every placement — and
-    /// therefore every probe decision — replays exactly; without one the
+    /// [`IvfRouter`] (centroids and sample mean, so shards sign queries at
+    /// the thresholds the persisted signatures were taken at) and assigns
+    /// entries positionally by the persisted per-shard counts (the save
+    /// order), so every placement — and therefore every probe decision —
+    /// replays exactly; without one the
     /// store is hash-routed and ids re-route by hash. Entries re-insert
     /// with their persisted vectors and signatures untouched (they were
     /// normalized before capture, and re-normalizing could shift low bits),
@@ -716,7 +719,8 @@ impl ShardedStore {
                         ),
                     ));
                 }
-                let router = Arc::new(IvfRouter::from_centroids(rs.centroids.clone()));
+                let router =
+                    Arc::new(IvfRouter::from_centroids(rs.centroids.clone(), rs.mean.clone()));
                 let shard_for = rs
                     .counts
                     .iter()
@@ -989,6 +993,27 @@ impl Queryable for ShardedStore {
         nprobe: usize,
     ) -> Vec<Vec<Hit>> {
         ShardedStore::search_batch_probed(self, queries, k, source, nprobe)
+    }
+}
+
+/// The checks a router must pass to serve an `n_shards`-shard store of
+/// `dim`-dimensional vectors: one cell per shard, and centroids and mean of
+/// the store's dimension.
+fn check_router_geometry(router: &dyn Router, n_shards: usize, dim: usize) {
+    if let Some(centroids) = router.centroids() {
+        assert_eq!(
+            centroids.len(),
+            n_shards,
+            "router has {} cells but the store has {n_shards} shards",
+            centroids.len()
+        );
+        assert!(
+            centroids.iter().all(|c| c.len() == dim),
+            "router centroids must be {dim}-dimensional"
+        );
+    }
+    if let Some(mean) = router.mean() {
+        assert_eq!(mean.len(), dim, "router mean must be {dim}-dimensional");
     }
 }
 
@@ -1469,6 +1494,58 @@ mod tests {
         for r in store.mean_residuals() {
             assert!(r < 0.5, "mean residual {r} after rebalance");
         }
+    }
+
+    #[test]
+    fn hash_routed_signatures_are_the_zero_threshold_sign_bits() {
+        use crate::lsh::{pack_signature, random_planes, signature_of};
+        let vecs = clustered_vecs(90, 16, 25);
+        let quant = StoreConfig { tier: ScoringTier::Quantized { rerank_factor: 4 }, ..cfg(true) };
+        for cfg in [cfg(true), quant] {
+            let mut store = ShardedStore::new(16, 4, cfg);
+            for v in &vecs {
+                store.insert(v);
+            }
+            store.delete(8);
+            store.upsert(3, &vecs[70]);
+            let lsh = cfg.lsh.expect("LSH config");
+            let planes = random_planes(lsh.bands * lsh.rows_per_band, 16, cfg.seed);
+            let mut checked = 0;
+            for shard in &store.shards {
+                for ((_, v), sig) in shard.live_entries().iter().zip(shard.live_packed_sigs()) {
+                    assert_eq!(sig, pack_signature(&signature_of(&planes, v)), "{:?}", cfg.tier);
+                    checked += 1;
+                }
+            }
+            assert_eq!(checked, store.len());
+        }
+    }
+
+    #[test]
+    fn installing_a_router_re_signs_only_when_its_mean_moves() {
+        let vecs = clustered_vecs(60, 8, 26);
+        let mut store = ShardedStore::new(8, 4, cfg(true));
+        for v in &vecs {
+            store.insert(v);
+        }
+        let origin_sigs: Vec<Vec<u64>> =
+            store.shards.iter().flat_map(VectorStore::live_packed_sigs).collect();
+        let router = Arc::new(IvfRouter::train(&vecs, 4, 42));
+        store.install_router(router.clone());
+        assert_eq!(store.compactions(), 4, "every shard re-signed through the rewrite");
+        let centred_sigs: Vec<Vec<u64>> =
+            store.shards.iter().flat_map(VectorStore::live_packed_sigs).collect();
+        assert_ne!(origin_sigs, centred_sigs, "centring changed no signature");
+        // The same mean again moves no threshold: nothing is rewritten.
+        store.install_router(router);
+        assert_eq!(store.compactions(), 4);
+        // Back to hash routing: hyperplanes through the origin, the original
+        // bits restored.
+        store.install_router(Arc::new(HashRouter));
+        assert_eq!(store.compactions(), 8);
+        let restored: Vec<Vec<u64>> =
+            store.shards.iter().flat_map(VectorStore::live_packed_sigs).collect();
+        assert_eq!(restored, origin_sigs);
     }
 
     #[test]

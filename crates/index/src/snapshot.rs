@@ -6,15 +6,17 @@
 //!
 //! One codec moves snapshots through disk behind
 //! [`ShardedStore::save`](crate::ShardedStore::save) /
-//! [`load`](crate::ShardedStore::load): **`TBIX` version 4** — a 4-byte
+//! [`load`](crate::ShardedStore::load): **`TBIX` version 5** — a 4-byte
 //! magic, a little-endian header (shard count, dimension, seal threshold,
 //! hyperplane seed, LSH banding, the quantized tier's re-rank factor and
 //! packed-signature width), the router section (a learned router's
-//! k-means centroids plus the per-shard entry counts in save order, so a
-//! routed store's placements — and therefore its probe decisions — replay
-//! exactly on load; absent for hash-routed stores, whose ids re-route
-//! deterministically), the raw f32 payload with each entry's sign-bit LSH
-//! signature riding along after its vector, and a CRC32 (IEEE) footer
+//! k-means centroids, its sample mean — the point the signature
+//! hyperplanes are centred on — and the per-shard entry counts in save
+//! order, so a routed store's placements, probe decisions and query
+//! signatures replay exactly on load; absent for hash-routed stores, whose
+//! ids re-route deterministically and whose hyperplanes pass through the
+//! origin), the raw f32 payload with each entry's packed LSH signature
+//! riding along after its vector, and a CRC32 (IEEE) footer
 //! over every preceding byte, so a corrupt or bit-flipped file is rejected
 //! with a clear error instead of being decoded into garbage vectors.
 //! Vector bits round-trip exactly; loaded stores answer queries
@@ -22,10 +24,10 @@
 //! and is not persisted — loaded stores run the policy they are
 //! configured with.
 //!
-//! Files of any other version — and files that are not `TBIX` at all — are
-//! refused with an `unsupported snapshot version` / `not a TBIX snapshot`
-//! error; `tests/golden_snapshot.rs` pins the format against a checked-in
-//! file.
+//! Version 5 replaced version 4, which had no mean. Files of any other
+//! version — and files that are not `TBIX` at all — are refused with an
+//! `unsupported snapshot version` / `not a TBIX snapshot` error;
+//! `tests/golden_snapshot.rs` pins the format against a checked-in file.
 
 use crate::lsh::packed_len;
 use crate::store::LshParams;
@@ -34,7 +36,7 @@ use std::io;
 use std::path::Path;
 
 /// The one snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Magic bytes opening a snapshot file.
 pub(crate) const TBIX_MAGIC: [u8; 4] = *b"TBIX";
@@ -64,23 +66,26 @@ pub struct StoreSnapshot {
     pub next_id: u64,
     /// Live entries in shard-then-segment-then-row order.
     pub entries: Vec<(u64, Vec<f32>)>,
-    /// Packed sign-bit LSH signatures, aligned with `entries`; empty when
-    /// LSH is off.
+    /// Packed LSH signatures, aligned with `entries`, taken at the router's
+    /// centred thresholds; empty when LSH is off.
     pub sigs: Vec<Vec<u64>>,
     /// The learned router, when the store had one; `None` for hash-routed
     /// stores.
     pub router: Option<RouterSnapshot>,
 }
 
-/// A learned router's persisted state: its centroids, and how many of the
-/// snapshot's entries belong to each shard — entries are saved
-/// shard-major, so `counts` partitions `entries` positionally and load
+/// A learned router's persisted state: its centroids, its sample mean, and
+/// how many of the snapshot's entries belong to each shard — entries are
+/// saved shard-major, so `counts` partitions `entries` positionally and load
 /// restores every placement exactly (including rows an older router placed
 /// where the current centroids wouldn't).
 #[derive(Clone, Debug)]
 pub struct RouterSnapshot {
     /// One L2-normalized centroid per shard, shard order.
     pub centroids: Vec<Vec<f32>>,
+    /// The router's sample mean ([`crate::Router::mean`]): `dim` finite
+    /// components, the centre of every shard's signature hyperplanes.
+    pub mean: Vec<f32>,
     /// Entries per shard in the snapshot's entry list, shard order; must
     /// sum to the entry count.
     pub counts: Vec<u64>,
@@ -146,6 +151,16 @@ impl StoreSnapshot {
                     self.dim
                 )));
             }
+            if r.mean.len() != self.dim {
+                return Err(invalid(format!(
+                    "router mean has {} components (want {})",
+                    r.mean.len(),
+                    self.dim
+                )));
+            }
+            if r.mean.iter().any(|x| !x.is_finite()) {
+                return Err(invalid("router mean has a non-finite component".into()));
+            }
             if r.counts.len() != r.centroids.len() {
                 return Err(invalid(format!(
                     "router section has {} counts for {} centroids",
@@ -171,7 +186,7 @@ fn invalid(msg: String) -> io::Error {
 
 // --- binary codec ----------------------------------------------------------
 
-/// Encodes a snapshot of an `n_shards`-shard store into the `TBIX` v4
+/// Encodes a snapshot of an `n_shards`-shard store into the `TBIX` v5
 /// format (see the [module docs](self) for the layout). An LSH snapshot's
 /// `sigs` must align with its `entries`.
 pub(crate) fn encode_binary(snap: &StoreSnapshot, n_shards: u32) -> Vec<u8> {
@@ -200,10 +215,8 @@ pub(crate) fn encode_binary(snap: &StoreSnapshot, n_shards: u32) -> Vec<u8> {
         Some(r) => {
             out.push(1);
             out.extend_from_slice(&(r.centroids.len() as u32).to_le_bytes());
-            for c in &r.centroids {
-                for x in c {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
+            for x in r.centroids.iter().flatten().chain(&r.mean) {
+                out.extend_from_slice(&x.to_le_bytes());
             }
             for n in &r.counts {
                 out.extend_from_slice(&n.to_le_bytes());
@@ -265,7 +278,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes a `TBIX` v4 snapshot, returning the shard count and the
+/// Decodes a `TBIX` v5 snapshot, returning the shard count and the
 /// validated snapshot.
 fn decode_binary(bytes: &[u8]) -> io::Result<(u32, StoreSnapshot)> {
     if !bytes.starts_with(&TBIX_MAGIC) {
@@ -331,11 +344,15 @@ fn decode_binary(bytes: &[u8]) -> io::Result<(u32, StoreSnapshot)> {
                 }
                 centroids.push(cvec);
             }
+            let mut mean = Vec::with_capacity(dim);
+            for _ in 0..dim {
+                mean.push(c.f32()?);
+            }
             let mut counts = Vec::with_capacity(nlist as usize);
             for _ in 0..nlist {
                 counts.push(c.u64()?);
             }
-            Some(RouterSnapshot { centroids, counts })
+            Some(RouterSnapshot { centroids, mean, counts })
         }
         flag => return Err(invalid(format!("bad router flag byte {flag}"))),
     };
@@ -423,6 +440,7 @@ mod tests {
         StoreSnapshot {
             router: Some(RouterSnapshot {
                 centroids: vec![vec![1.0, 0.0, 0.0], vec![0.0, 0.6, 0.8]],
+                mean: vec![0.5, 0.3, 0.4],
                 counts: vec![1, 1],
             }),
             ..sample()
@@ -463,9 +481,9 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_binary(&padded).is_err(), "padded must fail");
-        // Every version but the current one — the retired 1..=3 included —
+        // Every version but the current one — the retired 1..=4 included —
         // is refused by name, before the CRC is even looked at.
-        for version in [0u32, 1, 2, 3, 5, 99] {
+        for version in [0u32, 1, 2, 3, 4, 6, 99] {
             let mut other = bytes.clone();
             other[4..8].copy_from_slice(&version.to_le_bytes());
             let err = decode_binary(&other).expect_err("other versions must fail");
@@ -534,6 +552,8 @@ mod tests {
         for (a, b) in got.centroids.iter().flatten().zip(orig.centroids.iter().flatten()) {
             assert_eq!(a.to_bits(), b.to_bits(), "centroid bits drifted through the codec");
         }
+        let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.mean), bits(&orig.mean), "mean bits drifted through the codec");
     }
 
     #[test]
@@ -551,13 +571,27 @@ mod tests {
         let mut snap = sample_routed();
         snap.router.as_mut().unwrap().centroids[0] = vec![1.0];
         assert!(snap.validate().is_err());
+        // The mean is one finite component per dimension.
+        for mean in [vec![0.5, 0.3], vec![0.5, 0.3, 0.4, 0.0]] {
+            let mut snap = sample_routed();
+            snap.router.as_mut().unwrap().mean = mean;
+            let err = snap.validate().expect_err("a mean of the wrong length must fail");
+            assert!(err.to_string().contains("router mean has"), "unhelpful error: {err}");
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut snap = sample_routed();
+            snap.router.as_mut().unwrap().mean[1] = bad;
+            let err = snap.validate().expect_err("a non-finite mean must fail");
+            assert!(err.to_string().contains("non-finite"), "unhelpful error: {err}");
+        }
         // A corrupt router flag byte is rejected in the decoder. Walk back
-        // from the end: CRC footer, entry payload, router payload, flag.
+        // from the end: CRC footer, entry payload, router payload (two
+        // centroids, the mean, two counts, the cell count), flag.
         let good = encode_binary(&sample_routed(), 2);
         let flag_pos = good.len()
             - 4
             - (8 + 8 + sample_routed().entries.len() * (8 + 3 * 4 + 8))
-            - (2 * 3 * 4 + 2 * 8 + 4)
+            - (2 * 3 * 4 + 3 * 4 + 2 * 8 + 4)
             - 1;
         let mut bad = good.clone();
         assert_eq!(bad[flag_pos], 1, "flag offset arithmetic drifted");
@@ -569,6 +603,35 @@ mod tests {
         bad[body_len..].copy_from_slice(&crc);
         let err = decode_binary(&bad).expect_err("bad flag must fail");
         assert!(err.to_string().contains("router flag"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn mean_section_truncation_flips_and_non_finite_values_are_errors() {
+        let good = encode_binary(&sample_routed(), 2);
+        // Header (magic, version, shards, dim, seal, seed, LSH flag and
+        // banding, re-rank, signature words), router flag, cell count, two
+        // 3-dim centroids: then the 3-component mean.
+        let start = 4 + 4 + 4 + 4 + 8 + 8 + 1 + 4 + 4 + 8 + 4 + 1 + 4 + 2 * 3 * 4;
+        let mean = &good[start..start + 3 * 4];
+        assert_eq!(mean[..4], 0.5f32.to_le_bytes(), "mean offset arithmetic drifted");
+        for cut in start..start + 3 * 4 {
+            let err = decode_binary(&good[..cut]).expect_err("a cut inside the mean must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        for pos in start..start + 3 * 4 {
+            let mut bad = good.clone();
+            bad[pos] ^= 0x01;
+            let err = decode_binary(&bad).expect_err("a flip inside the mean must fail");
+            assert!(err.to_string().contains("CRC mismatch"), "unhelpful error: {err}");
+        }
+        // A NaN under a valid footer is refused by `validate`.
+        let mut nan = good.clone();
+        nan[start + 4..start + 8].copy_from_slice(&f32::NAN.to_le_bytes());
+        let body_len = nan.len() - 4;
+        let crc = crate::wal::crc32(&nan[..body_len]).to_le_bytes();
+        nan[body_len..].copy_from_slice(&crc);
+        let err = decode_binary(&nan).expect_err("a NaN mean must fail");
+        assert!(err.to_string().contains("non-finite"), "unhelpful error: {err}");
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //!   row of the probed shards by the Hamming distance of its packed
 //!   sign-bit signature (a popcount pass over ~64×-denser data) and
 //!   re-scores only the `rerank_factor × k` closest with the f32 kernel.
+//!   Every bit of a signature — stored row or query — is one hyperplane
+//!   projection compared against that plane's threshold `dot(P_j, μ)`,
+//!   where μ is the router's sample mean ([`crate::Router::mean`]; zero
+//!   without one): the hyperplanes pass through the corpus centre, so on
+//!   anisotropic embeddings the bits still split the rows (see
+//!   [`crate::lsh`]). The slab signs through one `Signer` on insert,
+//!   compaction and query preparation, and re-signs every row through the
+//!   compaction rewrite when the centre moves ([`VectorStore::recentre`]).
 //!   This slab runs the two per-shard walks of that counting select —
 //!   [`VectorStore::hamming_pass`] tallies distances, and
 //!   [`VectorStore::cut_pass`] keeps the rows under the cut by location —
@@ -35,7 +43,7 @@
 //!   quantized results are independent of segment — and shard — layout.
 
 use crate::candidates::{CandidateSource, Candidates, QueryContext};
-use crate::lsh::{band_key, pack_signature, packed_len, random_planes, signature_of};
+use crate::lsh::{band_key, packed_len, random_planes, Signer};
 use crate::segment::Segment;
 use crate::simd::{dot, hamming, DistHistogram, TopK};
 use serde::{Deserialize, Serialize};
@@ -297,8 +305,9 @@ pub trait VectorSink {
 pub struct VectorStore {
     dim: usize,
     cfg: StoreConfig,
-    /// `bands * rows_per_band` hyperplanes when LSH is on, empty otherwise.
-    planes: Vec<Vec<f32>>,
+    /// The `bands * rows_per_band` hyperplanes and their thresholds when
+    /// LSH is on.
+    signer: Option<Signer>,
     /// `u64` words per packed signature row (`packed_len` of the signature
     /// width); 0 when LSH is off.
     sig_words: usize,
@@ -323,7 +332,7 @@ impl Clone for VectorStore {
         Self {
             dim: self.dim,
             cfg: self.cfg,
-            planes: self.planes.clone(),
+            signer: self.signer.clone(),
             sig_words: self.sig_words,
             segments: self.segments.clone(),
             locs: self.locs.clone(),
@@ -335,31 +344,30 @@ impl Clone for VectorStore {
 }
 
 impl VectorStore {
-    /// An empty store for `dim`-dimensional vectors.
+    /// An empty store for `dim`-dimensional vectors, its signature
+    /// hyperplanes centred on `centre` (the router's sample mean; through
+    /// the origin when `None`).
     ///
     /// # Panics
     /// On `dim == 0`, a zero `seal_threshold`, LSH params with zero
     /// bands/rows, or a [`ScoringTier::Quantized`] tier without LSH or with
     /// a zero `rerank_factor`.
-    pub(crate) fn new(dim: usize, cfg: StoreConfig) -> Self {
+    pub(crate) fn new(dim: usize, cfg: StoreConfig, centre: Option<&[f32]>) -> Self {
         assert!(dim > 0, "VectorStore dimension must be positive");
         assert!(cfg.seal_threshold > 0, "seal_threshold must be positive");
         if let ScoringTier::Quantized { rerank_factor } = cfg.tier {
             assert!(cfg.lsh.is_some(), "quantized tier requires LSH signatures (StoreConfig::lsh)");
             assert!(rerank_factor >= 1, "quantized rerank_factor must be at least 1");
         }
-        let planes = match cfg.lsh {
-            Some(p) => {
-                assert!(p.bands > 0 && p.rows_per_band > 0, "LSH bands and rows must be positive");
-                random_planes(p.bands * p.rows_per_band, dim, cfg.seed)
-            }
-            None => Vec::new(),
-        };
+        let signer = cfg.lsh.map(|p| {
+            assert!(p.bands > 0 && p.rows_per_band > 0, "LSH bands and rows must be positive");
+            Signer::new(random_planes(p.bands * p.rows_per_band, dim, cfg.seed), centre)
+        });
         Self {
             dim,
             cfg,
             sig_words: cfg.lsh.map_or(0, |p| packed_len(p.bands * p.rows_per_band)),
-            planes,
+            signer,
             segments: Vec::new(),
             locs: HashMap::new(),
             pauses: Vec::new(),
@@ -380,7 +388,7 @@ impl VectorStore {
 
     /// Whether LSH signatures are kept.
     pub(crate) fn has_lsh(&self) -> bool {
-        !self.planes.is_empty()
+        self.signer.is_some()
     }
 
     /// The banding whose buckets this store maintains: the LSH params on
@@ -392,7 +400,13 @@ impl VectorStore {
 
     /// Signature width in bits (0 without LSH).
     pub(crate) fn sig_bits(&self) -> usize {
-        self.cfg.lsh.map_or(0, |p| p.bands * p.rows_per_band)
+        self.signer.as_ref().map_or(0, Signer::bits)
+    }
+
+    /// Rows, live and tombstoned — what one Hamming pass over this shard
+    /// writes distances for.
+    pub(crate) fn rows(&self) -> usize {
+        self.segments.iter().map(Segment::rows).sum()
     }
 
     /// The configuration the store was built with.
@@ -442,7 +456,7 @@ impl VectorStore {
     /// policy compaction — mutators do that after the write, which keeps
     /// `compact`'s own rebuild loop off the policy path.
     fn insert_normalized(&mut self, id: u64, nv: &[f32]) {
-        let sig = self.has_lsh().then(|| pack_signature(&signature_of(&self.planes, nv)));
+        let sig = self.signer.as_ref().map(|s| s.sign(nv));
         self.insert_prepared(id, nv, sig.as_deref());
     }
 
@@ -530,11 +544,6 @@ impl VectorStore {
 
     // --- accessors used by candidate sources -------------------------------
 
-    /// The store's LSH hyperplanes (empty when LSH is off).
-    pub(crate) fn lsh_planes(&self) -> &[Vec<f32>] {
-        &self.planes
-    }
-
     /// The configured LSH parameters, if any.
     pub(crate) fn lsh_params(&self) -> Option<LshParams> {
         self.cfg.lsh
@@ -573,8 +582,8 @@ impl VectorStore {
     }
 
     /// Normalizes, signs, and packs a query once; the result feeds every
-    /// segment probe of every shard (shards share seed and dimension, hence
-    /// hyperplanes).
+    /// segment probe of every shard (shards share seed, dimension and
+    /// router, hence hyperplanes and thresholds).
     ///
     /// # Panics
     /// If `q.len()` differs from the store dimension.
@@ -588,7 +597,7 @@ impl VectorStore {
         );
         let mut nq = q.to_vec();
         crate::simd::l2_normalize(&mut nq);
-        let packed = self.has_lsh().then(|| pack_signature(&signature_of(&self.planes, &nq)));
+        let packed = self.signer.as_ref().map(|s| s.sign(&nq));
         PreparedQuery { nq, packed }
     }
 
@@ -694,6 +703,16 @@ impl VectorStore {
     }
 
     // --- lifecycle ---------------------------------------------------------
+
+    /// Centres the signature hyperplanes on `centre` (see
+    /// [`new`](Self::new)). When that moves any threshold, every row's
+    /// signature is stale: the compaction rewrite re-signs them all.
+    pub(crate) fn recentre(&mut self, centre: Option<&[f32]>) {
+        let Some(signer) = &mut self.signer else { return };
+        if signer.recentre(centre) && !self.segments.is_empty() {
+            self.compact();
+        }
+    }
 
     /// Runs the configured [`CompactionPolicy`] after a mutation.
     fn maybe_compact(&mut self) {
@@ -1254,7 +1273,7 @@ mod tests {
         for (cfg, bucketed) in
             [(StoreConfig::with_lsh(params), true), (StoreConfig::quantized(params), false)]
         {
-            let mut slab = VectorStore::new(16, StoreConfig { seal_threshold: 8, ..cfg });
+            let mut slab = VectorStore::new(16, StoreConfig { seal_threshold: 8, ..cfg }, None);
             for (id, v) in vecs.iter().enumerate() {
                 let mut nv = v.clone();
                 crate::simd::l2_normalize(&mut nv);

@@ -250,7 +250,7 @@ const fn crc32_table() -> [u32; 256] {
 }
 
 /// CRC32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`. Shared by the
-/// WAL frame codec and the `TBIX` v4 snapshot footer.
+/// WAL frame codec and the `TBIX` v5 snapshot footer.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {

@@ -7,8 +7,10 @@
 //!   threshold;
 //! * a quantized store answers bitwise the same whichever candidate source
 //!   the caller names, at every `nprobe`;
-//! * the flat `ShardedStore::new(dim, 1, cfg)` equals the N-shard store at
-//!   full fan-out;
+//! * the flat store equals the N-shard store at full fan-out — under hash
+//!   routing `ShardedStore::new(dim, 1, cfg)`, under IVF routing a one-cell
+//!   `IvfRouter::train` over the same sample, whose mean (and therefore
+//!   whose signature thresholds) the N-cell router shares;
 //! * an engine configured with `NprobePolicy::Fixed(n)` answers — and
 //!   caches — exactly what `search_probed(.., n)` returns.
 
@@ -172,8 +174,11 @@ proptest! {
     }
 
     /// The flat store is the reference: an N-shard store — hash- or
-    /// IVF-routed — answers full fan-out queries bitwise like
-    /// `ShardedStore::new(dim, 1, cfg)` after the same mutation script.
+    /// IVF-routed — answers full fan-out queries bitwise like the one-shard
+    /// store under the same kind of router after the same mutation script.
+    /// (An IVF store signs at its router's mean, which a one-cell router
+    /// trained on the same sample shares; the hash-routed flat store signs
+    /// through the origin.)
     #[test]
     fn flat_store_equals_n_shard_store_at_full_fanout(
         seed in 0u64..10_000,
@@ -183,7 +188,7 @@ proptest! {
         let (quantized, ivf, n_shards) = layout(cell);
         let items = corpus(seed);
         let cfg = config(quantized, seed);
-        let flat = churned_store(&items, cfg, 1, false, seed, n_mutations);
+        let flat = churned_store(&items, cfg, 1, ivf, seed, n_mutations);
         let sharded = churned_store(&items, cfg, n_shards, ivf, seed, n_mutations);
         prop_assert_eq!(flat.len(), sharded.len());
         let queries: Vec<Vec<f32>> = items.iter().step_by(7).cloned().collect();

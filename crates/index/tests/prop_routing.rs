@@ -1,12 +1,16 @@
 //! Property tests for learned IVF routing: full-fan-out probes must be
-//! bit-identical to hash routing, `nprobe = nlist/4` must keep
-//! recall@10 ≥ 0.95 on clustered corpora, TBIX round-trips must restore
-//! every routing decision exactly, and rebalancing under churn must never
-//! change a top-k bit.
+//! bit-identical to a flat store under the same centring (hash routing
+//! where there are no signatures, a one-cell router trained on the same
+//! sample where there are), `nprobe = nlist/4` must keep recall@10 ≥ 0.95
+//! on clustered corpora, TBIX round-trips must restore every routing
+//! decision exactly, rebalancing under churn must never change a top-k bit,
+//! and installing a router then rebalancing must land on the store that
+//! router would have built.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tabbin_index::{
     ExactScan, HashRouter, IvfRouter, LshParams, Router, ShardedStore, StoreConfig,
@@ -53,20 +57,28 @@ proptest! {
 
     /// Property (a): with `nprobe == nlist` the probe set is every shard,
     /// and because merged top-k is shard-layout-independent, an IVF-routed
-    /// store answers bit-for-bit like a hash-routed one — exact and
-    /// quantized tiers, serial and batched.
+    /// store answers bit-for-bit like one flat store with the same
+    /// signature centre — serial and batched. On the exact tier without
+    /// LSH there are no signatures and the reference is hash routing; on
+    /// the quantized tier it is a one-cell router trained on the same
+    /// sample, whose mean the 8-cell router shares.
     #[test]
     fn full_fanout_is_bit_identical_to_hash_routing(seed in 0u64..10_000) {
         const N_SHARDS: usize = 8;
         let vecs = clustered(6, 20, 16, seed);
-        for cfg in [exact_cfg(), quantized_cfg()] {
+        for (cfg, name) in [(exact_cfg(), "hash"), (quantized_cfg(), "ivf")] {
             let ivf = ivf_store(&vecs, N_SHARDS, cfg);
-            let mut hash = ShardedStore::new(16, N_SHARDS, cfg);
-            for v in &vecs {
-                hash.insert(v);
-            }
+            let hash = if name == "hash" {
+                let mut hash = ShardedStore::new(16, N_SHARDS, cfg);
+                for v in &vecs {
+                    hash.insert(v);
+                }
+                hash
+            } else {
+                ivf_store(&vecs, 1, cfg)
+            };
             prop_assert_eq!(ivf.router_name(), "ivf");
-            prop_assert_eq!(hash.router_name(), "hash");
+            prop_assert_eq!(hash.router_name(), name);
             let queries: Vec<Vec<f32>> = vecs.iter().step_by(7).cloned().collect();
             for q in &queries {
                 let a = ivf.search_probed(q, 5, &ExactScan, N_SHARDS);
@@ -186,6 +198,60 @@ proptest! {
         }
         // Rebalance must be idempotent once every row sits in its cell.
         prop_assert_eq!(store.rebalance(), 0);
+    }
+
+    /// Property (e): installing a trained router on a populated, churned,
+    /// hash-routed quantized store and rebalancing re-signs every row at
+    /// the router's mean and moves it to its cell — after which the store
+    /// answers bitwise like a fresh store built with that router over the
+    /// same live rows, at every `nprobe`.
+    #[test]
+    fn install_then_rebalance_equals_a_fresh_routed_store(
+        seed in 0u64..10_000,
+        n_mutations in 0usize..30,
+    ) {
+        const NLIST: usize = 4;
+        let vecs = clustered(4, 20, 16, seed);
+        let mut store = ShardedStore::new(16, NLIST, quantized_cfg());
+        // The raw vector behind every live id, for the fresh store.
+        let mut live = BTreeMap::new();
+        for (id, v) in (0u64..).zip(&vecs) {
+            store.upsert(id, v);
+            live.insert(id, v.clone());
+        }
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(29));
+        for _ in 0..n_mutations {
+            let id = rng.random_range(0u64..vecs.len() as u64);
+            if rng.random_range(0..3) == 0 {
+                store.delete(id);
+                live.remove(&id);
+            } else {
+                let v = vecs[rng.random_range(0..vecs.len())].clone();
+                store.upsert(id, &v);
+                live.insert(id, v);
+            }
+        }
+        let router = Arc::new(IvfRouter::train(&vecs, NLIST, seed));
+        store.install_router(router.clone());
+        store.rebalance();
+
+        let mut fresh = ShardedStore::with_router(16, NLIST, quantized_cfg(), router);
+        for (&id, v) in &live {
+            fresh.upsert(id, v);
+        }
+        prop_assert_eq!(store.len(), fresh.len());
+        for q in vecs.iter().step_by(6) {
+            for nprobe in 1..=NLIST {
+                for k in [1, 5, 12] {
+                    let got = store.search_probed(q, k, &ExactScan, nprobe);
+                    let want = fresh.search_probed(q, k, &ExactScan, nprobe);
+                    prop_assert!(got == want, "nprobe {}, k {}: {:?} vs {:?}", nprobe, k, got, want);
+                    for (a, b) in got.iter().zip(&want) {
+                        prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     /// Satellite pin: training is bit-deterministic — two routers trained

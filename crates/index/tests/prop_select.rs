@@ -1,15 +1,20 @@
 //! The quantized tier pinned bitwise — ids and score bits — to a brute-force
-//! reference written from public primitives alone: take the probed live
-//! rows, sort them by (Hamming distance, id), keep `r = rerank_factor × k`,
-//! dot re-rank them, keep `k`. Whatever the store does to get there
-//! (counting select, location-addressed re-rank, shard layout, tombstones
-//! left in place), it must land on exactly that list.
+//! reference written from public primitives alone: sign every probed live
+//! row and the query at the router's thresholds (bit `j` is
+//! `dot(P_j, v) ≥ dot(P_j, μ)` for the IVF router's sample mean μ, and
+//! `dot(P_j, v) ≥ 0` under hash routing), sort the rows by (Hamming
+//! distance, id), keep `r = rerank_factor × k`, dot re-rank them, keep `k`.
+//! Whatever the store does to get there (counting select,
+//! location-addressed re-rank, shard layout, tombstones left in place), it
+//! must land on exactly that list.
 //!
-//! The corpora include **concentrated** signatures — one large shared
-//! component plus small noise, so most distances are 0–3 bits and hundreds
-//! of rows tie at the cut — the regime the `e2e` benchmark's real TabBiN
-//! embeddings run in. Geometries cover 16, 128 and 320 signature bits (one,
-//! two and five packed words: the fixed-width and the wide Hamming kernels).
+//! The corpora include **concentrated** rows — one large shared component
+//! plus small noise. Signed through the origin (hash routing) most
+//! distances are 0–3 bits and hundreds of rows tie at the cut, the regime
+//! uncentred TabBiN embeddings put the `e2e` benchmark in; centred on the
+//! IVF router's mean, the same rows spread across the signature width.
+//! Geometries cover 16, 128 and 320 signature bits (one, two and five packed
+//! words: the fixed-width and the wide Hamming kernels).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,6 +68,9 @@ struct Fixture {
     /// The IVF router when the store has one (`None` = hash, full fan-out).
     router: Option<Arc<IvfRouter>>,
     planes: Vec<Vec<f32>>,
+    /// One threshold per plane: `dot(P_j, μ)` under the IVF router, zero
+    /// under hash routing.
+    thresholds: Vec<f32>,
     /// Every live id with its packed signature, signed from the stored
     /// (normalized) vector.
     live: BTreeMap<u64, Vec<u64>>,
@@ -100,14 +108,23 @@ impl Fixture {
         }
         let lsh = cfg.lsh.expect("quantized config has LSH");
         let planes = random_planes(lsh.bands * lsh.rows_per_band, DIM, cfg.seed);
-        let live = live
-            .into_iter()
-            .map(|id| {
-                let v = store.get(id).expect("live id");
-                (id, pack_signature(&signature_of(&planes, v)))
-            })
-            .collect();
-        Self { store, router, planes, live }
+        let thresholds = match &router {
+            Some(r) => {
+                planes.iter().map(|p| dot(p, r.mean().expect("IVF keeps its mean"))).collect()
+            }
+            None => vec![0.0; planes.len()],
+        };
+        let mut fx = Self { store, router, planes, thresholds, live: BTreeMap::new() };
+        fx.live =
+            live.into_iter().map(|id| (id, fx.sign(fx.store.get(id).expect("live id")))).collect();
+        fx
+    }
+
+    /// `v`'s packed signature at the router's thresholds.
+    fn sign(&self, v: &[f32]) -> Vec<u64> {
+        let bits: Vec<bool> =
+            self.planes.iter().zip(&self.thresholds).map(|(p, &t)| dot(p, v) >= t).collect();
+        pack_signature(&bits)
     }
 
     fn delete(&mut self, id: u64) {
@@ -123,7 +140,7 @@ impl Fixture {
             Some(r) => r.probe(nq, nprobe, n),
             None => (0..n).collect(),
         };
-        let qsig = pack_signature(&signature_of(&self.planes, nq));
+        let qsig = self.sign(nq);
         let mut rows: Vec<(u32, u64, &[f32])> = self
             .live
             .iter()
@@ -252,6 +269,31 @@ proptest! {
                     fx.reference(q, 40, nprobe));
             }
         }
+    }
+
+    /// Hash routing signs through the origin: the reference's thresholds are
+    /// zero and its signatures are `signature_of`'s, bit for bit. Centred
+    /// on the IVF router's mean, the concentrated corpus's distances spread
+    /// out: most rows sit past 3 bits and the cut no longer ties past `r`.
+    #[test]
+    fn centring_on_the_router_mean_spreads_concentrated_signatures(seed in 0u64..10_000) {
+        let items = corpus(480, 0.01, seed);
+        let cfg = config(LshParams::default_blocking(), seed);
+        let hash = Fixture::new(&items, cfg, 4, false, 0);
+        for (id, sig) in hash.live.iter().step_by(23) {
+            let v = hash.store.get(*id).expect("live id");
+            prop_assert_eq!(sig, &pack_signature(&signature_of(&hash.planes, v)));
+        }
+        let ivf = Fixture::new(&items, cfg, 4, true, 0);
+        let q = normalized(&items[7]);
+        let coarse = ivf.coarse(&q, 4);
+        let r = 10 * DEFAULT_RERANK_FACTOR;
+        let cut = coarse[r - 1].0;
+        let at_cut = coarse.iter().filter(|&&(d, _, _)| d == cut).count();
+        let near = coarse.iter().filter(|&&(d, _, _)| d <= 3).count();
+        prop_assert!(near * 4 < coarse.len(), "{} of {} rows within 3 bits", near, coarse.len());
+        prop_assert!(at_cut <= r, "{} rows tie at the cut", at_cut);
+        ivf.check(&items[7]);
     }
 
     /// Tombstones exactly at the cut distance (and under it) stay in their

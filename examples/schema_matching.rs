@@ -15,7 +15,6 @@ use tabbin_core::config::ModelConfig;
 use tabbin_core::pretrain::PretrainOptions;
 use tabbin_core::variants::TabBiNFamily;
 use tabbin_corpus::{generate, Dataset, GenOptions, FILLER_SEM_ID};
-use tabbin_eval::center;
 use tabbin_index::{
     EngineConfig, IvfRouter, LshCandidates, LshParams, NprobePolicy, QueryEngine, ShardedStore,
     StoreConfig,
@@ -30,7 +29,7 @@ fn main() {
     // Embed every non-filler column with the colcomp composite, one batched
     // pass per table (parameters placed once per segment model).
     let mut refs = Vec::new();
-    let mut embs: Vec<Vec<f32>> = Vec::new();
+    let mut embs = Vec::new();
     for (ti, lt) in corpus.tables.iter().enumerate() {
         let columns = family.embed_columns(&lt.table);
         for (ci, &sem) in lt.column_sem.iter().enumerate() {
@@ -43,13 +42,13 @@ fn main() {
     }
     println!("embedded {} columns from {} tables", embs.len(), tables.len());
 
-    // Transformer embeddings are anisotropic; center them so hyperplane LSH
-    // can separate the clusters, then index them in a sharded store whose
-    // shards maintain banded LSH buckets incrementally as the vectors
-    // arrive (IVF-routed: a k-means coarse quantizer trained on the centered
-    // embeddings places each column under its nearest centroid; every shard
-    // still hashes with the same planes).
-    center(&mut embs);
+    // Index the columns in a sharded store whose shards maintain banded LSH
+    // buckets incrementally as the vectors arrive (IVF-routed: a k-means
+    // coarse quantizer trained on the embeddings places each column under
+    // its nearest centroid). Transformer embeddings are anisotropic, so
+    // every shard hashes with the same planes centred on the router's
+    // sample mean: hyperplanes through the origin would give nearly every
+    // column the same bits.
     // The exact tier with LSH on is the paper's recipe: the band buckets
     // block, the f32 kernel scores what survives. (A quantized store would
     // sweep every signature instead and never consult the buckets.)
