@@ -9,7 +9,7 @@
 //! (§3.3).
 
 use crate::config::{ModelConfig, SegmentKind};
-use tabbin_table::coords::{assign_coordinates, BiCoord, TableCoordinates};
+use tabbin_table::coords::{for_each_axis_path, path_pair};
 use tabbin_table::visibility::{visibility_matrix, SeqItem};
 use tabbin_table::{CellValue, MetaNode, MetaTree, Table};
 use tabbin_tokenizer::{Piece, SpecialToken, Tokenizer};
@@ -117,14 +117,14 @@ pub fn encode_column(
     tagger: &TypeTagger,
     cfg: &ModelConfig,
 ) -> EncodedSequence {
-    let coords = assign_coordinates(table);
+    let tpos = DataTpos::new(table);
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(0, j as u32);
     for i in 0..table.n_rows() {
         if b.full() {
             break;
         }
-        b.data_cell(table, &coords, i, j);
+        b.data_cell(table, &tpos, i, j);
     }
     b.finish()
 }
@@ -137,14 +137,14 @@ pub fn encode_row(
     tagger: &TypeTagger,
     cfg: &ModelConfig,
 ) -> EncodedSequence {
-    let coords = assign_coordinates(table);
+    let tpos = DataTpos::new(table);
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     b.cls(i as u32, 0);
     for j in 0..table.n_cols() {
         if b.full() {
             break;
         }
-        b.data_cell(table, &coords, i, j);
+        b.data_cell(table, &tpos, i, j);
     }
     b.finish()
 }
@@ -169,12 +169,12 @@ fn encode_data(
     tagger: &TypeTagger,
     cfg: &ModelConfig,
 ) -> EncodedSequence {
-    let coords = assign_coordinates(table);
+    let tpos = DataTpos::new(table);
     let mut b = SeqBuilder::new(tok, tagger, cfg);
     let (outer, inner) =
         if row_major { (table.n_rows(), table.n_cols()) } else { (table.n_cols(), table.n_rows()) };
     // Once the builder is full every further call is a no-op, so stop
-    // walking cells (and looking their coordinates up) right there.
+    // walking cells right there.
     'walk: for a in 0..outer {
         let (r0, c0) = if row_major { (a, 0) } else { (0, a) };
         b.cls(r0 as u32, c0 as u32);
@@ -183,10 +183,36 @@ fn encode_data(
                 break 'walk;
             }
             let (i, j) = if row_major { (a, bidx) } else { (bidx, a) };
-            b.data_cell(table, &coords, i, j);
+            b.data_cell(table, &tpos, i, j);
         }
     }
     b.finish()
+}
+
+/// Data cells' `E_tpos` inputs, read per axis: cell `(i, j)` takes row
+/// `i`'s vertical `(first, last)` pair and column `j`'s horizontal one —
+/// the paper's definition of a cell coordinate (§2.3), and exactly
+/// `assign_coordinates(table).data_coord(i, j).tpos_indices()`, with no
+/// coordinate built or searched per cell.
+struct DataTpos {
+    rows: Vec<(u16, u16)>,
+    cols: Vec<(u16, u16)>,
+}
+
+impl DataTpos {
+    fn new(table: &Table) -> Self {
+        let pairs = |tree: &MetaTree, n: usize| {
+            let mut out = Vec::with_capacity(n);
+            for_each_axis_path(tree, n, |p| out.push(path_pair(p)));
+            out
+        };
+        Self { rows: pairs(&table.vmd, table.n_rows()), cols: pairs(&table.hmd, table.n_cols()) }
+    }
+
+    fn at(&self, i: usize, j: usize) -> [u16; 6] {
+        let ((vr, vc), (hr, hc)) = (self.rows[i], self.cols[j]);
+        [vr, vc, hr, hc, 0, 0]
+    }
 }
 
 fn encode_metadata(
@@ -227,11 +253,7 @@ fn encode_meta_node(
     } else {
         (first_leaf as u32, depth as u32)
     };
-    let (first, last) = match path.as_slice() {
-        [] => (0, 0),
-        [only] => (*only, *only),
-        [f, .., l] => (*f, *l),
-    };
+    let (first, last) = path_pair(path);
     // Metadata's own axis carries the tree path; the cross axis is empty.
     let tpos: [u16; 6] =
         if horizontal { [0, 0, first, last, 0, 0] } else { [first, last, 0, 0, 0, 0] };
@@ -313,9 +335,8 @@ impl<'a> SeqBuilder<'a> {
     }
 
     /// Appends data cell `(i, j)` of `table` and its `[SEP]`.
-    fn data_cell(&mut self, table: &Table, coords: &TableCoordinates, i: usize, j: usize) {
-        let tpos = coords.data_coord(i, j).map_or([0; 6], BiCoord::tpos_indices);
-        self.cell(table.data.get(i, j), tpos, i as u32, j as u32);
+    fn data_cell(&mut self, table: &Table, tpos: &DataTpos, i: usize, j: usize) {
+        self.cell(table.data.get(i, j), tpos.at(i, j), i as u32, j as u32);
         self.sep(i as u32, j as u32);
     }
 

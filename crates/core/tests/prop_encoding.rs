@@ -8,6 +8,7 @@ use tabbin_core::encoding::{
 };
 use tabbin_core::variants::train_tokenizer;
 use tabbin_corpus::{generate, Dataset, GenOptions};
+use tabbin_table::coords::{assign_coordinates, for_each_axis_path, path_pair};
 use tabbin_table::{CellValue, Table, Unit};
 use tabbin_tokenizer::Tokenizer;
 use tabbin_typeinfer::TypeTagger;
@@ -190,4 +191,54 @@ fn generated_tables_encode_as_before_the_allocation_light_encoder() {
         }
         assert_eq!(h, want, "{}: digest {h:#018x}", ds.name());
     }
+}
+
+/// The encoder reads a data cell's coordinate per axis — row `i`'s
+/// vertical pair and column `j`'s horizontal pair — instead of building
+/// every cell's `BiCoord`. Pin that against `assign_coordinates` for every
+/// cell of all five profiles, hierarchical and nested tables included:
+/// the public per-axis helper directly, and every data token the encoder
+/// emits with room for the whole table.
+#[test]
+fn per_axis_tpos_equals_assign_coordinates_on_every_profile() {
+    let tagger = TypeTagger::new();
+    let cfg = ModelConfig {
+        max_seq: 1 << 16,
+        max_cell_tokens: 1 << 10,
+        max_coord: u16::MAX as usize,
+        ..ModelConfig::tiny()
+    };
+    let (mut hierarchical, mut nested, mut tokens) = (0, 0, 0usize);
+    for ds in Dataset::ALL {
+        let tables = generate(ds, &GenOptions { n_tables: Some(48), seed: 11 }).plain_tables();
+        let tok = train_tokenizer(&tables[..24]);
+        for t in &tables {
+            hierarchical += usize::from(t.hmd.is_hierarchical() || t.vmd.is_hierarchical());
+            nested += usize::from(t.has_nesting());
+            let coords = assign_coordinates(t);
+            let want =
+                |r: usize, c: usize| coords.data_coord(r, c).expect("every cell").tpos_indices();
+            let (mut rows, mut cols) = (Vec::new(), Vec::new());
+            for_each_axis_path(&t.vmd, t.n_rows(), |p| rows.push(path_pair(p)));
+            for_each_axis_path(&t.hmd, t.n_cols(), |p| cols.push(path_pair(p)));
+            for (r, c, _) in t.data.iter_indexed() {
+                let ((vr, vc), (hr, hc)) = (rows[r], cols[c]);
+                assert_eq!([vr, vc, hr, hc, 0, 0], want(r, c), "{}: cell ({r},{c})", ds.name());
+            }
+            for kind in [SegmentKind::DataRow, SegmentKind::DataColumn] {
+                let seq = encode_segment(t, kind, &tok, &tagger, &cfg);
+                for tk in seq.tokens.iter().filter(|tk| !tk.special) {
+                    let (r, c) = (tk.row as usize, tk.col as usize);
+                    let want = want(r, c);
+                    // A nested table's tokens keep the host's four axis
+                    // indices and number their own position in the last two.
+                    let n = if t.data.get(r, c).is_nested() { 4 } else { 6 };
+                    assert_eq!(tk.tpos[..n], want[..n], "{}: token of cell ({r},{c})", ds.name());
+                    tokens += 1;
+                }
+            }
+        }
+    }
+    assert!(hierarchical > 0 && nested > 0, "the profiles cover hierarchy and nesting");
+    assert!(tokens > 0);
 }

@@ -48,11 +48,11 @@
 //!   (`tabbin_core::batch`) streams into, implemented by [`ShardedStore`]
 //!   (and by [`QueryEngine`], which invalidates its cache as it inserts).
 //! * [`lsh`] — the SimHash primitives.
-//! * [`wal`] — durability: per-shard write-ahead logs with CRC32-framed
-//!   records and global LSNs, group commit under a [`DurabilityPolicy`],
-//!   a manifest tying live segments to the snapshot they fold into, and
-//!   torn-tail-tolerant replay. `ShardedStore::open_durable` recovers a
-//!   crashed store bit-identical to its durable prefix.
+//! * [`wal`] — durability: one write-ahead log per store with CRC32-framed
+//!   records, group commit under a [`DurabilityPolicy`], a manifest tying
+//!   live segments to the snapshot they fold into, and torn-tail-tolerant
+//!   replay. `ShardedStore::open_durable` recovers a crashed store
+//!   bit-identical to its durable prefix.
 
 pub mod candidates;
 pub mod engine;

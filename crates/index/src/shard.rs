@@ -58,6 +58,11 @@
 //! Snapshots persist through the `TBIX` v5 binary codec
 //! ([`crate::snapshot`]): one merged entry list plus the shard count, and
 //! the router section (centroids and sample mean) under a learned router.
+//!
+//! A durable store ([`ShardedStore::open_durable`]) journals every
+//! mutation in **one** write-ahead log ([`crate::wal`]) whatever its shard
+//! count: an upsert or move record names its destination shard, so replay
+//! restores physical placement, and a group commit fsyncs one file.
 
 use crate::candidates::CandidateSource;
 use crate::engine::Queryable;
@@ -352,43 +357,52 @@ impl ShardedStore {
         let n = self.shards.len();
         let mut ids: Vec<u64> = self.placements.keys().copied().collect();
         ids.sort_unstable();
-        let mut moves: Vec<(u64, usize, usize, Vec<f32>)> = Vec::new();
+        let mut moves: Vec<(u64, usize, Vec<f32>)> = Vec::new();
         for id in ids {
             let from = self.placements[&id] as usize;
             let Some(v) = self.shards[from].get(id) else { continue };
             let to = self.router.place(id, v, n);
             if to != from {
-                moves.push((id, from, to, v.to_vec()));
+                moves.push((id, to, v.to_vec()));
             }
         }
-        for (id, from, to, v) in &moves {
-            self.shards[*from].delete(*id);
-            self.shards[*to].upsert_normalized(*id, v);
-            self.placements.insert(*id, *to as u32);
+        for (id, to, v) in &moves {
+            self.place(*id, *to, v);
         }
-        // Moves log in their destination shard only (no source-side
-        // tombstone record) and the whole batch group-commits once — one
+        // One record per move, naming the destination (no source-side
+        // tombstone record), and the whole batch group-commits once — one
         // fsync for the entire rebalance under `Always`.
+        let moved = moves.len();
         if let Some(wal) = &self.wal {
             let mut w = wal.lock().expect("WAL lock poisoned");
-            for (id, _, to, v) in &moves {
-                w.append(*to, &WalRecord::Move { id: *id, vector: v.clone() })
+            for (id, to, vector) in moves {
+                w.append(&WalRecord::Move { id, shard: to as u32, vector })
                     .expect("WAL append failed; refusing to acknowledge an unlogged rebalance");
             }
             w.commit().expect("WAL commit failed");
         }
         self.reset_residuals();
-        moves.len()
+        moved
+    }
+
+    /// Puts the normalized `v` under `id` in `shard`, tombstoning the copy
+    /// a previous placement left in another shard.
+    fn place(&mut self, id: u64, shard: usize, v: &[f32]) {
+        if let Some(old) = self.placements.insert(id, shard as u32) {
+            if old as usize != shard {
+                self.shards[old as usize].delete(id);
+            }
+        }
+        self.shards[shard].upsert_normalized(id, v);
     }
 
     /// Appends one record and commits per the policy. Panics on I/O
     /// failure: a durable store must never acknowledge a mutation its log
     /// rejected — crashing is the honest outcome.
-    fn log_mutation(&mut self, shard: usize, rec: WalRecord) {
+    fn log_mutation(&mut self, rec: WalRecord) {
         let Some(wal) = &self.wal else { return };
         let mut w = wal.lock().expect("WAL lock poisoned");
-        w.append(shard, &rec)
-            .expect("WAL append failed; refusing to acknowledge an unlogged mutation");
+        w.append(&rec).expect("WAL append failed; refusing to acknowledge an unlogged mutation");
         w.commit().expect("WAL commit failed");
     }
 
@@ -464,23 +478,17 @@ impl ShardedStore {
         let mut nv = v.to_vec();
         l2_normalize(&mut nv);
         let target = self.router.place(id, &nv, self.shards.len());
-        if let Some(&old) = self.placements.get(&id) {
-            if old as usize != target {
-                self.shards[old as usize].delete(id);
-            }
-        }
-        self.shards[target].upsert_normalized(id, &nv);
-        self.placements.insert(id, target as u32);
+        self.place(id, target, &nv);
         if let Some(res) = self.router.residual(&nv, target) {
             self.residuals[target].0 += res;
             self.residuals[target].1 += 1;
         }
         self.next_id = self.next_id.max(id + 1);
-        // One record per mutation, in the *destination* shard's log: the
+        // One record per mutation, naming the destination shard: the
         // record is an absolute state assignment for the id, so the
-        // tombstone in the old shard needs no record of its own (replay's
-        // winner rule deletes loser copies).
-        self.log_mutation(target, WalRecord::Upsert { id, vector: nv });
+        // tombstone in the old shard needs no record of its own (replay
+        // tombstones it the same way).
+        self.log_mutation(WalRecord::Upsert { id, shard: target as u32, vector: nv });
     }
 
     /// Tombstones `id` in its shard; returns whether it was live.
@@ -490,7 +498,7 @@ impl ShardedStore {
         let was_live = self.shards[shard].delete(id);
         if was_live {
             // Deleting a dead id is a no-op and logs nothing.
-            self.log_mutation(shard, WalRecord::Delete { id });
+            self.log_mutation(WalRecord::Delete { id });
         }
         was_live
     }
@@ -762,7 +770,7 @@ impl ShardedStore {
 
     /// Opens (or creates) a durable store rooted at `dir`: loads the
     /// snapshot the WAL manifest references (if any), replays every
-    /// surviving log record, and attaches the per-shard logs so all
+    /// surviving log record, and attaches the store's log so all
     /// subsequent mutations are journaled under `cfg.durability`. See
     /// [`crate::wal`] for the format and recovery guarantees.
     pub fn open_durable(
@@ -792,12 +800,10 @@ impl ShardedStore {
     /// crash-recovery property tests pass a fault shim that kills the log
     /// at an arbitrary byte offset) and optional fresh-case router.
     ///
-    /// Replay applies the surviving records of *all* shards in global LSN
-    /// order. Each record is an absolute state assignment, so later
-    /// records win over earlier ones and a torn tail in one shard's log
-    /// cannot resurrect a copy a surviving later record superseded — the
-    /// recovered store is bit-identical to a store that executed exactly
-    /// the durable prefix.
+    /// Replay applies the surviving records in log order. The log is one
+    /// total order whose first torn frame ends it, so the recovered store
+    /// is bit-identical to a store that executed exactly the durable
+    /// prefix of the acknowledged history.
     pub fn open_durable_with(
         dir: &Path,
         dim: usize,
@@ -806,7 +812,7 @@ impl ShardedStore {
         router: Option<Arc<dyn Router>>,
         storage: Box<dyn Storage>,
     ) -> io::Result<Self> {
-        let (wal, recovery) = WalSet::open(dir, n_shards, cfg.durability, storage)?;
+        let (wal, recovery) = WalSet::open(dir, dim, n_shards, cfg.durability, storage)?;
         let mut store = match &recovery.snapshot {
             Some(path) => {
                 let loaded = Self::load(path)?;
@@ -829,34 +835,19 @@ impl ShardedStore {
             },
         };
 
-        // Merge the per-shard logs into one globally LSN-ordered history
-        // and replay it through the normal (unlogged — the WAL attaches
-        // below) mutation steps. The shard each record lands in is the
-        // shard whose log held it, not what the current router would pick:
-        // physical placement survives restarts even when the router that
-        // produced it did not.
-        let mut history: Vec<(u64, usize, &WalRecord)> = Vec::new();
-        for (shard, recs) in recovery.records.iter().enumerate() {
-            for (lsn, rec) in recs {
-                history.push((*lsn, shard, rec));
-            }
-        }
-        history.sort_unstable_by_key(|&(lsn, _, _)| lsn);
-        for (_, shard, rec) in history {
+        // Replay through the unlogged mutation steps (the WAL attaches
+        // below). An upsert or move lands in the shard its record names,
+        // not where the current router would put it: physical placement
+        // survives restarts even when the router that produced it did not.
+        for rec in recovery.records {
             match rec {
-                WalRecord::Upsert { id, vector } | WalRecord::Move { id, vector } => {
-                    if let Some(&old) = store.placements.get(id) {
-                        if old as usize != shard {
-                            store.shards[old as usize].delete(*id);
-                        }
-                    }
-                    store.shards[shard].upsert_normalized(*id, vector);
-                    store.placements.insert(*id, shard as u32);
-                    store.next_id = store.next_id.max(*id + 1);
+                WalRecord::Upsert { id, shard, vector } | WalRecord::Move { id, shard, vector } => {
+                    store.place(id, shard as usize, &vector);
+                    store.next_id = store.next_id.max(id + 1);
                 }
                 WalRecord::Delete { id } => {
-                    if let Some(old) = store.placements.remove(id) {
-                        store.shards[old as usize].delete(*id);
+                    if let Some(old) = store.placements.remove(&id) {
+                        store.shards[old as usize].delete(id);
                     }
                 }
             }
@@ -872,9 +863,9 @@ impl ShardedStore {
         self.wal.is_some()
     }
 
-    /// Checkpoints a durable store: flushes the logs, saves a
+    /// Checkpoints a durable store: flushes the log, saves a
     /// `snap-<lsn>.tbix` snapshot into the WAL directory, and folds —
-    /// the manifest now references the snapshot and fresh empty segments,
+    /// the manifest now references the snapshot and a fresh empty segment,
     /// and the folded segments plus the previous snapshot are deleted.
     /// Returns the fold LSN. Errors on a non-durable store.
     pub fn checkpoint(&self) -> io::Result<u64> {

@@ -1,58 +1,57 @@
-//! Durability: per-shard write-ahead logging, group commit, and replay.
+//! Durability: one write-ahead log per store, group commit, and replay.
 //!
 //! A [`WalSet`] is the durability side of a
-//! [`ShardedStore`](crate::ShardedStore): one append-only log per shard,
-//! one global LSN counter across them, and a manifest tying the live log
-//! segments to the `TBIX` snapshot they fold into. Mutations append one
-//! record *before* they are acknowledged; reopening a directory replays
-//! the snapshot plus every surviving record and lands bit-identical to
-//! the durable prefix of the crashed process (property-tested in
-//! `tests/prop_wal.rs`).
+//! [`ShardedStore`](crate::ShardedStore): one append-only log for the
+//! whole store, whatever its shard count, and a manifest tying the live
+//! log segments to the `TBIX` snapshot they fold into. Mutations append
+//! one record *before* they are acknowledged; reopening a directory
+//! replays the snapshot plus every surviving record and lands
+//! bit-identical to the durable prefix of the crashed process
+//! (property-tested in `tests/prop_wal.rs`).
 //!
-//! **Record frames.** Each log is a sequence of length-prefixed frames:
+//! **Record frames.** The log is a sequence of length-prefixed frames:
 //!
 //! | bytes | field |
 //! |-------|-------|
 //! | 4     | body length, `u32` LE |
 //! | 4     | CRC32 (IEEE) of the body, `u32` LE |
-//! | 8     | LSN, `u64` LE — globally monotonic across all shard logs |
+//! | 8     | LSN, `u64` LE — strictly increasing through the log |
 //! | 1     | kind: `0` upsert, `1` delete, `2` rebalance move |
 //! | 8     | vector id, `u64` LE |
-//! | 4+4n  | upsert/move only: component count `u32` LE, then `n × f32` LE (the L2-normalized vector, exact stored bits) |
+//! | 4+4n  | upsert/move only: destination shard `u32` LE, then `n × f32` LE (the L2-normalized vector, exact stored bits; `n` follows from the body length) |
 //!
 //! Every record is an **absolute state assignment** for its id: an upsert
 //! or move says "this id lives in this shard with these bits", a delete
-//! says "this id is dead". One mutation writes exactly one record — a
-//! cross-shard move logs only in the destination, never a paired delete
-//! in the source — so replay can resolve each id to its globally
-//! highest-LSN surviving record and per-shard torn tails still recover a
-//! state some prefix-respecting history could have produced (the "winner
-//! rule"; `ShardedStore` applies it on open).
+//! says "this id is dead" (replay finds its shard through the placement
+//! map). One mutation writes exactly one record — a cross-shard move is
+//! one record naming the destination, never a paired delete.
 //!
 //! **Group commit.** Appends always reach the OS file; `fsync` runs per
-//! [`DurabilityPolicy`]: every commit (`Always`), at most once per
-//! interval (`Interval`), or only on explicit flush/rotation (`Never`).
-//! A batch of appends (e.g. a rebalance) commits once, so the fsync cost
-//! amortizes across the batch — that is what keeps `Interval` ingest
-//! within sight of `Never` in the index bench.
+//! [`DurabilityPolicy`]: every commit (`Always`), on the first commit a
+//! window after the last sync (`Interval`), or only on explicit flush,
+//! rotation and checkpoint (`Never`). Whatever the shard count, a sync is
+//! one `fsync` of one file, and a batch of appends (e.g. a rebalance)
+//! commits once.
 //!
-//! **Torn tails.** Replay walks each log front to back and stops at the
-//! first frame that is short, oversized, CRC-mismatched, or
-//! LSN-non-monotonic; the file is truncated there and the byte count
-//! reported. Garbage never panics — a corrupt tail simply bounds the
-//! durable prefix.
+//! **Exact prefix.** Replay walks the segments front to back and stops at
+//! the first frame that is short, oversized, CRC-mismatched, or
+//! LSN-non-monotonic: that segment is truncated there, any later one
+//! emptied, and the byte count reported. The log is one total order, so
+//! the recovered store is always *exactly* a prefix of the acknowledged
+//! history. Garbage never panics. A frame whose CRC holds but whose
+//! vector is not the store's dimension, or whose shard is out of range,
+//! is no torn tail: open fails with `InvalidData` and truncates nothing.
 //!
 //! **Checkpoint lifecycle.** `ShardedStore::checkpoint` flushes, saves a
-//! `snap-<lsn>.tbix` snapshot, then calls [`WalSet::fold`]: every shard
+//! `snap-<lsn>.tbix` snapshot, then calls [`WalSet::fold`]: the log
 //! rotates to a fresh segment, the manifest is rewritten (atomically, via
-//! temp-file rename) to reference the new snapshot + fresh segments, and
+//! temp-file rename) to reference the new snapshot + fresh segment, and
 //! only then are the folded segments and the previous snapshot deleted.
 //! A crash at any point leaves either the old manifest (old snapshot +
 //! old segments, all still present) or the new one — never a manifest
 //! pointing at deleted files. Unreferenced `wal-*`/`snap-*` leftovers are
 //! garbage-collected on the next open.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -67,8 +66,11 @@ pub enum DurabilityPolicy {
     /// Fsync on every commit: nothing acknowledged is ever lost, at one
     /// fsync per mutation batch.
     Always,
-    /// Group commit: fsync at most once per this many milliseconds;
-    /// commits inside the window only buffer. Bounds loss to the window.
+    /// Group commit: a commit fsyncs once this many milliseconds have
+    /// passed since the last sync; commits inside the window only buffer.
+    /// While writes keep arriving a crash loses at most the last window.
+    /// After a burst, an idle store's tail stays unsynced until the next
+    /// commit past the window, a flush, a checkpoint, or drop.
     Interval(u64),
     /// Never fsync except on explicit flush, rotation, and checkpoint.
     /// Survives process crashes (the OS has the writes) but not host
@@ -91,10 +93,12 @@ impl fmt::Display for DurabilityPolicy {
 /// store holds, so replay re-inserts byte-identical rows.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// `id` lives in the log's shard with this vector.
+    /// `id` lives in `shard` with this vector.
     Upsert {
         /// The vector's id.
         id: u64,
+        /// The shard the row was placed in.
+        shard: u32,
         /// The L2-normalized vector, exact stored bits.
         vector: Vec<f32>,
     },
@@ -103,11 +107,13 @@ pub enum WalRecord {
         /// The vector's id.
         id: u64,
     },
-    /// A rebalance/re-route moved `id` into the log's shard. Replays like
-    /// an upsert; the distinct kind keeps logs auditable.
+    /// A rebalance/re-route moved `id` into `shard`. Replays like an
+    /// upsert; the distinct kind keeps logs auditable.
     Move {
         /// The vector's id.
         id: u64,
+        /// The shard the row moved into.
+        shard: u32,
         /// The L2-normalized vector, exact stored bits.
         vector: Vec<f32>,
     },
@@ -143,45 +149,56 @@ impl WalRecord {
         }
     }
 
-    fn vector(&self) -> Option<&[f32]> {
+    /// The placed row of an upsert or move: `(shard, vector)`.
+    fn placed(&self) -> Option<(u32, &[f32])> {
         match self {
-            WalRecord::Upsert { vector, .. } | WalRecord::Move { vector, .. } => Some(vector),
+            WalRecord::Upsert { shard, vector, .. } | WalRecord::Move { shard, vector, .. } => {
+                Some((*shard, vector))
+            }
             WalRecord::Delete { .. } => None,
         }
     }
 }
 
 /// The encoded size of `rec`'s frame, length prefix and CRC included —
-/// what one `append` adds to a log. Exposed so the fault-injection tests
+/// what one `append` adds to the log. Exposed so the fault-injection tests
 /// can compute kill offsets at and inside frame boundaries.
 pub fn frame_len(rec: &WalRecord) -> usize {
-    8 + BODY_FIXED + rec.vector().map_or(0, |v| 4 + 4 * v.len())
+    8 + BODY_FIXED + rec.placed().map_or(0, |(_, v)| 4 + 4 * v.len())
 }
 
-/// Encodes one record frame: `[len][crc][lsn, kind, id, vector?]`.
-pub(crate) fn encode_frame(lsn: u64, rec: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(frame_len(rec) - 8);
-    body.extend_from_slice(&lsn.to_le_bytes());
-    body.push(rec.kind());
-    body.extend_from_slice(&rec.id().to_le_bytes());
-    if let Some(v) = rec.vector() {
-        body.extend_from_slice(&(v.len() as u32).to_le_bytes());
+/// Encodes one record frame, `[len][crc][lsn, kind, id, shard?, vector?]`,
+/// into `out` (cleared first).
+pub(crate) fn encode_frame(out: &mut Vec<u8>, lsn: u64, rec: &WalRecord) {
+    out.clear();
+    out.reserve(frame_len(rec));
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out.push(rec.kind());
+    out.extend_from_slice(&rec.id().to_le_bytes());
+    if let Some((shard, v)) = rec.placed() {
+        out.extend_from_slice(&shard.to_le_bytes());
         for x in v {
-            body.extend_from_slice(&x.to_le_bytes());
+            out.extend_from_slice(&x.to_le_bytes());
         }
     }
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let (len, crc) = ((out.len() - 8) as u32, crc32(&out[8..]));
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes every intact frame of one log, stopping at the first torn or
-/// corrupt one. Returns the records and the byte length of the valid
-/// prefix; LSNs must be strictly increasing and above `after`.
-fn decode_log(bytes: &[u8], mut after: u64) -> (Vec<(u64, WalRecord)>, usize) {
-    let mut records = Vec::new();
+/// Decodes the intact frames of one segment into `out`, stopping at the
+/// first torn or corrupt one, and returns the byte length of the valid
+/// prefix. LSNs must be strictly increasing and above `*after`, which
+/// advances past every decoded frame. A CRC-valid frame whose vector is
+/// not `dim` long or whose shard is not below `shards` is an error.
+fn decode_log(
+    bytes: &[u8],
+    after: &mut u64,
+    dim: usize,
+    shards: usize,
+    out: &mut Vec<WalRecord>,
+) -> io::Result<usize> {
     let mut pos = 0usize;
     while bytes.len() - pos >= 8 {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
@@ -198,7 +215,7 @@ fn decode_log(bytes: &[u8], mut after: u64) -> (Vec<(u64, WalRecord)>, usize) {
             break;
         }
         let lsn = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-        if lsn <= after {
+        if lsn <= *after {
             break;
         }
         let kind = body[8];
@@ -206,27 +223,32 @@ fn decode_log(bytes: &[u8], mut after: u64) -> (Vec<(u64, WalRecord)>, usize) {
         let rec = match kind {
             KIND_DELETE if body.len() == BODY_FIXED => WalRecord::Delete { id },
             KIND_UPSERT | KIND_MOVE if body.len() >= BODY_FIXED + 4 => {
-                let n = u32::from_le_bytes(body[17..21].try_into().expect("4 bytes")) as usize;
-                if body.len() != BODY_FIXED + 4 + 4 * n {
-                    break;
+                let shard = u32::from_le_bytes(body[17..21].try_into().expect("4 bytes"));
+                let tail = &body[21..];
+                if tail.len() != 4 * dim || shard as usize >= shards {
+                    return Err(invalid(format!(
+                        "WAL frame at LSN {lsn} holds a {}-byte vector for shard {shard}, \
+                         but the store is {dim}-dim × {shards}-shard",
+                        tail.len()
+                    )));
                 }
-                let vector = body[21..]
+                let vector = tail
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
                     .collect();
                 if kind == KIND_UPSERT {
-                    WalRecord::Upsert { id, vector }
+                    WalRecord::Upsert { id, shard, vector }
                 } else {
-                    WalRecord::Move { id, vector }
+                    WalRecord::Move { id, shard, vector }
                 }
             }
             _ => break,
         };
-        records.push((lsn, rec));
-        after = lsn;
+        out.push(rec);
+        *after = lsn;
         pos = body_end;
     }
-    (records, pos)
+    Ok(pos)
 }
 
 // --- CRC32 (IEEE, reflected) ------------------------------------------------
@@ -279,42 +301,43 @@ pub trait Storage: Send {
     fn close(&mut self, _path: &Path) {}
 }
 
-/// Real files with cached append handles — the production [`Storage`].
+/// Real files behind one cached append handle — the production
+/// [`Storage`]. A log appends to one segment at a time, so one handle is
+/// all it keeps.
 #[derive(Default)]
 pub struct FsStorage {
-    handles: HashMap<PathBuf, File>,
+    open: Option<(PathBuf, File)>,
 }
 
 impl FsStorage {
-    /// An empty handle cache.
+    /// Storage with no file open yet.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn handle(&mut self, path: &Path) -> io::Result<&mut File> {
-        if !self.handles.contains_key(path) {
-            let f = OpenOptions::new().create(true).append(true).open(path)?;
-            self.handles.insert(path.to_path_buf(), f);
-        }
-        Ok(self.handles.get_mut(path).expect("handle just inserted"))
     }
 }
 
 impl Storage for FsStorage {
     fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.handle(path)?.write_all(bytes)
+        if self.open.as_ref().is_none_or(|(p, _)| p != path) {
+            let f = OpenOptions::new().create(true).append(true).open(path)?;
+            self.open = Some((path.to_path_buf(), f));
+        }
+        let (_, f) = self.open.as_mut().expect("handle just opened");
+        f.write_all(bytes)
     }
 
     fn sync(&mut self, path: &Path) -> io::Result<()> {
-        match self.handles.get(path) {
-            Some(f) => f.sync_data(),
+        match &self.open {
+            Some((p, f)) if p == path => f.sync_data(),
             // Nothing was appended through us; nothing to make durable.
-            None => Ok(()),
+            _ => Ok(()),
         }
     }
 
     fn close(&mut self, path: &Path) {
-        self.handles.remove(path);
+        if self.open.as_ref().is_some_and(|(p, _)| p == path) {
+            self.open = None;
+        }
     }
 }
 
@@ -324,75 +347,72 @@ impl Storage for FsStorage {
 /// `ShardedStore::wal_stats` and the serve tier's `Stats` reply.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Bytes of log not yet folded into a snapshot, across all shards —
-    /// the replay debt a crash right now would incur; the checkpoint
-    /// trigger signal.
+    /// Bytes of log not yet folded into a snapshot — the replay debt a
+    /// crash right now would incur; the checkpoint trigger signal.
     pub depth_bytes: u64,
     /// Highest LSN known durable (covered by an fsync).
     pub last_fsync_lsn: u64,
     /// Highest LSN appended (durable or not). `0` before any record.
     pub last_lsn: u64,
     /// The LSN the current snapshot folds; records at or below it live in
-    /// the snapshot, not the logs.
+    /// the snapshot, not the log.
     pub fold_lsn: u64,
     /// Records replayed when this `WalSet` was opened.
     pub replay_records: u64,
     /// Bytes truncated off torn/corrupt tails at open.
     pub replay_truncated_bytes: u64,
-    /// Live log segments across all shards.
+    /// Live log segments.
     pub segments: u64,
 }
 
-/// What replay-on-open found: the snapshot to load (if any), the
-/// surviving records per shard (LSN-tagged, file order), and how much
-/// torn tail was discarded. Consumed by `ShardedStore`'s durable open.
+/// What replay-on-open found: the snapshot to load (if any) and the
+/// surviving records in log order. Consumed by `ShardedStore`'s durable
+/// open; the counts land in [`WalStats`].
 #[derive(Debug)]
 pub struct Recovery {
     /// Full path of the snapshot the manifest references.
     pub snapshot: Option<PathBuf>,
-    /// Surviving `(lsn, record)`s per shard, in log order.
-    pub records: Vec<Vec<(u64, WalRecord)>>,
-    /// The snapshot's fold LSN (`0` without a snapshot).
-    pub fold_lsn: u64,
-    /// Total records across `records`.
-    pub replayed: u64,
-    /// Bytes dropped from torn or corrupt log tails.
-    pub truncated_bytes: u64,
+    /// Surviving records past the snapshot, in LSN order.
+    pub records: Vec<WalRecord>,
 }
 
-// --- the log set ------------------------------------------------------------
+// --- the log ----------------------------------------------------------------
 
 /// Default rotation threshold for one segment file.
 const DEFAULT_SEGMENT_CAP: u64 = 64 << 20;
 
 const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
-const MANIFEST_MAGIC: &str = "TBWM 1";
+const MANIFEST_VERSION: u32 = 2;
 
-/// One live segment file of one shard's log.
-#[derive(Clone, Debug)]
+/// One live segment file of the log.
+#[derive(Clone, Copy, Debug)]
 struct Segment {
     seq: u64,
-    file: String,
     bytes: u64,
 }
 
-fn segment_file(shard: usize, seq: u64) -> String {
-    format!("wal-{shard:05}-{seq:010}.log")
+fn segment_file(seq: u64) -> String {
+    format!("wal-{seq:010}.log")
 }
 
-/// The per-shard write-ahead logs of one durable store: appends, group
-/// commit, segment rotation, the manifest, and fold/GC. See the [module
+/// The write-ahead log of one durable store: appends, group commit,
+/// segment rotation, the manifest, and fold/GC. See the [module
 /// docs](self) for the format and crash-safety argument.
 pub struct WalSet {
     dir: PathBuf,
+    dim: usize,
+    shards: usize,
     policy: DurabilityPolicy,
     storage: Box<dyn Storage>,
-    /// Live segments per shard, oldest first; the last is the append
-    /// target.
-    segs: Vec<Vec<Segment>>,
-    /// Shards with appends not yet covered by an fsync.
-    dirty: Vec<bool>,
+    /// Live segments, oldest first; the last is the append target.
+    segs: Vec<Segment>,
+    /// Full path of the append target.
+    active: PathBuf,
+    /// Appends not yet covered by an fsync.
+    dirty: bool,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
     next_lsn: u64,
     last_fsync_lsn: u64,
     last_sync: Instant,
@@ -421,31 +441,37 @@ fn invalid(msg: String) -> io::Error {
 }
 
 impl WalSet {
-    /// Opens (or initializes) the log set in `dir` and replays whatever a
-    /// previous process left: reads the manifest, walks every live
-    /// segment, truncates torn tails, garbage-collects unreferenced
-    /// files, and returns the surviving records for the store to apply.
-    /// A fresh directory initializes one empty segment per shard and an
-    /// empty [`Recovery`].
+    /// Opens (or initializes) the log of a `dim`-dimensional,
+    /// `shards`-shard store in `dir` and replays whatever a previous
+    /// process left: reads the manifest, walks every live segment,
+    /// truncates a torn tail, garbage-collects unreferenced files, and
+    /// returns the surviving records for the store to apply. A fresh
+    /// directory initializes one empty segment and an empty [`Recovery`].
     ///
-    /// Corrupt *logs* are tolerated (truncate-at-first-bad-CRC); a
-    /// corrupt or geometry-mismatched *manifest* is an error — it is
-    /// rewritten atomically, so damage means something outside this
-    /// module touched it.
+    /// A torn or corrupt log tail is tolerated (it bounds the durable
+    /// prefix). A corrupt manifest, one written for another geometry, and
+    /// a CRC-valid frame that does not fit the geometry are errors — the
+    /// manifest is rewritten atomically and frames are checksummed, so
+    /// such damage means something outside this module wrote there.
     pub fn open(
         dir: &Path,
-        n_shards: usize,
+        dim: usize,
+        shards: usize,
         policy: DurabilityPolicy,
         storage: Box<dyn Storage>,
     ) -> io::Result<(WalSet, Recovery)> {
-        assert!(n_shards > 0, "a WalSet needs at least one shard");
+        assert!(dim > 0 && shards > 0, "a WalSet needs a dimension and at least one shard");
         fs::create_dir_all(dir)?;
         let mut wal = WalSet {
             dir: dir.to_path_buf(),
+            dim,
+            shards,
             policy,
             storage,
-            segs: (0..n_shards).map(|_| Vec::new()).collect(),
-            dirty: vec![false; n_shards],
+            segs: Vec::new(),
+            active: PathBuf::new(),
+            dirty: false,
+            frame: Vec::new(),
             next_lsn: 1,
             last_fsync_lsn: 0,
             last_sync: Instant::now(),
@@ -455,38 +481,22 @@ impl WalSet {
             replay_records: 0,
             replay_truncated: 0,
         };
-        let manifest = dir.join(MANIFEST_FILE);
-        if !manifest.exists() {
-            for (shard, segs) in wal.segs.iter_mut().enumerate() {
-                segs.push(Segment { seq: 1, file: segment_file(shard, 1), bytes: 0 });
-            }
+        let manifest_path = dir.join(MANIFEST_FILE);
+        if !manifest_path.exists() {
+            wal.push_segment(1, 0);
             wal.write_manifest()?;
-            let records = (0..n_shards).map(|_| Vec::new()).collect();
-            let rec =
-                Recovery { snapshot: None, records, fold_lsn: 0, replayed: 0, truncated_bytes: 0 };
-            return Ok((wal, rec));
+            return Ok((wal, Recovery { snapshot: None, records: Vec::new() }));
         }
 
-        let (fold_lsn, snapshot, listed) = read_manifest(&manifest)?;
-        for &(shard, _, _) in &listed {
-            if shard >= n_shards {
-                return Err(invalid(format!(
-                    "WAL manifest references shard {shard} but the store opened with {n_shards} shards"
-                )));
-            }
+        let m = read_manifest(&manifest_path)?;
+        if (m.dim, m.shards) != (dim, shards) {
+            return Err(invalid(format!(
+                "WAL manifest records a {}-dim × {}-shard store but it was opened as \
+                 {dim}-dim × {shards}-shard",
+                m.dim, m.shards
+            )));
         }
-        for (shard, seq, file) in listed {
-            wal.segs[shard].push(Segment { seq, file, bytes: 0 });
-        }
-        for (shard, segs) in wal.segs.iter_mut().enumerate() {
-            if segs.is_empty() {
-                return Err(invalid(format!(
-                    "WAL manifest lists no segment for shard {shard} — shard-count mismatch?"
-                )));
-            }
-            segs.sort_by_key(|s| s.seq);
-        }
-        let snapshot_path = match &snapshot {
+        let snapshot_path = match &m.snapshot {
             Some(name) => {
                 let p = dir.join(name);
                 if !p.exists() {
@@ -499,76 +509,65 @@ impl WalSet {
             None => None,
         };
 
-        // Replay every shard's segments in order, truncating at the first
-        // bad frame and discarding anything after it (later frames of a
-        // shard whose tail tore were never acknowledged as durable).
-        let mut records: Vec<Vec<(u64, WalRecord)>> = (0..n_shards).map(|_| Vec::new()).collect();
-        let mut replayed = 0u64;
-        let mut truncated = 0u64;
-        let mut max_lsn = fold_lsn;
-        for (shard_segs, shard_records) in wal.segs.iter_mut().zip(records.iter_mut()) {
-            let mut after = fold_lsn;
-            let mut torn = false;
-            for seg in shard_segs.iter_mut() {
-                let path = dir.join(&seg.file);
-                let bytes = match fs::read(&path) {
-                    Ok(b) => b,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-                    Err(e) => return Err(e),
-                };
-                let (valid_len, recs) = if torn {
-                    (0, Vec::new())
-                } else {
-                    let (recs, valid) = decode_log(&bytes, after);
-                    (valid, recs)
-                };
-                if valid_len < bytes.len() {
-                    torn = true;
-                    truncated += (bytes.len() - valid_len) as u64;
-                    truncate_file(&path, valid_len as u64)?;
-                }
-                seg.bytes = valid_len as u64;
-                if let Some((lsn, _)) = recs.last() {
-                    after = *lsn;
-                    max_lsn = max_lsn.max(*lsn);
-                }
-                replayed += recs.len() as u64;
-                shard_records.extend(recs);
+        // Replay the segments in order. The first bad frame ends the
+        // durable prefix: its segment is truncated there and every later
+        // segment emptied (nothing past a torn frame was acknowledged as
+        // durable ahead of it).
+        let mut records = Vec::new();
+        let mut after = m.fold_lsn;
+        let mut torn = false;
+        for &seq in &m.segments {
+            let path = dir.join(segment_file(seq));
+            let bytes = match fs::read(&path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(e),
+            };
+            let valid =
+                if torn { 0 } else { decode_log(&bytes, &mut after, dim, shards, &mut records)? };
+            if valid < bytes.len() {
+                torn = true;
+                wal.replay_truncated += (bytes.len() - valid) as u64;
+                truncate_file(&path, valid as u64)?;
             }
+            wal.push_segment(seq, valid as u64);
         }
-        wal.fold_lsn = fold_lsn;
-        wal.snapshot = snapshot;
-        wal.next_lsn = max_lsn + 1;
+        wal.fold_lsn = m.fold_lsn;
+        wal.snapshot = m.snapshot;
+        wal.next_lsn = after + 1;
         // Everything just read back off disk is durable by construction.
-        wal.last_fsync_lsn = max_lsn;
-        wal.replay_records = replayed;
-        wal.replay_truncated = truncated;
+        wal.last_fsync_lsn = after;
+        wal.replay_records = records.len() as u64;
         wal.gc_unreferenced()?;
-        let rec = Recovery {
-            snapshot: snapshot_path,
-            records,
-            fold_lsn,
-            replayed,
-            truncated_bytes: truncated,
-        };
-        Ok((wal, rec))
+        Ok((wal, Recovery { snapshot: snapshot_path, records }))
     }
 
-    /// Appends one record to `shard`'s log and returns its LSN. The bytes
-    /// reach the OS file before this returns; durability follows the
-    /// policy at the next [`commit`](Self::commit). Rotates the segment
-    /// past the size cap (sealing syncs it regardless of policy).
-    pub fn append(&mut self, shard: usize, rec: &WalRecord) -> io::Result<u64> {
-        if self.segs[shard].last().expect("every shard has a segment").bytes >= self.segment_cap {
-            self.rotate(shard)?;
+    /// Makes segment `seq`, holding `bytes` already, the append target.
+    fn push_segment(&mut self, seq: u64, bytes: u64) {
+        self.segs.push(Segment { seq, bytes });
+        self.active = self.dir.join(segment_file(seq));
+    }
+
+    /// Appends one record to the log and returns its LSN. The bytes reach
+    /// the OS file before this returns; durability follows the policy at
+    /// the next [`commit`](Self::commit). Rotates the segment past the
+    /// size cap (sealing syncs it regardless of policy).
+    pub fn append(&mut self, rec: &WalRecord) -> io::Result<u64> {
+        debug_assert!(
+            rec.placed().is_none_or(|(s, v)| (s as usize) < self.shards && v.len() == self.dim),
+            "record does not fit the log's {}-dim × {}-shard store",
+            self.dim,
+            self.shards
+        );
+        if self.segs.last().expect("the log has a segment").bytes >= self.segment_cap {
+            self.rotate()?;
         }
         let lsn = self.next_lsn;
-        let frame = encode_frame(lsn, rec);
-        let path = self.dir.join(&self.segs[shard].last().expect("segment").file);
-        self.storage.append(&path, &frame)?;
+        encode_frame(&mut self.frame, lsn, rec);
+        self.storage.append(&self.active, &self.frame)?;
         self.next_lsn += 1;
-        self.segs[shard].last_mut().expect("segment").bytes += frame.len() as u64;
-        self.dirty[shard] = true;
+        self.segs.last_mut().expect("segment").bytes += self.frame.len() as u64;
+        self.dirty = true;
         Ok(lsn)
     }
 
@@ -590,61 +589,49 @@ impl WalSet {
         }
     }
 
-    /// Fsyncs every dirty log now, regardless of policy — graceful
+    /// Fsyncs any unsynced appends now, regardless of policy — graceful
     /// shutdown, checkpoint prologue, and the serve tier's flush.
     pub fn flush(&mut self) -> io::Result<()> {
         self.sync_dirty()
     }
 
     fn sync_dirty(&mut self) -> io::Result<()> {
-        for shard in 0..self.segs.len() {
-            if self.dirty[shard] {
-                let path = self.dir.join(&self.segs[shard].last().expect("segment").file);
-                self.storage.sync(&path)?;
-                self.dirty[shard] = false;
-            }
+        if self.dirty {
+            self.storage.sync(&self.active)?;
+            self.dirty = false;
         }
         self.last_fsync_lsn = self.next_lsn - 1;
         self.last_sync = Instant::now();
         Ok(())
     }
 
-    fn rotate(&mut self, shard: usize) -> io::Result<()> {
-        let old = self.segs[shard].last().expect("segment").clone();
-        let old_path = self.dir.join(&old.file);
+    fn rotate(&mut self) -> io::Result<()> {
         // A sealed segment is always durable, whatever the policy — replay
         // treats segment boundaries as safe ground.
-        self.storage.sync(&old_path)?;
-        self.storage.close(&old_path);
-        let seq = old.seq + 1;
-        self.segs[shard].push(Segment { seq, file: segment_file(shard, seq), bytes: 0 });
+        self.sync_dirty()?;
+        self.storage.close(&self.active);
+        let seq = self.segs.last().expect("segment").seq + 1;
+        self.push_segment(seq, 0);
         self.write_manifest()
     }
 
     /// Folds everything up to `fold_lsn` into `snapshot` (a file name in
-    /// the WAL directory, already written): rotates every shard to a
-    /// fresh segment, rewrites the manifest to reference the snapshot and
-    /// the fresh segments, then deletes the folded segments and the
-    /// previous snapshot. The caller must have [`flush`](Self::flush)ed
-    /// first — `ShardedStore::checkpoint` is the orchestration.
+    /// the WAL directory, already written): rotates to a fresh segment,
+    /// rewrites the manifest to reference the snapshot and the fresh
+    /// segment, then deletes the folded segments and the previous
+    /// snapshot. The caller must have [`flush`](Self::flush)ed first —
+    /// `ShardedStore::checkpoint` is the orchestration.
     pub fn fold(&mut self, fold_lsn: u64, snapshot: String) -> io::Result<()> {
-        let mut old_files = Vec::new();
-        for shard in 0..self.segs.len() {
-            let seq = self.segs[shard].last().map_or(0, |s| s.seq) + 1;
-            let drained: Vec<Segment> = self.segs[shard].drain(..).collect();
-            for s in drained {
-                self.storage.close(&self.dir.join(&s.file));
-                old_files.push(s.file);
-            }
-            self.segs[shard].push(Segment { seq, file: segment_file(shard, seq), bytes: 0 });
-            self.dirty[shard] = false;
-        }
+        self.storage.close(&self.active);
+        let folded = std::mem::take(&mut self.segs);
+        self.push_segment(folded.last().map_or(0, |s| s.seq) + 1, 0);
+        self.dirty = false;
         let old_snapshot = self.snapshot.replace(snapshot);
         self.fold_lsn = fold_lsn;
         self.write_manifest()?;
         // Only after the new manifest is durable do the folded files go.
-        for f in old_files {
-            let _ = fs::remove_file(self.dir.join(f));
+        for s in folded {
+            let _ = fs::remove_file(self.dir.join(segment_file(s.seq)));
         }
         if let Some(old) = old_snapshot {
             if self.snapshot.as_deref() != Some(old.as_str()) {
@@ -657,18 +644,15 @@ impl WalSet {
     /// Deletes `wal-*`/`snap-*`/tmp files the manifest does not reference
     /// — leftovers of a crash between manifest rewrite and deletion.
     fn gc_unreferenced(&mut self) -> io::Result<()> {
-        let mut referenced: Vec<&str> =
-            self.segs.iter().flatten().map(|s| s.file.as_str()).collect();
-        if let Some(s) = &self.snapshot {
-            referenced.push(s.as_str());
-        }
+        let mut referenced: Vec<String> = self.segs.iter().map(|s| segment_file(s.seq)).collect();
+        referenced.extend(self.snapshot.clone());
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             let stale = name == MANIFEST_TMP
                 || ((name.starts_with("wal-") || name.starts_with("snap-"))
-                    && !referenced.contains(&name));
+                    && !referenced.iter().any(|r| r == name));
             if stale {
                 let _ = fs::remove_file(entry.path());
             }
@@ -677,15 +661,15 @@ impl WalSet {
     }
 
     fn write_manifest(&self) -> io::Result<()> {
-        let mut text = String::new();
-        text.push_str(MANIFEST_MAGIC);
-        text.push('\n');
-        text.push_str(&format!("fold_lsn {}\n", self.fold_lsn));
-        text.push_str(&format!("snapshot {}\n", self.snapshot.as_deref().unwrap_or("-")));
-        for (shard, segs) in self.segs.iter().enumerate() {
-            for s in segs {
-                text.push_str(&format!("segment {shard} {} {}\n", s.seq, s.file));
-            }
+        let mut text = format!(
+            "TBWM {MANIFEST_VERSION}\ndim {}\nshards {}\nfold_lsn {}\nsnapshot {}\n",
+            self.dim,
+            self.shards,
+            self.fold_lsn,
+            self.snapshot.as_deref().unwrap_or("-")
+        );
+        for s in &self.segs {
+            text.push_str(&format!("segment {}\n", s.seq));
         }
         text.push_str(&format!("crc {:08x}\n", crc32(text.as_bytes())));
         let tmp = self.dir.join(MANIFEST_TMP);
@@ -706,13 +690,13 @@ impl WalSet {
     /// Current counters; see [`WalStats`].
     pub fn stats(&self) -> WalStats {
         WalStats {
-            depth_bytes: self.segs.iter().flatten().map(|s| s.bytes).sum(),
+            depth_bytes: self.segs.iter().map(|s| s.bytes).sum(),
             last_fsync_lsn: self.last_fsync_lsn,
             last_lsn: self.next_lsn - 1,
             fold_lsn: self.fold_lsn,
             replay_records: self.replay_records,
             replay_truncated_bytes: self.replay_truncated,
-            segments: self.segs.iter().map(|s| s.len() as u64).sum(),
+            segments: self.segs.len() as u64,
         }
     }
 
@@ -721,7 +705,7 @@ impl WalSet {
         self.next_lsn - 1
     }
 
-    /// The directory the logs, manifest, and snapshots live in.
+    /// The directory the log, manifest, and snapshots live in.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -756,60 +740,74 @@ fn truncate_file(path: &Path, len: u64) -> io::Result<()> {
     }
 }
 
-/// A parsed manifest: `(fold_lsn, snapshot name, [(shard, seq, file)])`.
-type Manifest = (u64, Option<String>, Vec<(usize, u64, String)>);
+/// A parsed `TBWM 2` manifest.
+struct Manifest {
+    dim: usize,
+    shards: usize,
+    fold_lsn: u64,
+    snapshot: Option<String>,
+    /// Live segment sequence numbers, strictly increasing.
+    segments: Vec<u64>,
+}
 
 fn read_manifest(path: &Path) -> io::Result<Manifest> {
     let text =
         fs::read_to_string(path).map_err(|e| invalid(format!("unreadable WAL manifest: {e}")))?;
     let bad = |what: &str| invalid(format!("corrupt WAL manifest: {what}"));
+    match text.lines().next().and_then(|l| l.strip_prefix("TBWM ")).map(str::parse::<u32>) {
+        Some(Ok(MANIFEST_VERSION)) => {}
+        Some(Ok(v)) => return Err(invalid(format!("unsupported WAL manifest version {v}"))),
+        _ => return Err(bad("bad magic")),
+    }
     let Some((body, crc_line)) = text.trim_end_matches('\n').rsplit_once('\n') else {
         return Err(bad("too short"));
     };
-    let body_with_nl = &text[..body.len() + 1];
     let Some(crc_hex) = crc_line.strip_prefix("crc ") else {
         return Err(bad("missing crc line"));
     };
-    let crc = u32::from_str_radix(crc_hex.trim(), 16).map_err(|_| bad("unparsable crc"))?;
-    if crc != crc32(body_with_nl.as_bytes()) {
+    let crc = u32::from_str_radix(crc_hex, 16).map_err(|_| bad("unparsable crc"))?;
+    if crc != crc32(&text.as_bytes()[..body.len() + 1]) {
         return Err(bad("crc mismatch"));
     }
-    let mut lines = body.lines();
-    if lines.next() != Some(MANIFEST_MAGIC) {
-        return Err(bad("bad magic"));
-    }
-    let fold_lsn = lines
-        .next()
-        .and_then(|l| l.strip_prefix("fold_lsn "))
-        .and_then(|v| v.parse::<u64>().ok())
-        .ok_or_else(|| bad("bad fold_lsn line"))?;
-    let snapshot = match lines.next().and_then(|l| l.strip_prefix("snapshot ")) {
-        Some("-") => None,
-        Some(name) if !name.is_empty() && !name.contains('/') => Some(name.to_string()),
-        _ => return Err(bad("bad snapshot line")),
+    let mut lines = body.lines().skip(1);
+    let mut field = |key: &str| {
+        lines
+            .next()
+            .and_then(|l| l.strip_prefix(key))
+            .and_then(|v| v.strip_prefix(' '))
+            .ok_or_else(|| bad(&format!("bad {key} line")))
     };
-    let mut segs = Vec::new();
+    let dim = field("dim")?.parse().map_err(|_| bad("bad dim"))?;
+    let shards = field("shards")?.parse().map_err(|_| bad("bad shards"))?;
+    let fold_lsn = field("fold_lsn")?.parse().map_err(|_| bad("bad fold_lsn"))?;
+    let snapshot = match field("snapshot")? {
+        "-" => None,
+        name if !name.is_empty() && !name.contains('/') => Some(name.to_string()),
+        _ => return Err(bad("bad snapshot name")),
+    };
+    let mut segments: Vec<u64> = Vec::new();
     for line in lines {
-        let mut parts = line.split(' ');
-        let (tag, shard, seq, file) = (parts.next(), parts.next(), parts.next(), parts.next());
-        let (Some("segment"), Some(shard), Some(seq), Some(file), None) =
-            (tag, shard, seq, file, parts.next())
-        else {
-            return Err(bad("bad segment line"));
-        };
-        let shard = shard.parse::<usize>().map_err(|_| bad("bad segment shard"))?;
-        let seq = seq.parse::<u64>().map_err(|_| bad("bad segment seq"))?;
-        if file.is_empty() || file.contains('/') {
-            return Err(bad("bad segment file"));
+        let seq = line
+            .strip_prefix("segment ")
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| bad("bad segment line"))?;
+        if segments.last().is_some_and(|&prev| prev >= seq) {
+            return Err(bad("segments out of order"));
         }
-        segs.push((shard, seq, file.to_string()));
+        segments.push(seq);
     }
-    Ok((fold_lsn, snapshot, segs))
+    if segments.is_empty() {
+        return Err(bad("no segment"));
+    }
+    Ok(Manifest { dim, shards, fold_lsn, snapshot, segments })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const DIM: usize = 3;
+    const SHARDS: usize = 2;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tabbin_wal_{tag}_{}", std::process::id()));
@@ -817,8 +815,25 @@ mod tests {
         d
     }
 
+    fn open(dir: &Path) -> io::Result<(WalSet, Recovery)> {
+        WalSet::open(dir, DIM, SHARDS, DurabilityPolicy::Never, Box::new(FsStorage::new()))
+    }
+
     fn upsert(id: u64, x: f32) -> WalRecord {
-        WalRecord::Upsert { id, vector: vec![x, -x, 0.5] }
+        WalRecord::Upsert { id, shard: (id % SHARDS as u64) as u32, vector: vec![x, -x, 0.5] }
+    }
+
+    fn frame(lsn: u64, rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame(&mut out, lsn, rec);
+        out
+    }
+
+    /// Decodes `bytes` at the unit tests' geometry: `(records, valid)`.
+    fn decode(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+        let mut out = Vec::new();
+        let valid = decode_log(bytes, &mut 0, DIM, SHARDS, &mut out).expect("geometry fits");
+        (out, valid)
     }
 
     #[test]
@@ -833,49 +848,69 @@ mod tests {
         for rec in [
             upsert(7, 1.25),
             WalRecord::Delete { id: 9 },
-            WalRecord::Move { id: 3, vector: vec![0.0, 1.0] },
+            WalRecord::Move { id: 3, shard: 1, vector: vec![0.0, 1.0, -0.0] },
         ] {
-            let frame = encode_frame(42, &rec);
-            assert_eq!(frame.len(), frame_len(&rec));
-            let (recs, valid) = decode_log(&frame, 0);
-            assert_eq!(valid, frame.len());
-            assert_eq!(recs, vec![(42, rec)]);
+            let bytes = frame(42, &rec);
+            assert_eq!(bytes.len(), frame_len(&rec));
+            assert_eq!(decode(&bytes), (vec![rec], bytes.len()));
         }
+        // The shard sits where a component count would: the frame size is
+        // the same as a `u32` count's.
+        assert_eq!(frame_len(&upsert(1, 0.5)), 8 + BODY_FIXED + 4 + 4 * DIM);
     }
 
     #[test]
     fn decode_stops_at_torn_and_corrupt_tails() {
-        let mut log = encode_frame(1, &upsert(1, 0.5));
+        let mut log = frame(1, &upsert(1, 0.5));
         let first = log.len();
-        log.extend(encode_frame(2, &upsert(2, 0.25)));
+        log.extend(frame(2, &upsert(2, 0.25)));
         // Torn mid-record: drop the last 3 bytes.
-        let (recs, valid) = decode_log(&log[..log.len() - 3], 0);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(valid, first);
+        let (recs, valid) = decode(&log[..log.len() - 3]);
+        assert_eq!((recs.len(), valid), (1, first));
         // Torn mid-length-prefix: only 2 bytes of the second frame.
-        let (recs, valid) = decode_log(&log[..first + 2], 0);
+        let (recs, valid) = decode(&log[..first + 2]);
         assert_eq!((recs.len(), valid), (1, first));
         // A flipped byte in the second body fails its CRC.
         let mut flipped = log.clone();
         flipped[first + 12] ^= 0x40;
-        let (recs, valid) = decode_log(&flipped, 0);
+        let (recs, valid) = decode(&flipped);
         assert_eq!((recs.len(), valid), (1, first));
         // Non-monotonic LSNs stop replay too.
-        let mut stale = encode_frame(5, &upsert(1, 0.5));
-        stale.extend(encode_frame(5, &upsert(2, 0.25)));
-        let (recs, _) = decode_log(&stale, 0);
-        assert_eq!(recs.len(), 1);
+        let mut stale = frame(5, &upsert(1, 0.5));
+        stale.extend(frame(5, &upsert(2, 0.25)));
+        assert_eq!(decode(&stale).0.len(), 1);
         // Pure garbage decodes to nothing without panicking.
-        let (recs, valid) = decode_log(&[0xff; 64], 0);
-        assert_eq!((recs.len(), valid), (0, 0));
+        assert_eq!(decode(&[0xff; 64]), (vec![], 0));
+    }
+
+    #[test]
+    fn crc_valid_frames_that_do_not_fit_the_geometry_are_errors() {
+        let wrong_dim = WalRecord::Upsert { id: 1, shard: 0, vector: vec![1.0, 0.0] };
+        let wrong_shard = WalRecord::Move { id: 1, shard: SHARDS as u32, vector: vec![0.0; DIM] };
+        for rec in [wrong_dim, wrong_shard] {
+            let mut log = frame(1, &upsert(4, 0.5));
+            log.extend(frame(2, &rec));
+            let err = decode_log(&log, &mut 0, DIM, SHARDS, &mut Vec::new())
+                .expect_err("a misfit frame is no torn tail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        // Through open: the error surfaces and nothing is truncated.
+        let dir = tmp_dir("misfit");
+        drop(open(&dir).unwrap());
+        let seg = dir.join(segment_file(1));
+        let bytes = frame(1, &WalRecord::Upsert { id: 1, shard: 0, vector: vec![1.0; DIM + 1] });
+        fs::write(&seg, &bytes).unwrap();
+        let err = open(&dir).expect_err("wrong-dim frame must error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(fs::read(&seg).unwrap(), bytes, "nothing truncated");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn group_commit_follows_the_policy() {
         let dir = tmp_dir("policy");
-        let (mut wal, _) =
-            WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-        wal.append(0, &upsert(1, 0.5)).unwrap();
+        let (mut wal, _) = open(&dir).unwrap();
+        wal.append(&upsert(1, 0.5)).unwrap();
         wal.commit().unwrap();
         assert_eq!(wal.stats().last_fsync_lsn, 0, "Never must not fsync on commit");
         assert_eq!(wal.stats().last_lsn, 1);
@@ -883,13 +918,13 @@ mod tests {
         assert_eq!(wal.stats().last_fsync_lsn, 1, "explicit flush always syncs");
 
         wal.set_policy(DurabilityPolicy::Always).unwrap();
-        wal.append(1, &upsert(2, 0.25)).unwrap();
+        wal.append(&upsert(2, 0.25)).unwrap();
         wal.commit().unwrap();
         assert_eq!(wal.stats().last_fsync_lsn, 2, "Always syncs every commit");
 
         // A generous interval: the first commit inside the window buffers.
         wal.set_policy(DurabilityPolicy::Interval(60_000)).unwrap();
-        wal.append(0, &upsert(3, 0.125)).unwrap();
+        wal.append(&upsert(3, 0.125)).unwrap();
         wal.commit().unwrap();
         assert_eq!(wal.stats().last_fsync_lsn, 2, "commit inside the window must buffer");
         fs::remove_dir_all(&dir).ok();
@@ -899,27 +934,20 @@ mod tests {
     fn reopen_replays_appends_and_rotation_gc_works() {
         let dir = tmp_dir("reopen");
         {
-            let (mut wal, _) =
-                WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
+            let (mut wal, _) = open(&dir).unwrap();
             wal.set_segment_cap(1); // every append rotates the next one
             for i in 0..5u64 {
-                wal.append((i % 2) as usize, &upsert(i, 0.5)).unwrap();
+                wal.append(&upsert(i, 0.5)).unwrap();
             }
             wal.flush().unwrap();
-            assert!(wal.stats().segments > 2, "cap of 1 byte must have rotated");
+            assert_eq!(wal.stats().segments, 5, "cap of 1 byte must have rotated");
         }
-        let (wal, rec) =
-            WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-        assert_eq!(rec.replayed, 5);
-        assert_eq!(rec.truncated_bytes, 0);
-        assert_eq!(rec.records[0].len() + rec.records[1].len(), 5);
+        let (wal, rec) = open(&dir).unwrap();
+        assert_eq!(wal.stats().replay_records, 5);
+        assert_eq!(wal.stats().replay_truncated_bytes, 0);
+        // Replay hands back the records in append order across segments.
+        assert_eq!(rec.records, (0..5u64).map(|i| upsert(i, 0.5)).collect::<Vec<_>>());
         assert_eq!(wal.last_lsn(), 5);
-        // LSNs are globally monotonic in replay order per shard.
-        for shard in &rec.records {
-            for pair in shard.windows(2) {
-                assert!(pair[0].0 < pair[1].0);
-            }
-        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -927,25 +955,24 @@ mod tests {
     fn fold_rewrites_the_manifest_and_deletes_folded_segments() {
         let dir = tmp_dir("fold");
         {
-            let (mut wal, _) =
-                WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
+            let (mut wal, _) = open(&dir).unwrap();
             for i in 0..4u64 {
-                wal.append((i % 2) as usize, &upsert(i, 0.5)).unwrap();
+                wal.append(&upsert(i, 0.5)).unwrap();
             }
             wal.flush().unwrap();
             let fold = wal.last_lsn();
             fs::write(dir.join("snap-test.tbix"), b"snapshot bytes").unwrap();
             wal.fold(fold, "snap-test.tbix".to_string()).unwrap();
-            assert_eq!(wal.stats().depth_bytes, 0, "fresh segments after fold");
+            assert_eq!(wal.stats().depth_bytes, 0, "fresh segment after fold");
             assert_eq!(wal.stats().fold_lsn, 4);
-            // Post-fold appends land in the fresh segments.
-            wal.append(0, &upsert(9, 0.5)).unwrap();
+            assert!(!dir.join(segment_file(1)).exists(), "folded segment deleted");
+            // Post-fold appends land in the fresh segment.
+            wal.append(&upsert(9, 0.5)).unwrap();
             wal.flush().unwrap();
         }
-        let (wal, rec) =
-            WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-        assert_eq!(rec.fold_lsn, 4);
-        assert_eq!(rec.replayed, 1, "only the post-fold record replays");
+        let (wal, rec) = open(&dir).unwrap();
+        assert_eq!(wal.stats().fold_lsn, 4);
+        assert_eq!(rec.records, vec![upsert(9, 0.5)], "only the post-fold record replays");
         assert_eq!(rec.snapshot.as_deref(), Some(dir.join("snap-test.tbix").as_path()));
         assert_eq!(wal.stats().replay_records, 1);
         fs::remove_dir_all(&dir).ok();
@@ -955,32 +982,43 @@ mod tests {
     fn open_never_panics_on_garbage_logs_and_errors_on_bad_manifests() {
         let dir = tmp_dir("garbage");
         {
-            let (mut wal, _) =
-                WalSet::open(&dir, 1, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-            wal.append(0, &upsert(1, 0.5)).unwrap();
+            let (mut wal, _) = open(&dir).unwrap();
+            wal.append(&upsert(1, 0.5)).unwrap();
             wal.flush().unwrap();
         }
         // Stomp the whole log with garbage: open succeeds, replays zero.
-        fs::write(dir.join(segment_file(0, 1)), vec![0xabu8; 512]).unwrap();
-        let (_, rec) =
-            WalSet::open(&dir, 1, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-        assert_eq!(rec.replayed, 0);
-        assert_eq!(rec.truncated_bytes, 512);
+        fs::write(dir.join(segment_file(1)), vec![0xabu8; 512]).unwrap();
+        let (wal, rec) = open(&dir).unwrap();
+        assert!(rec.records.is_empty());
+        assert_eq!(wal.stats().replay_truncated_bytes, 512);
+        drop(wal);
         // A corrupt manifest is a clean error, not a panic.
         let manifest = dir.join(MANIFEST_FILE);
-        let mut bytes = fs::read(&manifest).unwrap();
+        let good = fs::read(&manifest).unwrap();
+        let mut bytes = good.clone();
         bytes[8] ^= 0x01;
         fs::write(&manifest, bytes).unwrap();
-        let err = WalSet::open(&dir, 1, DurabilityPolicy::Never, Box::new(FsStorage::new()))
-            .expect_err("corrupt manifest must error");
+        let err = open(&dir).expect_err("corrupt manifest must error");
         assert!(err.to_string().contains("manifest"), "unhelpful error: {err}");
-        // Shard-count mismatches are refused too.
-        fs::remove_dir_all(&dir).ok();
-        let (_w, _r) =
-            WalSet::open(&dir, 2, DurabilityPolicy::Never, Box::new(FsStorage::new())).unwrap();
-        let err = WalSet::open(&dir, 1, DurabilityPolicy::Never, Box::new(FsStorage::new()))
-            .expect_err("shard mismatch must error");
-        assert!(err.to_string().contains("shard"), "unhelpful error: {err}");
+        // Geometry mismatches are refused up front, shards and dim alike.
+        fs::write(&manifest, &good).unwrap();
+        for (dim, shards) in [(DIM, SHARDS + 1), (DIM + 1, SHARDS)] {
+            let err = WalSet::open(
+                &dir,
+                dim,
+                shards,
+                DurabilityPolicy::Never,
+                Box::new(FsStorage::new()),
+            )
+            .expect_err("geometry mismatch must error");
+            assert!(err.to_string().contains("-shard"), "unhelpful error: {err}");
+        }
+        // The old per-shard format has no reader.
+        let v1 = "TBWM 1\nfold_lsn 0\nsnapshot -\n";
+        let v1 = format!("{v1}crc {:08x}\n", crc32(v1.as_bytes()));
+        fs::write(&manifest, v1).unwrap();
+        let err = open(&dir).expect_err("TBWM 1 must error");
+        assert!(err.to_string().contains("unsupported WAL manifest version 1"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The central property: a fault-injection [`Storage`] shim kills the
 //! write stream at an **arbitrary byte offset** — the append crossing the
-//! offset is torn mid-frame, everything later (any shard's log) is lost,
-//! and fsync lies `Ok` the whole way, like a disk that acknowledged
-//! writes its platter never saw. Reopening the directory must then
+//! offset is torn mid-frame, everything later is lost, and fsync lies
+//! `Ok` the whole way, like a disk that acknowledged writes its platter
+//! never saw. Reopening the directory must then
 //! answer top-k **bit-identical** to a reference store that executed
 //! only the durable prefix of the mutation history — across the exact
 //! and quantized scoring tiers, under hash and IVF routers.
@@ -17,8 +17,10 @@
 //!
 //! Deterministic companions cover the targeted corruption shapes
 //! (truncated mid-record, truncated mid-length-prefix, a single flipped
-//! byte), the checkpoint/fold/GC lifecycle, and rebalance-move logging
-//! with router persistence across restarts.
+//! byte), the checkpoint/fold/GC lifecycle, rebalance-move logging with
+//! router persistence across restarts, one fsync per group commit
+//! whatever the shard count, refusal of a directory written at another
+//! dimension, and no-panic fuzzing of the log and manifest bytes.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,13 +50,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// The fault shim: a global byte budget over the whole append stream.
-/// Appends within the budget reach the real files; the append that
-/// crosses it is written partially (a torn frame at an arbitrary byte
-/// offset); every later append — to any file — is silently dropped, and
-/// `sync` keeps claiming success. This is a crash at one instant of the
-/// append timeline, so each shard's log ends up with a consistent
-/// prefix of its own stream.
+/// The fault shim: a byte budget over the whole append stream. Appends
+/// within the budget reach the real file; the append that crosses it is
+/// written partially (a torn frame at an arbitrary byte offset); every
+/// later append is silently dropped, and `sync` keeps claiming success.
+/// This is a crash at one instant of the append timeline, so the log
+/// ends with a prefix of its stream.
 struct KillAt {
     inner: FsStorage,
     budget: usize,
@@ -135,7 +136,7 @@ fn script(seed: u64, n_ops: usize) -> Vec<Op> {
 /// `(cumulative end offset of the j-th logged record, index of the op
 /// that logged it)`.
 fn journal(ops: &[Op]) -> (usize, Vec<(usize, usize)>) {
-    let upsert_len = frame_len(&WalRecord::Upsert { id: 0, vector: vec![0.0; DIM] });
+    let upsert_len = frame_len(&WalRecord::Upsert { id: 0, shard: 0, vector: vec![0.0; DIM] });
     let delete_len = frame_len(&WalRecord::Delete { id: 0 });
     let mut live = std::collections::HashSet::new();
     let mut cum = 0usize;
@@ -294,15 +295,16 @@ proptest! {
     }
 }
 
-/// The three scripted corruption shapes from the issue: torn mid-record,
-/// torn mid-length-prefix, and a single flipped byte. Each must recover
-/// the durable prefix and report exactly how many records were dropped.
+/// The three scripted corruption shapes: torn mid-record, torn
+/// mid-length-prefix, and a single flipped byte in the log's last frame.
+/// Each must recover the durable prefix — every op but the last — and
+/// report exactly how many records were dropped.
 #[test]
 fn scripted_corruption_shapes_recover_the_prefix_and_report_drops() {
-    let upsert_len = frame_len(&WalRecord::Upsert { id: 0, vector: vec![0.0; DIM] });
-    // Corruption offset into the *last record* of the damaged log:
-    // deep into the body (mid-record), inside the length prefix, and a
-    // flipped byte with the length intact.
+    let upsert_len = frame_len(&WalRecord::Upsert { id: 0, shard: 0, vector: vec![0.0; DIM] });
+    // Corruption offset into the log's *last record*: deep into the body
+    // (mid-record), inside the length prefix, and a flipped byte with the
+    // length intact.
     enum Shape {
         TruncateTail(usize),
         FlipByte(usize),
@@ -322,24 +324,11 @@ fn scripted_corruption_shapes_recover_the_prefix_and_report_drops() {
             apply(&mut store, &ops);
             store.wal_flush().expect("flush");
         }
-        // Find the shard log holding the most records and damage its last
-        // frame. Every id is distinct here, so record count per log is
-        // its byte length over the frame size.
-        let mut logs: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .map(|e| e.expect("entry").path())
-            .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wal-")))
-            .collect();
-        logs.sort();
-        let victim = logs
-            .iter()
-            .max_by_key(|p| std::fs::metadata(p).expect("meta").len())
-            .expect("a log exists")
-            .clone();
-        let bytes = std::fs::read(&victim).expect("read log");
+        let logs = wal_files(&dir);
+        assert_eq!(logs.len(), 1, "{name}: one log for {N_SHARDS} shards");
+        let bytes = std::fs::read(&logs[0]).expect("read log");
         let n_total = ops.len();
-        let n_victim = bytes.len() / upsert_len;
-        assert!(n_victim >= 1, "victim log must hold at least one record");
+        assert_eq!(bytes.len(), n_total * upsert_len, "{name}: one frame per upsert");
         let tail_start = bytes.len() - upsert_len;
         let damaged = match shape {
             Shape::TruncateTail(keep) => bytes[..tail_start + keep].to_vec(),
@@ -349,11 +338,8 @@ fn scripted_corruption_shapes_recover_the_prefix_and_report_drops() {
                 b
             }
         };
-        std::fs::write(&victim, damaged).expect("write damaged log");
+        std::fs::write(&logs[0], damaged).expect("write damaged log");
 
-        // The reference saw everything except the victim log's last
-        // record. Ids are unique, so dropping that record just deletes
-        // one id from the final state; find it by diffing.
         let recovered =
             ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg()).expect("reopen");
         let stats = recovered.wal_stats().expect("stats");
@@ -363,23 +349,26 @@ fn scripted_corruption_shapes_recover_the_prefix_and_report_drops() {
             "{name}: exactly one record dropped"
         );
         assert!(stats.replay_truncated_bytes > 0, "{name}: damage was truncated away");
-        assert_eq!(recovered.len(), n_total - 1, "{name}: one row lost with the record");
-        // And the surviving rows answer identically to a store that never
-        // saw the lost id.
+        // The store is exactly the prefix: every op but the last.
         let lost: Vec<u64> = (0..n_total as u64).filter(|id| !recovered.contains(*id)).collect();
-        assert_eq!(lost.len(), 1, "{name}: exactly one id lost");
+        assert_eq!(lost, vec![n_total as u64 - 1], "{name}: only the last op lost");
         let mut reference = ShardedStore::new(DIM, N_SHARDS, exact_cfg());
-        for op in &ops {
-            if let Op::Upsert(id, v) = op {
-                if *id != lost[0] {
-                    reference.upsert(*id, v);
-                }
-            }
-        }
+        apply(&mut reference, &ops[..n_total - 1]);
         assert_bit_identical(&recovered, &reference, 7, name);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The live `wal-*` segment files in `dir`, sorted.
+fn wal_files(dir: &Path) -> Vec<PathBuf> {
+    let mut logs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wal-")))
+        .collect();
+    logs.sort();
+    logs
 }
 
 /// Checkpoint folds the logs into a snapshot: reopening replays only
@@ -405,17 +394,14 @@ fn checkpoint_folds_gcs_and_reopens_with_short_replay() {
         }
         store.delete(3);
     }
-    // Exactly one snapshot file and one live segment per shard remain.
-    let names: Vec<String> = std::fs::read_dir(&dir)
+    // Exactly one snapshot file and the one fresh segment remain: no
+    // folded segment survived the GC.
+    let snaps = std::fs::read_dir(&dir)
         .expect("read dir")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(names.iter().filter(|n| n.starts_with("snap-")).count(), 1);
-    // Fresh post-fold segments materialize lazily on first append, so a
-    // shard untouched since the fold has no file at all — what matters is
-    // that no *folded* segment survived the GC.
-    let wal_files = names.iter().filter(|n| n.starts_with("wal-")).count();
-    assert!((1..=N_SHARDS).contains(&wal_files), "only live segments remain, got {wal_files}");
+        .filter(|e| e.as_ref().expect("entry").file_name().to_string_lossy().starts_with("snap-"))
+        .count();
+    assert_eq!(snaps, 1);
+    assert_eq!(wal_files(&dir).len(), 1, "one live log segment");
 
     let recovered = ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg()).expect("reopen");
     let stats = recovered.wal_stats().expect("stats");
@@ -471,34 +457,172 @@ fn rebalance_moves_and_router_survive_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A log stomped with garbage neither panics nor poisons the rest of the
-/// directory: the stomped log contributes nothing, every other shard's
-/// records replay.
+/// A log stomped with garbage never panics the open: the store reopens
+/// at its snapshot state, with every post-fold record dropped and its
+/// bytes counted — the single-log contract, where a bad frame ends the
+/// durable prefix.
 #[test]
-fn garbage_log_never_panics_and_other_shards_survive() {
+fn stomped_log_never_panics_and_reopens_at_the_snapshot() {
     let dir = fresh_dir("garbage");
     let pool = corpus(24, 29);
     {
         let mut store = ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg()).expect("open");
         for (i, v) in pool.iter().enumerate() {
             store.upsert(i as u64, v);
+            if i == 11 {
+                store.checkpoint().expect("checkpoint");
+            }
         }
         store.wal_flush().expect("flush");
     }
-    let victim = std::fs::read_dir(&dir)
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wal-")))
-        .max_by_key(|p| std::fs::metadata(p).expect("meta").len())
-        .expect("a log exists");
-    let victim_len = std::fs::metadata(&victim).expect("meta").len();
-    std::fs::write(&victim, vec![0x5au8; victim_len as usize]).expect("stomp");
+    let logs = wal_files(&dir);
+    assert_eq!(logs.len(), 1, "one log");
+    let victim_len = std::fs::metadata(&logs[0]).expect("meta").len();
+    std::fs::write(&logs[0], vec![0x5au8; victim_len as usize]).expect("stomp");
 
     let recovered = ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg()).expect("reopen");
     let stats = recovered.wal_stats().expect("stats");
+    assert_eq!(stats.replay_records, 0, "no post-fold record survives");
     assert_eq!(stats.replay_truncated_bytes, victim_len, "the whole stomped log is dropped");
-    assert!(recovered.len() < pool.len(), "the stomped shard's rows are gone");
-    assert!(!recovered.is_empty(), "other shards' rows replayed");
+    let mut reference = ShardedStore::new(DIM, N_SHARDS, exact_cfg());
+    for (i, v) in pool.iter().take(12).enumerate() {
+        reference.upsert(i as u64, v);
+    }
+    assert_bit_identical(&recovered, &reference, 31, "stomped");
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Real files, with every `sync` counted.
+struct CountSyncs {
+    inner: FsStorage,
+    syncs: Arc<AtomicU64>,
+}
+
+impl Storage for CountSyncs {
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+
+    fn sync(&mut self, path: &Path) -> io::Result<()> {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
+        self.inner.sync(path)
+    }
+
+    fn close(&mut self, path: &Path) {
+        self.inner.close(path);
+    }
+}
+
+/// A group commit is one `fsync` whatever the shard count: one per
+/// `wal_flush`, one per `Interval` commit past the window, and one per
+/// `rebalance()` under `Always`, at 1 shard and at 16.
+#[test]
+fn one_fsync_per_group_commit_whatever_the_shard_count() {
+    let pool = corpus(64, 3);
+    for shards in [1, 16] {
+        let dir = fresh_dir("syncs");
+        let syncs = Arc::new(AtomicU64::new(0));
+        let storage = CountSyncs { inner: FsStorage::new(), syncs: Arc::clone(&syncs) };
+        let mut store = ShardedStore::open_durable_with(
+            &dir,
+            DIM,
+            shards,
+            exact_cfg(),
+            None,
+            Box::new(storage),
+        )
+        .expect("open");
+        let taken = || syncs.swap(0, Ordering::SeqCst);
+
+        // Hash placement spreads these over every shard; `Never` buffers.
+        for (i, v) in pool.iter().enumerate() {
+            store.upsert(i as u64, v);
+        }
+        assert_eq!(taken(), 0, "{shards} shards: Never does not sync on commit");
+        store.wal_flush().expect("flush");
+        assert_eq!(taken(), 1, "{shards} shards: one sync per wal_flush");
+
+        // A zero window: every commit is past it.
+        store.set_durability(DurabilityPolicy::Interval(0)).expect("policy");
+        for (i, v) in pool.iter().enumerate().take(8) {
+            store.upsert(100 + i as u64, v);
+            assert_eq!(taken(), 1, "{shards} shards: one sync per Interval commit");
+        }
+
+        store.install_router(Arc::new(IvfRouter::train(&pool, shards, 42)));
+        store.set_durability(DurabilityPolicy::Always).expect("policy");
+        taken();
+        let moved = store.rebalance();
+        if shards > 1 {
+            assert!(moved > 1, "training 16 cells must move many rows, moved {moved}");
+        }
+        assert_eq!(taken(), u64::from(moved > 0), "{shards} shards: one sync per rebalance");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A durable directory records its geometry: reopening it at another
+/// dimension or shard count is an `InvalidData` error, not a store that
+/// silently holds rows of the wrong length.
+#[test]
+fn a_durable_dir_refuses_another_geometry() {
+    let dir = fresh_dir("geometry");
+    let wide = |i: u64| (0..16).map(|j| ((i * 16 + j) % 7) as f32 - 3.0).collect::<Vec<f32>>();
+    {
+        let mut store = ShardedStore::open_durable(&dir, 16, N_SHARDS, exact_cfg()).expect("open");
+        for i in 0..10u64 {
+            store.upsert(i, &wide(i));
+        }
+    }
+    for (dim, shards) in [(8, N_SHARDS), (16, N_SHARDS + 1)] {
+        let err = ShardedStore::open_durable(&dir, dim, shards, exact_cfg())
+            .expect_err("a geometry mismatch must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+    let store = ShardedStore::open_durable(&dir, 16, N_SHARDS, exact_cfg()).expect("reopen");
+    assert_eq!(store.len(), 10, "the refused opens changed nothing");
+    assert_eq!(store.wal_stats().expect("stats").replay_truncated_bytes, 0);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary bytes as the log — whole, or spliced after a valid
+    /// prefix — or as the manifest make `open_durable` return, never
+    /// panic. Garbage in the log only bounds the durable prefix; a garbage
+    /// manifest is an error.
+    #[test]
+    fn arbitrary_log_and_manifest_bytes_never_panic_open(
+        junk in proptest::collection::vec(0u8..=255, 0..600),
+        keep in 0usize..2000,
+        target in 0u32..4,
+    ) {
+        let dir = fresh_dir("fuzz");
+        {
+            let mut store =
+                ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg()).expect("open");
+            apply(&mut store, &script(keep as u64, 12));
+        }
+        let path = match target {
+            0 | 1 => wal_files(&dir).pop().expect("a log"),
+            _ => dir.join("MANIFEST"),
+        };
+        let mut bytes = std::fs::read(&path).expect("read");
+        // Targets 1 and 3 splice the junk after a valid prefix.
+        bytes.truncate(if target % 2 == 1 { keep } else { 0 });
+        bytes.extend_from_slice(&junk);
+        std::fs::write(&path, &bytes).expect("write junk");
+        let opened = ShardedStore::open_durable(&dir, DIM, N_SHARDS, exact_cfg());
+        if target < 2 {
+            let store = opened.expect("a garbage log tail is no error");
+            prop_assert!(store.len() <= 12);
+        } else if target == 2 {
+            prop_assert!(opened.is_err(), "random bytes are no manifest");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

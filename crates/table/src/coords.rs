@@ -7,7 +7,7 @@
 //! hierarchies the paths degenerate to single Cartesian indices, exactly as
 //! the paper observes.
 
-use crate::{CellValue, Table};
+use crate::{CellValue, MetaTree, Table};
 use serde::{Deserialize, Serialize};
 
 /// A root-to-leaf path of 1-based sibling indices through a coordinate tree.
@@ -30,11 +30,7 @@ impl CoordPath {
     /// (top-level group) and the last step (position within the finest
     /// level); for flat paths both collapse to the same index.
     pub fn pair(&self) -> (u16, u16) {
-        match self.0.as_slice() {
-            [] => (0, 0),
-            [only] => (*only, *only),
-            [first, .., last] => (*first, *last),
-        }
+        path_pair(&self.0)
     }
 
     /// Path depth.
@@ -113,9 +109,51 @@ pub struct TableCoordinates {
 }
 
 impl TableCoordinates {
-    /// Looks up the coordinate of data cell `(row, col)`.
+    /// Looks up the coordinate of data cell `(row, col)`: an index into the
+    /// row-major grid [`assign_coordinates`] lays out, with one HMD entry
+    /// per column.
     pub fn data_coord(&self, row: usize, col: usize) -> Option<&BiCoord> {
-        self.data.iter().find(|a| a.row == row && a.col == col).map(|a| &a.coord)
+        let cols = self.hmd.len();
+        if col >= cols {
+            return None;
+        }
+        let at = row.checked_mul(cols)? + col;
+        self.data.get(at).filter(|a| a.row == row && a.col == col).map(|a| &a.coord)
+    }
+}
+
+/// The `(first, last)` steps of a coordinate path, as [`CoordPath::pair`]
+/// reads them: `(0, 0)` for an empty path, the one step twice for a flat
+/// one.
+pub fn path_pair(path: &[u16]) -> (u16, u16) {
+    match path {
+        [] => (0, 0),
+        [only] => (*only, *only),
+        [first, .., last] => (*first, *last),
+    }
+}
+
+/// Calls `f` with the coordinate path of each of an axis's `n` positions,
+/// in order — rows through the VMD tree, columns through the HMD tree:
+/// the tree's root-to-leaf path of 1-based sibling indices, or the
+/// Cartesian `<i+1>` when the axis has no metadata.
+///
+/// This is the one definition of a cell's coordinate: data cell `(i, j)`
+/// is (row `i`'s vertical path; column `j`'s horizontal path).
+/// [`assign_coordinates`] collects the paths; the encoder reads one
+/// `(first, last)` pair per row and per column without building per-cell
+/// coordinates.
+///
+/// # Panics
+/// If `tree` is non-empty and its leaf count is not `n`.
+pub fn for_each_axis_path(tree: &MetaTree, n: usize, mut f: impl FnMut(&[u16])) {
+    if tree.is_empty() {
+        for i in 0..n {
+            f(&[i as u16 + 1]);
+        }
+    } else {
+        assert_eq!(tree.leaf_count(), n, "metadata leaf count must match axis length");
+        tree.for_each_leaf_path(f);
     }
 }
 
@@ -129,6 +167,8 @@ impl TableCoordinates {
 /// * Cells of a nested table inherit the host cell's coordinate and get the
 ///   1-based in-nested position as the `nested` pair (see
 ///   [`nested_coordinates`]).
+///
+/// Both paths come from [`for_each_axis_path`].
 pub fn assign_coordinates(table: &Table) -> TableCoordinates {
     let hpaths = axis_paths(&table.hmd, table.n_cols());
     let vpaths = axis_paths(&table.vmd, table.n_rows());
@@ -202,20 +242,16 @@ pub fn nested_tables_with_coords<'t>(
     out
 }
 
-fn axis_paths(tree: &crate::MetaTree, n: usize) -> Vec<CoordPath> {
-    if tree.is_empty() {
-        (0..n).map(|i| CoordPath::cartesian(i as u16 + 1)).collect()
-    } else {
-        let paths = tree.leaf_paths();
-        assert_eq!(paths.len(), n, "metadata leaf count must match axis length");
-        paths.into_iter().map(CoordPath).collect()
-    }
+fn axis_paths(tree: &MetaTree, n: usize) -> Vec<CoordPath> {
+    let mut out = Vec::with_capacity(n);
+    for_each_axis_path(tree, n, |p| out.push(CoordPath(p.to_vec())));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetaNode, MetaTree};
+    use crate::MetaNode;
 
     fn bin_table() -> Table {
         Table::builder("trial")

@@ -90,13 +90,19 @@ impl MetaTree {
     /// column/row.
     pub fn leaf_paths(&self) -> Vec<Vec<u16>> {
         let mut out = Vec::with_capacity(self.leaf_count());
+        self.for_each_leaf_path(|p| out.push(p.to_vec()));
+        out
+    }
+
+    /// Calls `f` with each root-to-leaf path of [`leaf_paths`](Self::leaf_paths),
+    /// in leaf order, without allocating one per leaf.
+    pub fn for_each_leaf_path(&self, mut f: impl FnMut(&[u16])) {
         let mut prefix = Vec::new();
         for (i, root) in self.roots.iter().enumerate() {
             prefix.push(i as u16 + 1);
-            collect_paths(root, &mut prefix, &mut out);
+            visit_paths(root, &mut prefix, &mut f);
             prefix.pop();
         }
-        out
     }
 
     /// Root-to-leaf label chains, in leaf order.
@@ -124,14 +130,14 @@ impl MetaTree {
     }
 }
 
-fn collect_paths(node: &MetaNode, prefix: &mut Vec<u16>, out: &mut Vec<Vec<u16>>) {
+fn visit_paths(node: &MetaNode, prefix: &mut Vec<u16>, f: &mut impl FnMut(&[u16])) {
     if node.children.is_empty() {
-        out.push(prefix.clone());
+        f(prefix);
         return;
     }
     for (i, child) in node.children.iter().enumerate() {
         prefix.push(i as u16 + 1);
-        collect_paths(child, prefix, out);
+        visit_paths(child, prefix, f);
         prefix.pop();
     }
 }

@@ -3,8 +3,10 @@
 //! The parent re-spawns this binary as an ingest child writing a durable
 //! [`ShardedStore`] under `DurabilityPolicy::Interval(5)`, SIGKILLs it
 //! mid-ingest — no flush, no graceful shutdown — then reopens the same
-//! directory and reports what the write-ahead log replayed. CI greps the
-//! `recovered N records` line.
+//! directory and reports what the write-ahead log replayed. The store
+//! keeps one log, so the recovered ids must be exactly a prefix of the
+//! ack order. CI greps the `recovered N records` and `prefix check passed`
+//! lines.
 //!
 //! Run with: `cargo run --release --example durable_crash_recovery`
 
@@ -66,8 +68,8 @@ fn main() {
     let status = child.wait().expect("reap the child");
     println!("ingest child killed mid-write (status: {status})");
 
-    // Phase 2: recovery. Reopen replays the per-shard logs in global LSN
-    // order, truncating any torn tail the kill left behind.
+    // Phase 2: recovery. Reopen replays the store's one log in LSN order,
+    // truncating any torn tail the kill left behind.
     let store = ShardedStore::open_durable(&dir, DIM, N_SHARDS, cfg()).expect("reopen after kill");
     let stats = store.wal_stats().expect("durable store exposes WAL stats");
     println!(
@@ -76,6 +78,12 @@ fn main() {
     );
     assert!(stats.replay_records > 0, "700 ms of throttled ingest must land some records");
     assert_eq!(store.len() as u64, stats.replay_records, "distinct ids: one live row per record");
+    // The child acknowledged ids 0, 1, 2, … in order; the durable prefix of
+    // that history is exactly the ids below the replay count.
+    let n = stats.replay_records;
+    let missing: Vec<u64> = (0..n).filter(|&id| !store.contains(id)).collect();
+    assert!(missing.is_empty(), "recovered ids are not a prefix of the ack order: {missing:?}");
+    println!("prefix check passed: the recovered ids are exactly 0..{n}");
 
     // And the recovered rows answer queries: the nearest neighbor of a
     // recovered row's own vector is that row.
