@@ -9,6 +9,7 @@ use tabbin_core::config::{ModelConfig, SegmentKind};
 use tabbin_core::encoding::{encode_segment, encode_text};
 use tabbin_core::infer::{embed_profiled, embed_with_into, InferScratch, Stage, StageProbe};
 use tabbin_core::model::TabBiNModel;
+use tabbin_core::pretrain::{PretrainOptions, TrainPhase, TrainProbe};
 use tabbin_core::variants::train_tokenizer;
 use tabbin_core::variants::TabBiNFamily;
 use tabbin_corpus::{generate, Dataset, GenOptions};
@@ -202,13 +203,86 @@ fn bench_infer_stages(c: &mut Criterion) -> String {
     )
 }
 
+/// Accumulates the wall time of each pre-training phase and counts the
+/// train steps (one sequence forward and backward each).
+struct PhaseClock {
+    last: Instant,
+    nanos: [u128; 3],
+    train_steps: usize,
+}
+
+impl TrainProbe for PhaseClock {
+    fn done(&mut self, phase: TrainPhase) {
+        let now = Instant::now();
+        self.nanos[phase as usize] += (now - self.last).as_nanos();
+        self.train_steps += usize::from(phase == TrainPhase::Backward);
+        self.last = now;
+    }
+}
+
+/// Pre-training at the end-to-end benchmark's settings: four
+/// `ModelConfig::tiny()` models over a vocabulary from 200 tables of the five
+/// profiles, 40 steps of batch 4 on 64 of them — 640 train steps. Best of
+/// five runs, each on a fresh family: train steps per second of the whole
+/// `pretrain` call, and that run's µs per train step in each phase (the
+/// optimizer runs once per batch; its time is spread over the batch).
+/// Returns the `pretrain` object of `BENCH_embed.json`.
+fn bench_pretrain(c: &mut Criterion) -> String {
+    const TABLES: usize = 64;
+    let profiles: Vec<_> = Dataset::ALL
+        .into_iter()
+        .map(|ds| generate(ds, &GenOptions { n_tables: Some(40), seed: 3 }).plain_tables())
+        .collect();
+    // Interleaved, so the pre-training tables cover every profile.
+    let tables: Vec<_> = (0..40).flat_map(|i| profiles.iter().map(move |p| p[i].clone())).collect();
+    let opts = PretrainOptions { steps: 40, batch: 4, seed: 3, ..PretrainOptions::default() };
+    let fresh = || TabBiNFamily::new(&tables, ModelConfig::tiny(), 3);
+
+    let mut best: Option<(f64, PhaseClock)> = None;
+    for _ in 0..5 {
+        let mut family = fresh();
+        let mut clock = PhaseClock { last: Instant::now(), nanos: [0; 3], train_steps: 0 };
+        let start = Instant::now();
+        family.pretrain_profiled(&tables[..TABLES], &opts, &mut clock);
+        let secs = start.elapsed().as_secs_f64();
+        if best.as_ref().is_none_or(|(s, _)| secs < *s) {
+            best = Some((secs, clock));
+        }
+    }
+    let (secs, clock) = best.expect("five runs");
+    let steps = clock.train_steps;
+    let us = |phase: TrainPhase| clock.nanos[phase as usize] as f64 / 1e3 / steps as f64;
+    let json = format!(
+        "{{\n    \"config\": \"ModelConfig::tiny\",\n    \"models\": 4,\n    \
+         \"tables\": {TABLES},\n    \"steps\": {},\n    \"batch\": {},\n    \
+         \"train_steps\": {steps},\n    \"steps_per_s\": {:.1},\n    \
+         \"us_per_train_step\": {{ \"forward\": {:.2}, \"backward\": {:.2}, \
+         \"optimizer\": {:.2} }}\n  }}",
+        opts.steps,
+        opts.batch,
+        steps as f64 / secs,
+        us(TrainPhase::Forward),
+        us(TrainPhase::Backward),
+        us(TrainPhase::Optimizer)
+    );
+    println!("pretrain: {json}");
+
+    let mut g = c.benchmark_group("pretrain");
+    let mut family = fresh();
+    g.bench_function("family_640_train_steps", |b| {
+        b.iter(|| family.pretrain(&tables[..TABLES], &opts));
+    });
+    g.finish();
+    json
+}
+
 /// Single-table loop vs. the batched pipeline on a 64-table batch at
 /// `ModelConfig::tiny()` — the workspace's headline scaling measurement.
 ///
 /// Besides the criterion samples, this writes `BENCH_embed.json` at the
-/// workspace root (tables/sec for both paths plus the speedup, and the
-/// [`bench_infer_stages`] attribution) so successive PRs accumulate a perf
-/// trajectory.
+/// workspace root (tables/sec for both paths plus the speedup, the
+/// [`bench_infer_stages`] attribution and the [`bench_pretrain`] figures) so
+/// successive PRs accumulate a perf trajectory.
 fn bench_embed_batch(c: &mut Criterion) {
     const BATCH: usize = 64;
     let corpus = generate(Dataset::CancerKg, &GenOptions { n_tables: Some(BATCH), seed: 5 });
@@ -253,8 +327,9 @@ fn bench_embed_batch(c: &mut Criterion) {
         "{{\n  \"bench\": \"embed_table\",\n  \"config\": \"ModelConfig::tiny\",\n  \
          \"batch_size\": {BATCH},\n  \"single_tables_per_sec\": {single_s},\n  \
          \"batched_tables_per_sec\": {batched_s},\n  \"speedup\": {speedup_s},\n  \
-         \"infer_stages\": {}\n}}\n",
-        bench_infer_stages(c)
+         \"infer_stages\": {},\n  \"pretrain\": {}\n}}\n",
+        bench_infer_stages(c),
+        bench_pretrain(c)
     );
     // Prefer the workspace root; fall back to the working directory (and a
     // warning) so a relocated bench binary still reports instead of dying.

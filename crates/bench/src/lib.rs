@@ -4,8 +4,9 @@
 //! Each `exp_*` binary in `src/bin/` is a thin wrapper over a module in
 //! [`experiments`]; the logic lives here so integration tests can exercise
 //! it and `all_experiments` can compose a full run. Absolute numbers differ
-//! from the paper (synthetic corpora, CPU-scaled models — see DESIGN.md);
-//! the reproduction target is the *shape* of each comparison.
+//! from the paper: DESIGN.md at the repository root states what is
+//! synthetic, what is scaled and what is a stand-in, and so what each
+//! comparison here can and cannot show.
 
 pub mod bundle;
 pub mod experiments;

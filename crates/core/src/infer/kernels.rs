@@ -1,20 +1,23 @@
 //! The SIMD kernels of the fused forward pass, written once over an 8-lane
 //! vector abstraction.
 //!
-//! Every kernel is generic over [`Lanes`], which has two implementations:
-//! [`Scalar`] (`[f32; 8]`, plain Rust) and, where AVX2+FMA are statically
-//! enabled, an `__m256` wrapper. [`Native`] names the one the forward pass
-//! runs. Each lane operation is a single correctly-rounded IEEE operation in
-//! both, and horizontal reductions go through one fixed tree, so a kernel
+//! Every kernel is generic over [`Lanes`], the trait `tabbin-tensor`'s
+//! [`tabbin_tensor::lanes`] defines for the training tape and this pass
+//! alike (re-exported here with its two implementations): [`Scalar`]
+//! (`[f32; 8]`, plain Rust) and, where AVX2+FMA are statically enabled, an
+//! `__m256` wrapper. [`Native`] names the one the forward pass runs. Each
+//! lane operation is a single correctly-rounded IEEE operation in both, and
+//! horizontal reductions go through one fixed tree, so a kernel
 //! instantiated with `Scalar` is the lane-for-lane twin of the same kernel
 //! instantiated with `Native`: `tests/prop_kernels.rs` pins them bit for
-//! bit. `unsafe` is confined to the `__m256` implementation of the trait.
+//! bit. This module has no `unsafe`; the trait's `__m256` implementation is
+//! the only one in the workspace.
 //!
 //! The module is public for that test suite and for the stage bench; it is
 //! not a stable interface.
 
-/// Width of a [`Lanes`] vector.
-pub const LANES: usize = 8;
+use tabbin_tensor::lanes::fused;
+pub use tabbin_tensor::lanes::{hmax, hsum, Lanes, Native, Scalar, LANES};
 
 /// Additive mask value for invisible pairs (matches `nn::additive_mask`) and
 /// for the padding that rounds an attention row up to a multiple of
@@ -25,217 +28,6 @@ pub const MASK_NEG: f32 = -1e9;
 const EXP_LO: f32 = -87.0;
 /// Above this, `expf` overflows; GELU clamps its argument here.
 const EXP_HI: f32 = 87.0;
-
-/// Eight `f32` lanes with the operations the kernels need.
-pub trait Lanes: Copy {
-    /// All lanes `v`.
-    fn splat(v: f32) -> Self;
-    /// Loads eight consecutive floats.
-    fn load(src: &[f32; LANES]) -> Self;
-    /// Stores eight consecutive floats.
-    fn store(self, dst: &mut [f32; LANES]);
-    /// Lane-wise `self + o`.
-    fn add(self, o: Self) -> Self;
-    /// Lane-wise `self - o`.
-    fn sub(self, o: Self) -> Self;
-    /// Lane-wise `self * o`.
-    fn mul(self, o: Self) -> Self;
-    /// Lane-wise `self / o`.
-    fn div(self, o: Self) -> Self;
-    /// Lane-wise `self * a + b`, fused where the target has the instruction.
-    fn mul_add(self, a: Self, b: Self) -> Self;
-    /// Lane-wise `if self > o { self } else { o }` (so a NaN lane yields `o`).
-    fn max(self, o: Self) -> Self;
-    /// Lane-wise `if self < o { self } else { o }` (so a NaN lane yields `o`).
-    fn min(self, o: Self) -> Self;
-    /// Lane-wise round toward negative infinity.
-    fn floor(self) -> Self;
-    /// Lane-wise `2^self` for integral lanes in `[-126, 127]`.
-    fn exp2i(self) -> Self;
-    /// Lane-wise `if self > o { v } else { 0.0 }`.
-    fn gt_then(self, o: Self, v: Self) -> Self;
-    /// The lanes as an array.
-    fn to_array(self) -> [f32; LANES] {
-        let mut a = [0.0; LANES];
-        self.store(&mut a);
-        a
-    }
-}
-
-/// The portable implementation: the `cfg(not(avx2))` path and the oracle the
-/// differential tests compare [`Native`] against.
-#[derive(Clone, Copy)]
-pub struct Scalar([f32; LANES]);
-
-/// `a * b + c`, fused exactly when the hardware instruction is statically
-/// there: the twin of the AVX2 path where that exists, and never a libm
-/// `fmaf` call where it does not.
-#[inline(always)]
-fn fused(a: f32, b: f32, c: f32) -> f32 {
-    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
-impl Scalar {
-    #[inline(always)]
-    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        Scalar(std::array::from_fn(|l| f(self.0[l], o.0[l])))
-    }
-}
-
-impl Lanes for Scalar {
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        Scalar([v; LANES])
-    }
-    #[inline(always)]
-    fn load(src: &[f32; LANES]) -> Self {
-        Scalar(*src)
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f32; LANES]) {
-        *dst = self.0;
-    }
-    #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        self.zip(o, |a, b| a + b)
-    }
-    #[inline(always)]
-    fn sub(self, o: Self) -> Self {
-        self.zip(o, |a, b| a - b)
-    }
-    #[inline(always)]
-    fn mul(self, o: Self) -> Self {
-        self.zip(o, |a, b| a * b)
-    }
-    #[inline(always)]
-    fn div(self, o: Self) -> Self {
-        self.zip(o, |a, b| a / b)
-    }
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        Scalar(std::array::from_fn(|l| fused(self.0[l], a.0[l], b.0[l])))
-    }
-    #[inline(always)]
-    fn max(self, o: Self) -> Self {
-        self.zip(o, |a, b| if a > b { a } else { b })
-    }
-    #[inline(always)]
-    fn min(self, o: Self) -> Self {
-        self.zip(o, |a, b| if a < b { a } else { b })
-    }
-    #[inline(always)]
-    fn floor(self) -> Self {
-        Scalar(self.0.map(f32::floor))
-    }
-    #[inline(always)]
-    fn exp2i(self) -> Self {
-        Scalar(self.0.map(|z| f32::from_bits(((z as i32 + 127) << 23) as u32)))
-    }
-    #[inline(always)]
-    fn gt_then(self, o: Self, v: Self) -> Self {
-        Scalar(std::array::from_fn(|l| if self.0[l] > o.0[l] { v.0[l] } else { 0.0 }))
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-mod avx2 {
-    use super::{Lanes, LANES};
-    use std::arch::x86_64::*;
-
-    /// `__m256` lanes. The type only exists when AVX2 and FMA are enabled
-    /// for the whole compilation (the `cfg` on this module), which is the
-    /// one requirement of every intrinsic below.
-    #[derive(Clone, Copy)]
-    pub struct Avx2(__m256);
-
-    // SAFETY (every `unsafe` block in this impl): the intrinsics need the
-    // `avx`, `avx2` and `fma` target features, which the module's `cfg`
-    // guarantees are on for all code in this build; loads and stores go
-    // through references to exactly eight floats, unaligned forms.
-    impl Lanes for Avx2 {
-        #[inline(always)]
-        fn splat(v: f32) -> Self {
-            unsafe { Avx2(_mm256_set1_ps(v)) }
-        }
-        #[inline(always)]
-        fn load(src: &[f32; LANES]) -> Self {
-            unsafe { Avx2(_mm256_loadu_ps(src.as_ptr())) }
-        }
-        #[inline(always)]
-        fn store(self, dst: &mut [f32; LANES]) {
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_add_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_sub_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_mul_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_div_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn mul_add(self, a: Self, b: Self) -> Self {
-            unsafe { Avx2(_mm256_fmadd_ps(self.0, a.0, b.0)) }
-        }
-        #[inline(always)]
-        fn max(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_max_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn min(self, o: Self) -> Self {
-            unsafe { Avx2(_mm256_min_ps(self.0, o.0)) }
-        }
-        #[inline(always)]
-        fn floor(self) -> Self {
-            unsafe { Avx2(_mm256_floor_ps(self.0)) }
-        }
-        #[inline(always)]
-        fn exp2i(self) -> Self {
-            unsafe {
-                let biased = _mm256_add_epi32(_mm256_cvttps_epi32(self.0), _mm256_set1_epi32(127));
-                Avx2(_mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)))
-            }
-        }
-        #[inline(always)]
-        fn gt_then(self, o: Self, v: Self) -> Self {
-            unsafe { Avx2(_mm256_and_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(self.0, o.0), v.0)) }
-        }
-    }
-}
-
-/// The lanes the forward pass runs on: AVX2 where it is statically enabled
-/// (`-C target-cpu=native` on any recent x86-64), [`Scalar`] elsewhere.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
-pub type Native = avx2::Avx2;
-/// The lanes the forward pass runs on: AVX2 where it is statically enabled
-/// (`-C target-cpu=native` on any recent x86-64), [`Scalar`] elsewhere.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma")))]
-pub type Native = Scalar;
-
-/// Horizontal sum through a fixed tree, so every [`Lanes`] agrees on it.
-#[inline(always)]
-pub fn hsum<V: Lanes>(v: V) -> f32 {
-    let a = v.to_array();
-    ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]))
-}
-
-/// Horizontal maximum (NaN-free input).
-#[inline(always)]
-pub fn hmax<V: Lanes>(v: V) -> f32 {
-    v.to_array().into_iter().fold(f32::NEG_INFINITY, f32::max)
-}
 
 /// Applies `f` to `row` eight lanes at a time, in place; a ragged tail is
 /// run through a copy padded with `pad`, so there is no scalar remainder

@@ -51,6 +51,32 @@ pub struct StepStats {
     pub clc_loss: f32,
 }
 
+/// The phases of pre-training that the `pretrain` bench attributes time to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrainPhase {
+    /// Picking and corrupting one sequence, the encoder forward pass, the
+    /// MLM and CLC heads and their losses.
+    Forward,
+    /// Backpropagation through the tape and folding the parameter gradients
+    /// into the store.
+    Backward,
+    /// Gradient clipping, the Adam update and zeroing the gradients, once
+    /// per batch.
+    Optimizer,
+}
+
+/// Told at every phase boundary of [`pretrain_profiled`] which phase just
+/// finished. The unit probe does nothing and compiles away.
+pub trait TrainProbe {
+    /// `phase` ran from the previous call (or the start of the run) to now.
+    fn done(&mut self, phase: TrainPhase);
+}
+
+impl TrainProbe for () {
+    #[inline(always)]
+    fn done(&mut self, _: TrainPhase) {}
+}
+
 /// Runs pre-training of `model` over `sequences`, returning per-step stats.
 ///
 /// Sequences too short to mask are skipped; if every sequence is degenerate
@@ -59,6 +85,18 @@ pub fn pretrain(
     model: &mut TabBiNModel,
     sequences: &[EncodedSequence],
     opts: &PretrainOptions,
+) -> Vec<StepStats> {
+    pretrain_profiled(model, sequences, opts, &mut ())
+}
+
+/// [`pretrain`] that reports each phase boundary to `probe` — how the
+/// pre-training bench splits a step without a patched build. The same
+/// parameters come out whatever the probe.
+pub fn pretrain_profiled<P: TrainProbe>(
+    model: &mut TabBiNModel,
+    sequences: &[EncodedSequence],
+    opts: &PretrainOptions,
+    probe: &mut P,
 ) -> Vec<StepStats> {
     let usable: Vec<&EncodedSequence> =
         sequences.iter().filter(|s| s.tokens.iter().any(|t| !t.special)).collect();
@@ -76,7 +114,7 @@ pub fn pretrain(
         let mut contributed = 0usize;
         for _ in 0..opts.batch {
             let seq = usable[rng.random_range(0..usable.len())];
-            if let Some(s) = train_step(model, seq, opts, &mut rng, &mut g) {
+            if let Some(s) = train_step(model, seq, opts, &mut rng, &mut g, probe) {
                 stats.loss += s.loss;
                 stats.mlm_loss += s.mlm_loss;
                 stats.clc_loss += s.clc_loss;
@@ -91,6 +129,7 @@ pub fn pretrain(
             model.store.clip_grad_norm(5.0);
             opt.step(&mut model.store);
             model.store.zero_grads();
+            probe.done(TrainPhase::Optimizer);
         }
         curve.push(stats);
     }
@@ -100,12 +139,13 @@ pub fn pretrain(
 /// One forward/backward on one sequence; gradients accumulate into the
 /// model's store. The caller-provided tape is reset and reused. Returns
 /// `None` when nothing could be masked.
-fn train_step(
+fn train_step<P: TrainProbe>(
     model: &mut TabBiNModel,
     seq: &EncodedSequence,
     opts: &PretrainOptions,
     rng: &mut StdRng,
     g: &mut Graph,
+    probe: &mut P,
 ) -> Option<StepStats> {
     let n = seq.len();
     let vocab = model.vocab_size() as u32;
@@ -195,8 +235,10 @@ fn train_step(
         mlm_loss: g.value(mlm_loss).data()[0],
         clc_loss: clc_value,
     };
+    probe.done(TrainPhase::Forward);
     g.backward(loss);
     g.accumulate_grads(&mut model.store);
+    probe.done(TrainPhase::Backward);
     Some(stats)
 }
 

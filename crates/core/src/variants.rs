@@ -11,7 +11,7 @@ use crate::composite;
 use crate::config::{ModelConfig, SegmentKind};
 use crate::encoding::{encode_column, encode_segment, encode_text, EncodedSequence};
 use crate::model::TabBiNModel;
-use crate::pretrain::{pretrain, PretrainOptions, StepStats};
+use crate::pretrain::{pretrain_profiled, PretrainOptions, StepStats, TrainProbe};
 use tabbin_table::Table;
 use tabbin_tokenizer::Tokenizer;
 use tabbin_typeinfer::TypeTagger;
@@ -57,6 +57,17 @@ impl TabBiNFamily {
     /// Returns the loss curves keyed by segment kind order
     /// (row, column, hmd, vmd).
     pub fn pretrain(&mut self, tables: &[Table], opts: &PretrainOptions) -> [Vec<StepStats>; 4] {
+        self.pretrain_profiled(tables, opts, &mut ())
+    }
+
+    /// [`TabBiNFamily::pretrain`], reporting every phase boundary of all
+    /// four runs to `probe` (see [`pretrain_profiled`]).
+    pub fn pretrain_profiled<P: TrainProbe>(
+        &mut self,
+        tables: &[Table],
+        opts: &PretrainOptions,
+        probe: &mut P,
+    ) -> [Vec<StepStats>; 4] {
         let mut curves: [Vec<StepStats>; 4] = Default::default();
         for (slot, kind) in SegmentKind::ALL.iter().enumerate() {
             let seqs: Vec<EncodedSequence> = tables
@@ -65,7 +76,7 @@ impl TabBiNFamily {
                 .filter(|s| !s.is_empty())
                 .collect();
             let model = self.model_mut(*kind);
-            curves[slot] = pretrain(model, &seqs, opts);
+            curves[slot] = pretrain_profiled(model, &seqs, opts, probe);
         }
         curves
     }

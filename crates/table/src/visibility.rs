@@ -40,18 +40,16 @@ impl SeqItem {
 /// Rules (paper §3.2): same row ⇒ visible; same column ⇒ visible; special
 /// tokens are globally visible; every element sees itself.
 pub fn visibility_matrix(items: &[SeqItem]) -> Vec<Vec<bool>> {
-    let n = items.len();
-    let mut m = vec![vec![false; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            m[i][j] = i == j
-                || items[i].global
-                || items[j].global
-                || items[i].row == items[j].row
-                || items[i].col == items[j].col;
-        }
-    }
-    m
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            // Non-short-circuit `|`, so the row compiles to a branch-free loop.
+            let row = items.iter().enumerate();
+            row.map(|(j, b)| (i == j) | a.global | b.global | (a.row == b.row) | (a.col == b.col))
+                .collect()
+        })
+        .collect()
 }
 
 /// Density of a visibility matrix: fraction of `true` entries. Useful for

@@ -4,6 +4,7 @@
 //! are appended in execution order, the tape is already topologically sorted
 //! and [`Graph::backward`] simply walks it in reverse.
 
+use crate::kernels::Product;
 use crate::param::{ParamId, ParamStore};
 use crate::Tensor;
 
@@ -25,11 +26,15 @@ enum Op {
     Mul(NodeId, NodeId),
     ScalarMul(NodeId, f32),
     Matmul(NodeId, NodeId),
-    /// `a [m,k] x b[n,k]^T -> [m,n]` without materializing the transpose.
+    /// `a [m,k] x b[n,k]^T -> [m,n]`; the product kernel reads `b` in place.
     MatmulTransB(NodeId, NodeId),
     Transpose(NodeId),
     Relu(NodeId),
-    Gelu(NodeId),
+    /// GELU, keeping the `tanh` of every element for the backward pass.
+    Gelu {
+        x: NodeId,
+        tanh: Vec<f32>,
+    },
     Tanh(NodeId),
     Sigmoid(NodeId),
     /// Row-wise softmax over the last dimension of a rank-2 tensor.
@@ -101,6 +106,10 @@ pub struct Graph {
     /// held here rather than on nodes so the backward sweep can borrow nodes
     /// immutably.
     param_grads: Vec<Option<Tensor>>,
+    /// Parameter copies of the tape before the last [`Graph::reset`], by
+    /// [`ParamId`] index: the next copy of the same parameter goes into its
+    /// buffer instead of a fresh allocation.
+    spare: Vec<Option<Tensor>>,
 }
 
 impl Graph {
@@ -111,7 +120,7 @@ impl Graph {
 
     /// An empty tape with room for `nodes` operations before reallocating.
     pub fn with_capacity(nodes: usize) -> Self {
-        Self { nodes: Vec::with_capacity(nodes), param_grads: Vec::new() }
+        Self { nodes: Vec::with_capacity(nodes), param_grads: Vec::new(), spare: Vec::new() }
     }
 
     /// Clears the tape for reuse, keeping the node arena's allocation.
@@ -119,10 +128,17 @@ impl Graph {
     /// After `reset` the graph is observationally identical to a fresh
     /// [`Graph::new`], but repeated build/backward cycles (pre-training
     /// steps, batched embedding) skip the per-step reallocation of the node
-    /// vector. `NodeId`s handed out before the reset must not be used
-    /// afterwards.
+    /// vector and the parameter copies' buffers. `NodeId`s handed out before
+    /// the reset must not be used afterwards.
     pub fn reset(&mut self) {
-        self.nodes.clear();
+        for node in self.nodes.drain(..) {
+            if let Op::Param(id) = node.op {
+                if self.spare.len() <= id.index() {
+                    self.spare.resize_with(id.index() + 1, || None);
+                }
+                self.spare[id.index()] = Some(node.value);
+            }
+        }
         self.param_grads.clear();
     }
 
@@ -141,6 +157,10 @@ impl Graph {
         &self.nodes[id.0].value
     }
 
+    fn is_input(&self, id: NodeId) -> bool {
+        matches!(self.nodes[id.0].op, Op::Input)
+    }
+
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
         self.nodes.push(Node { value, op });
         NodeId(self.nodes.len() - 1)
@@ -153,7 +173,15 @@ impl Graph {
 
     /// Records a parameter by copying its current value onto the tape.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        self.push(store.value(id).clone(), Op::Param(id))
+        let src = store.value(id);
+        let value = match self.spare.get_mut(id.index()).and_then(Option::take) {
+            Some(mut buf) if buf.shape() == src.shape() => {
+                buf.data_mut().copy_from_slice(src.data());
+                buf
+            }
+            _ => src.clone(),
+        };
+        self.push(value, Op::Param(id))
     }
 
     /// Elementwise addition of equally-shaped tensors.
@@ -167,12 +195,10 @@ impl Graph {
         let (av, bv) = (self.value(a), self.value(bias));
         assert_eq!(bv.rows(), 1, "add_row bias must have one row");
         assert_eq!(av.cols(), bv.cols(), "add_row width mismatch");
-        let n = av.rows();
-        let d = av.cols();
         let mut out = av.clone();
-        for i in 0..n {
-            for j in 0..d {
-                *out.at_mut(i, j) += bv.at(0, j);
+        for i in 0..out.rows() {
+            for (o, &b) in out.row_mut(i).iter_mut().zip(bv.data()) {
+                *o += b;
             }
         }
         self.push(out, Op::AddRow(a, bias))
@@ -203,16 +229,17 @@ impl Graph {
         self.push(v, Op::Matmul(a, b))
     }
 
-    /// `a x b^T` without materializing the transpose of `b`.
+    /// `a x b^T`, reading `b` in place: no transpose is materialized,
+    /// forward or backward.
     pub fn matmul_trans_b(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let bt = self.value(b).transpose();
-        let v = self.value(a).matmul(&bt);
+        let v = self.value(a).product(Product::ABt, self.value(b));
         self.push(v, Op::MatmulTransB(a, b))
     }
 
-    /// Transpose of a rank-2 node.
+    /// Transpose of a rank-2 node (the one op on the tape that copies a
+    /// transpose, because it is the one that asks for it).
     pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).transpose();
+        let v = Tensor::transpose(self.value(a));
         self.push(v, Op::Transpose(a))
     }
 
@@ -224,8 +251,11 @@ impl Graph {
 
     /// Gaussian error linear unit (tanh approximation, as in BERT).
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(gelu_fwd);
-        self.push(v, Op::Gelu(a))
+        let xv = self.value(a);
+        let tanh: Vec<f32> = xv.data().iter().map(|&x| gelu_tanh(x)).collect();
+        let data = xv.data().iter().zip(&tanh).map(|(&x, &t)| 0.5 * x * (1.0 + t)).collect();
+        let v = Tensor::from_vec(data, xv.shape());
+        self.push(v, Op::Gelu { x: a, tanh })
     }
 
     /// Hyperbolic tangent.
@@ -258,23 +288,21 @@ impl Graph {
         assert_eq!(self.value(gamma).cols(), d, "layer_norm gamma width");
         assert_eq!(self.value(beta).cols(), d, "layer_norm beta width");
         let mut xhat = Tensor::zeros(&[n, d]);
-        let mut inv_std = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = xv.row(i);
-            let mu = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + eps).sqrt();
-            inv_std.push(istd);
-            for (j, &rv) in row.iter().enumerate() {
-                *xhat.at_mut(i, j) = (rv - mu) * istd;
-            }
+        let mut inv_std = vec![0.0; n];
+        let mut i = 0;
+        while i < n {
+            i += if n - i >= 4 {
+                normalize::<4>(xv, i, eps, &mut xhat, &mut inv_std)
+            } else {
+                normalize::<1>(xv, i, eps, &mut xhat, &mut inv_std)
+            };
         }
-        let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
+        let (gv, bv) = (&self.value(gamma).data()[..d], &self.value(beta).data()[..d]);
         let mut out = Tensor::zeros(&[n, d]);
         for i in 0..n {
-            for j in 0..d {
-                *out.at_mut(i, j) = xhat.at(i, j) * gv.at(0, j) + bv.at(0, j);
+            let orow = out.row_mut(i).iter_mut().zip(xhat.row(i));
+            for ((o, &xh), (&gj, &bj)) in orow.zip(gv.iter().zip(bv)) {
+                *o = xh * gj + bj;
             }
         }
         self.push(out, Op::LayerNorm { x, gamma, beta, cache: LnCache { xhat, inv_std } })
@@ -396,7 +424,7 @@ impl Graph {
             if t >= 0 {
                 let t = t as usize;
                 assert!(t < c, "target {t} out of range for {c} classes");
-                let p = probs.at(i, t).max(1e-12);
+                let p = probs.row(i)[t].max(1e-12);
                 total -= (p as f64).ln();
                 counted += 1;
             }
@@ -420,241 +448,191 @@ impl Graph {
 
         for idx in (0..self.nodes.len()).rev() {
             let Some(g) = grads[idx].take() else { continue };
-            // Re-stash for param accumulation later.
-            let keep_for_param = matches!(self.nodes[idx].op, Op::Param(_));
+            let grads = &mut grads;
             match &self.nodes[idx].op {
-                Op::Input | Op::Param(_) => {}
+                Op::Input => {}
+                // Re-stashed for `accumulate_grads`; no later node feeds it.
+                Op::Param(_) => grads[idx] = Some(g),
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, a.0, &g);
-                    accumulate(&mut grads, b.0, &g);
+                    accumulate(grads, *a, g.clone());
+                    accumulate(grads, *b, g);
                 }
                 Op::AddRow(a, bias) => {
-                    accumulate(&mut grads, a.0, &g);
-                    let mut bg = Tensor::zeros(&[1, g.cols()]);
-                    for i in 0..g.rows() {
-                        for j in 0..g.cols() {
-                            *bg.at_mut(0, j) += g.at(i, j);
-                        }
-                    }
-                    accumulate(&mut grads, bias.0, &bg);
+                    let bg = sum_rows(&g);
+                    accumulate(grads, *a, g);
+                    accumulate(grads, *bias, bg);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, a.0, &g);
-                    let mut neg = g.clone();
+                    accumulate(grads, *a, g.clone());
+                    let mut neg = g;
                     neg.scale(-1.0);
-                    accumulate(&mut grads, b.0, &neg);
+                    accumulate(grads, *b, neg);
                 }
                 Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga = g.mul(self.value(b));
-                    let gb = g.mul(self.value(a));
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    let ga = g.mul(self.value(*b));
+                    let gb = g.mul(self.value(*a));
+                    accumulate(grads, *a, ga);
+                    accumulate(grads, *b, gb);
                 }
                 Op::ScalarMul(a, c) => {
-                    let mut ga = g.clone();
+                    let mut ga = g;
                     ga.scale(*c);
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *a, ga);
                 }
+                // A product skips the gradient of a constant input, which
+                // backward would drop unread.
                 Op::Matmul(a, b) => {
-                    let (a, b) = (*a, *b);
                     // dA = dC x B^T ; dB = A^T x dC
-                    let ga = g.matmul(&self.value(b).transpose());
-                    let gb = self.value(a).transpose().matmul(&g);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    if !self.is_input(*a) {
+                        accumulate(grads, *a, g.product(Product::ABt, self.value(*b)));
+                    }
+                    if !self.is_input(*b) {
+                        accumulate(grads, *b, self.value(*a).product(Product::AtB, &g));
+                    }
                 }
                 Op::MatmulTransB(a, b) => {
-                    let (a, b) = (*a, *b);
                     // C = A x B^T : dA = dC x B ; dB = dC^T x A
-                    let ga = g.matmul(self.value(b));
-                    let gb = g.transpose().matmul(self.value(a));
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    if !self.is_input(*a) {
+                        accumulate(grads, *a, g.product(Product::AB, self.value(*b)));
+                    }
+                    if !self.is_input(*b) {
+                        accumulate(grads, *b, g.product(Product::AtB, self.value(*a)));
+                    }
                 }
-                Op::Transpose(a) => {
-                    let ga = g.transpose();
-                    accumulate(&mut grads, a.0, &ga);
-                }
+                Op::Transpose(a) => accumulate(grads, *a, Tensor::transpose(&g)),
                 Op::Relu(a) => {
-                    let a = *a;
-                    let av = self.value(a);
-                    let mut ga = g.clone();
-                    for (gv, xv) in ga.data_mut().iter_mut().zip(av.data()) {
+                    let mut ga = g;
+                    for (gv, xv) in ga.data_mut().iter_mut().zip(self.value(*a).data()) {
                         if *xv <= 0.0 {
                             *gv = 0.0;
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *a, ga);
                 }
-                Op::Gelu(a) => {
-                    let a = *a;
-                    let av = self.value(a);
-                    let mut ga = g.clone();
-                    for (gv, xv) in ga.data_mut().iter_mut().zip(av.data()) {
-                        *gv *= gelu_bwd(*xv);
+                Op::Gelu { x, tanh } => {
+                    let mut ga = g;
+                    let xt = self.value(*x).data().iter().zip(tanh);
+                    for (gv, (&xv, &t)) in ga.data_mut().iter_mut().zip(xt) {
+                        *gv *= gelu_bwd(xv, t);
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *x, ga);
                 }
                 Op::Tanh(a) => {
-                    let a = *a;
-                    let yv = &self.nodes[idx].value;
-                    let mut ga = g.clone();
-                    for (gv, y) in ga.data_mut().iter_mut().zip(yv.data()) {
+                    let mut ga = g;
+                    for (gv, y) in ga.data_mut().iter_mut().zip(self.nodes[idx].value.data()) {
                         *gv *= 1.0 - y * y;
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *a, ga);
                 }
                 Op::Sigmoid(a) => {
-                    let a = *a;
-                    let yv = &self.nodes[idx].value;
-                    let mut ga = g.clone();
-                    for (gv, y) in ga.data_mut().iter_mut().zip(yv.data()) {
+                    let mut ga = g;
+                    for (gv, y) in ga.data_mut().iter_mut().zip(self.nodes[idx].value.data()) {
                         *gv *= y * (1.0 - y);
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *a, ga);
                 }
                 Op::SoftmaxRows(a) => {
-                    let a = *a;
                     let y = &self.nodes[idx].value;
-                    let (n, d) = (y.rows(), y.cols());
-                    let mut ga = Tensor::zeros(&[n, d]);
-                    for i in 0..n {
-                        let yr = y.row(i);
-                        let gr = g.row(i);
+                    let mut ga = Tensor::zeros(y.shape());
+                    for i in 0..y.rows() {
+                        let (yr, gr) = (y.row(i), g.row(i));
                         let dot: f32 = yr.iter().zip(gr).map(|(y, g)| y * g).sum();
-                        let out = ga.row_mut(i);
-                        for j in 0..d {
-                            out[j] = yr[j] * (gr[j] - dot);
+                        for (o, (&yj, &gj)) in ga.row_mut(i).iter_mut().zip(yr.iter().zip(gr)) {
+                            *o = yj * (gj - dot);
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(grads, *a, ga);
                 }
                 Op::LayerNorm { x, gamma, beta, cache } => {
-                    let (x, gamma, beta) = (*x, *gamma, *beta);
                     let (n, d) = (g.rows(), g.cols());
-                    let gv = self.value(gamma);
+                    let gv = &self.value(*gamma).data()[..d];
                     let mut dgamma = Tensor::zeros(&[1, d]);
                     let mut dbeta = Tensor::zeros(&[1, d]);
                     let mut dx = Tensor::zeros(&[n, d]);
                     for i in 0..n {
-                        let gr = g.row(i);
-                        let xh = cache.xhat.row(i);
+                        let (gr, xh) = (g.row(i), cache.xhat.row(i));
                         let istd = cache.inv_std[i];
                         let mut mean_dxhat = 0.0f32;
                         let mut mean_dxhat_xhat = 0.0f32;
-                        for j in 0..d {
-                            let dxh = gr[j] * gv.at(0, j);
+                        for ((&gj, &gamj), &xj) in gr.iter().zip(gv).zip(xh) {
+                            let dxh = gj * gamj;
                             mean_dxhat += dxh;
-                            mean_dxhat_xhat += dxh * xh[j];
+                            mean_dxhat_xhat += dxh * xj;
                         }
                         mean_dxhat /= d as f32;
                         mean_dxhat_xhat /= d as f32;
-                        for j in 0..d {
-                            let dxh = gr[j] * gv.at(0, j);
-                            *dx.at_mut(i, j) = istd * (dxh - mean_dxhat - xh[j] * mean_dxhat_xhat);
-                            *dgamma.at_mut(0, j) += gr[j] * xh[j];
-                            *dbeta.at_mut(0, j) += gr[j];
+                        let dxr = dx.row_mut(i).iter_mut();
+                        let sums = dgamma.data_mut().iter_mut().zip(dbeta.data_mut());
+                        for ((o, (dg, db)), ((&gj, &gamj), &xj)) in
+                            dxr.zip(sums).zip(gr.iter().zip(gv).zip(xh))
+                        {
+                            let dxh = gj * gamj;
+                            *o = istd * (dxh - mean_dxhat - xj * mean_dxhat_xhat);
+                            *dg += gj * xj;
+                            *db += gj;
                         }
                     }
-                    accumulate(&mut grads, x.0, &dx);
-                    accumulate(&mut grads, gamma.0, &dgamma);
-                    accumulate(&mut grads, beta.0, &dbeta);
+                    accumulate(grads, *x, dx);
+                    accumulate(grads, *gamma, dgamma);
+                    accumulate(grads, *beta, dbeta);
                 }
                 Op::RowSelect { x, rows } => {
-                    let x = *x;
-                    let rows = rows.clone();
-                    let xv = self.value(x);
+                    let xv = self.value(*x);
                     let mut gx = Tensor::zeros(&[xv.rows(), xv.cols()]);
                     for (i, &r) in rows.iter().enumerate() {
-                        let src = g.row(i);
-                        let dst = gx.row_mut(r);
-                        for (d, s) in dst.iter_mut().zip(src) {
+                        for (d, s) in gx.row_mut(r).iter_mut().zip(g.row(i)) {
                             *d += *s;
                         }
                     }
-                    accumulate(&mut grads, x.0, &gx);
+                    accumulate(grads, *x, gx);
                 }
                 Op::ConcatCols(parts) => {
-                    let parts = parts.clone();
                     let mut off = 0;
-                    for p in parts {
+                    for &p in parts {
                         let w = self.value(p).cols();
-                        let n = g.rows();
-                        let mut gp = Tensor::zeros(&[n, w]);
-                        for i in 0..n {
-                            gp.row_mut(i).copy_from_slice(&g.row(i)[off..off + w]);
+                        let mut data = Vec::with_capacity(g.rows() * w);
+                        for i in 0..g.rows() {
+                            data.extend_from_slice(&g.row(i)[off..off + w]);
                         }
-                        accumulate(&mut grads, p.0, &gp);
+                        accumulate(grads, p, Tensor::from_vec(data, &[g.rows(), w]));
                         off += w;
                     }
                 }
                 Op::ConcatRows(parts) => {
-                    let parts = parts.clone();
+                    let d = g.cols();
                     let mut off = 0;
-                    for p in parts {
+                    for &p in parts {
                         let r = self.value(p).rows();
-                        let d = g.cols();
-                        let mut gp = Tensor::zeros(&[r, d]);
-                        for i in 0..r {
-                            gp.row_mut(i).copy_from_slice(g.row(off + i));
-                        }
-                        accumulate(&mut grads, p.0, &gp);
+                        let data = g.data()[off * d..(off + r) * d].to_vec();
+                        accumulate(grads, p, Tensor::from_vec(data, &[r, d]));
                         off += r;
                     }
                 }
                 Op::ColSlice { x, start } => {
-                    let (x, start) = (*x, *start);
-                    let xv = self.value(x);
+                    let xv = self.value(*x);
                     let mut gx = Tensor::zeros(&[xv.rows(), xv.cols()]);
                     let w = g.cols();
                     for i in 0..g.rows() {
-                        gx.row_mut(i)[start..start + w].copy_from_slice(g.row(i));
+                        gx.row_mut(i)[*start..*start + w].copy_from_slice(g.row(i));
                     }
-                    accumulate(&mut grads, x.0, &gx);
+                    accumulate(grads, *x, gx);
                 }
                 Op::MeanRows(x) => {
-                    let x = *x;
-                    let xv = self.value(x);
-                    let n = xv.rows();
-                    let d = xv.cols();
-                    let mut gx = Tensor::zeros(&[n, d]);
+                    let n = self.value(*x).rows();
                     let inv = 1.0 / n as f32;
-                    for i in 0..n {
-                        for j in 0..d {
-                            *gx.at_mut(i, j) = g.at(0, j) * inv;
-                        }
-                    }
-                    accumulate(&mut grads, x.0, &gx);
+                    let row: Vec<f32> = g.row(0).iter().map(|v| v * inv).collect();
+                    let data = row.repeat(n);
+                    accumulate(grads, *x, Tensor::from_vec(data, &[n, row.len()]));
                 }
                 Op::MeanAll(x) => {
-                    let x = *x;
-                    let xv = self.value(x);
+                    let xv = self.value(*x);
                     let inv = g.data()[0] / xv.len() as f32;
-                    let gx = Tensor::full(xv.shape(), inv);
-                    accumulate(&mut grads, x.0, &gx);
+                    accumulate(grads, *x, Tensor::full(xv.shape(), inv));
                 }
-                Op::AddConst(x) => {
-                    accumulate(&mut grads, x.0, &g);
-                }
-                Op::MulConst { x, mask } => {
-                    let x = *x;
-                    let gx = g.mul(mask);
-                    accumulate(&mut grads, x.0, &gx);
-                }
-                Op::RepeatRows { x } => {
-                    let x = *x;
-                    let d = g.cols();
-                    let mut gx = Tensor::zeros(&[1, d]);
-                    for i in 0..g.rows() {
-                        for j in 0..d {
-                            *gx.at_mut(0, j) += g.at(i, j);
-                        }
-                    }
-                    accumulate(&mut grads, x.0, &gx);
-                }
+                Op::AddConst(x) => accumulate(grads, *x, g),
+                Op::MulConst { x, mask } => accumulate(grads, *x, g.mul(mask)),
+                Op::RepeatRows { x } => accumulate(grads, *x, sum_rows(&g)),
                 Op::CrossEntropyRows { logits, targets, probs, counted } => {
-                    let logits = *logits;
                     let scale = g.data()[0] / *counted as f32;
                     let (n, c) = (probs.rows(), probs.cols());
                     let mut gl = Tensor::zeros(&[n, c]);
@@ -662,18 +640,14 @@ impl Graph {
                         if t < 0 {
                             continue;
                         }
-                        let pr = probs.row(i);
                         let out = gl.row_mut(i);
-                        for j in 0..c {
-                            out[j] = pr[j] * scale;
+                        for (o, &p) in out.iter_mut().zip(probs.row(i)) {
+                            *o = p * scale;
                         }
                         out[t as usize] -= scale;
                     }
-                    accumulate(&mut grads, logits.0, &gl);
+                    accumulate(grads, *logits, gl);
                 }
-            }
-            if keep_for_param {
-                grads[idx] = Some(g);
             }
         }
         self.param_grads = grads;
@@ -697,11 +671,62 @@ impl Graph {
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor) {
-    match &mut grads[idx] {
-        Some(existing) => existing.add_assign(g),
-        slot @ None => *slot = Some(g.clone()),
+/// Adds `g` into `node`'s gradient; the first gradient a node receives is
+/// moved in, not copied.
+fn accumulate(grads: &mut [Option<Tensor>], node: NodeId, g: Tensor) {
+    match &mut grads[node.0] {
+        Some(existing) => existing.add_assign(&g),
+        slot @ None => *slot = Some(g),
     }
+}
+
+/// Layer-norm statistics of rows `i .. i + G` of `x` into `xhat` and
+/// `inv_std`; returns `G`. Each row's sums run in order from `-0.0`, as
+/// `Iterator::sum` folds; the `G` rows' add chains run side by side, which
+/// is what makes short rows fast.
+#[inline(always)]
+fn normalize<const G: usize>(
+    x: &Tensor,
+    i: usize,
+    eps: f32,
+    xhat: &mut Tensor,
+    inv_std: &mut [f32],
+) -> usize {
+    let d = x.cols();
+    // Sliced to exactly `d`, so the indexing below needs no bounds checks.
+    let rows: [&[f32]; G] = std::array::from_fn(|r| &x.row(i + r)[..d]);
+    let mut mu = [-0.0f32; G];
+    for j in 0..d {
+        for (m, row) in mu.iter_mut().zip(&rows) {
+            *m += row[j];
+        }
+    }
+    let mu = mu.map(|s| s / d as f32);
+    let mut var = [-0.0f32; G];
+    for j in 0..d {
+        for ((v, row), &m) in var.iter_mut().zip(&rows).zip(&mu) {
+            *v += (row[j] - m) * (row[j] - m);
+        }
+    }
+    for (r, (row, (&m, &v))) in rows.iter().zip(mu.iter().zip(&var)).enumerate() {
+        let istd = 1.0 / (v / d as f32 + eps).sqrt();
+        inv_std[i + r] = istd;
+        for (xh, &rv) in xhat.row_mut(i + r).iter_mut().zip(*row) {
+            *xh = (rv - m) * istd;
+        }
+    }
+    G
+}
+
+/// `[1, d]` column sums of `[n, d]`, accumulated row by row from zero.
+fn sum_rows(g: &Tensor) -> Tensor {
+    let mut sum = Tensor::zeros(&[1, g.cols()]);
+    for i in 0..g.rows() {
+        for (acc, &v) in sum.data_mut().iter_mut().zip(g.row(i)) {
+            *acc += v;
+        }
+    }
+    sum
 }
 
 /// Numerically-stable softmax of one row (shared by the tape ops and the
@@ -725,12 +750,16 @@ const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 /// GELU forward (tanh approximation, as in BERT); shared like
 /// [`softmax_row`].
 pub fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + gelu_tanh(x))
 }
 
-fn gelu_bwd(x: f32) -> f32 {
-    let inner = GELU_C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
+/// The `tanh` term of GELU, which the tape keeps for the backward pass.
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+}
+
+/// GELU's derivative at `x`, given `t = gelu_tanh(x)`.
+fn gelu_bwd(x: f32, t: f32) -> f32 {
     let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }

@@ -14,12 +14,16 @@
 //! * [`nn`] — layers used by every model in the workspace (linear, layer
 //!   normalization, embeddings, multi-head attention building blocks).
 //! * [`optim`] — Adam and SGD optimizers.
+//! * [`lanes`] — the workspace's one 8-lane SIMD abstraction (AVX2 and a
+//!   bit-identical scalar twin), shared with `tabbin-core`'s fused inference.
+//! * [`kernels`] — the tape's three matrix products (`A·B`, `A·Bᵀ`, `Aᵀ·B`),
+//!   register-tiled over [`lanes`], reading both operands in place.
 //!
-//! The design intentionally favours clarity and testability over raw speed:
-//! models in this reproduction are tiny (hidden sizes of 32–128), so clean
-//! shape-checked operations dominate. Matrix multiplication is still blocked
-//! and parallelized with `crossbeam` once operands are large enough to
-//! benefit.
+//! Models in this reproduction are tiny (hidden sizes of 24–128), so the ops
+//! stay simple and shape-checked; the products, which dominate training, are
+//! vectorized under a bit-identity contract with the scalar loop they
+//! replaced (see [`kernels`]), and split across `crossbeam` workers once
+//! large enough.
 //!
 //! # Example
 //!
@@ -46,6 +50,8 @@
 
 mod graph;
 pub mod init;
+pub mod kernels;
+pub mod lanes;
 /// Scalar math shared by the autograd tape and no-tape inference kernels.
 pub mod ops {
     pub use crate::graph::{gelu_fwd, softmax_row};

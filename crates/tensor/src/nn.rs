@@ -13,6 +13,11 @@
 //!   the returned handle applies them to any number of inputs. Embedding a
 //!   batch of sequences through shared placements is what makes the
 //!   `tabbin-core` batch encoder cheap.
+//!
+//! Every product a layer records — a linear's `x·W`, attention's `Q·Kᵀ` (via
+//! [`Graph::matmul_trans_b`]) and `scores·V` — runs forward and backward on
+//! the tape's kernels ([`crate::kernels`]), which read the weights in place:
+//! no layer, and no gradient, materializes a transpose.
 
 use crate::{init, Graph, NodeId, ParamId, ParamStore, Tensor};
 
@@ -407,16 +412,12 @@ impl PlacedEncoderBlock {
 /// `1 -> 0.0` (visible), `0 -> -1e9` (hidden).
 pub fn additive_mask(visibility: &[Vec<bool>]) -> Tensor {
     let n = visibility.len();
-    let mut t = Tensor::zeros(&[n, n]);
-    for (i, row) in visibility.iter().enumerate() {
+    let mut data = Vec::with_capacity(n * n);
+    for row in visibility {
         assert_eq!(row.len(), n, "visibility matrix must be square");
-        for (j, &vis) in row.iter().enumerate() {
-            if !vis {
-                *t.at_mut(i, j) = -1e9;
-            }
-        }
+        data.extend(row.iter().map(|&vis| if vis { 0.0 } else { -1e9 }));
     }
-    t
+    Tensor::from_vec(data, &[n, n])
 }
 
 #[cfg(test)]

@@ -43,21 +43,22 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let Adam { lr, beta1, beta2, eps, weight_decay, .. } = *self;
         for slot in &mut store.slots {
-            let g = slot.grad.data();
-            let m = slot.m.data_mut();
-            let v = slot.v.data_mut();
-            let w = slot.value.data_mut();
-            for i in 0..g.len() {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                let mut upd = mhat / (vhat.sqrt() + self.eps);
-                if self.weight_decay > 0.0 {
-                    upd += self.weight_decay * w[i];
+            // Zipped slices, so the loop vectorizes; each element's
+            // arithmetic is the same sequence of IEEE operations.
+            let w = slot.value.data_mut().iter_mut();
+            let mv = slot.m.data_mut().iter_mut().zip(slot.v.data_mut());
+            for ((w, (m, v)), &g) in w.zip(mv).zip(slot.grad.data()) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                let mut upd = mhat / (vhat.sqrt() + eps);
+                if weight_decay > 0.0 {
+                    upd += weight_decay * *w;
                 }
-                w[i] -= self.lr * upd;
+                *w -= lr * upd;
             }
         }
     }

@@ -115,7 +115,7 @@ impl ParamStore {
     /// Global gradient-norm clipping: scales all gradients so their joint L2
     /// norm does not exceed `max_norm`. Returns the pre-clip norm.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let total: f32 = self.slots.iter().map(|s| s.grad.sq_norm()).sum();
+        let total: f32 = grad_sq_norms(&self.slots).into_iter().sum();
         let norm = total.sqrt();
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
@@ -127,9 +127,48 @@ impl ParamStore {
     }
 }
 
+/// [`Tensor::sq_norm`] of every slot's gradient, in slot order. Each is the
+/// same left-to-right sum; the slots go two at a time, longest first, so
+/// two independent add chains overlap instead of waiting on each other.
+fn grad_sq_norms(slots: &[ParamSlot]) -> Vec<f32> {
+    let mut norms = vec![0.0; slots.len()];
+    let mut order: Vec<usize> = (0..slots.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(slots[i].grad.len()));
+    for pair in order.chunks(2) {
+        let x = slots[pair[0]].grad.data();
+        let y = pair.get(1).map_or(&[][..], |&i| slots[i].grad.data());
+        let (mut sx, mut sy) = (-0.0f32, -0.0f32);
+        for (a, b) in x.iter().zip(y) {
+            sx += a * a;
+            sy += b * b;
+        }
+        for a in &x[y.len()..] {
+            sx += a * a;
+        }
+        norms[pair[0]] = sx;
+        if let Some(&i) = pair.get(1) {
+            norms[i] = sy;
+        }
+    }
+    norms
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grad_sq_norms_are_each_slots_sq_norm_bit_for_bit() {
+        let mut s = ParamStore::new();
+        for (i, len) in [5usize, 0, 17, 3, 17, 1].into_iter().enumerate() {
+            let id = s.register("p", Tensor::zeros(&[len]));
+            s.accumulate(id, &Tensor::randn(&[len], 1.0, i as u64));
+        }
+        let norms = grad_sq_norms(&s.slots);
+        for (slot, norm) in s.slots.iter().zip(norms) {
+            assert_eq!(norm.to_bits(), slot.grad.sq_norm().to_bits());
+        }
+    }
 
     #[test]
     fn register_and_lookup() {

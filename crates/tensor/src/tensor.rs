@@ -1,5 +1,7 @@
 //! Row-major dense `f32` tensor with shape-checked operations.
 
+use crate::kernels::{product_rows, Product};
+use crate::lanes::Native;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -222,33 +224,35 @@ impl Tensor {
 
     /// Matrix multiplication of rank-2 tensors: `[m,k] x [k,n] -> [m,n]`.
     ///
-    /// Uses an `ikj`-ordered kernel (row-major friendly) and parallelizes over
-    /// row blocks with `crossbeam` once the operation is large enough.
+    /// Runs the register-tiled [`Product::AB`] kernel (see
+    /// [`crate::kernels`] for its bit-identity contract) and splits the rows
+    /// across `crossbeam` workers once the product is large enough and there
+    /// is more than one CPU to run them.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        self.product(Product::AB, other)
+    }
+
+    /// `self ∘ other` for any of the three [`Product`]s the tape needs,
+    /// reading both operands in place.
+    pub(crate) fn product(&self, kind: Product, other: &Tensor) -> Tensor {
         assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
         assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
+        let (m, k) = match kind {
+            Product::AtB => (self.shape[1], self.shape[0]),
+            Product::AB | Product::ABt => (self.shape[0], self.shape[1]),
+        };
+        let (k2, n) = match kind {
+            Product::ABt => (other.shape[1], other.shape[0]),
+            Product::AB | Product::AtB => (other.shape[0], other.shape[1]),
+        };
         assert_eq!(k, k2, "matmul inner-dimension mismatch: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        let flops = m * k * n;
-        if flops >= PARALLEL_MATMUL_FLOPS && m >= 4 {
-            let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2).min(8);
-            let rows_per = m.div_ceil(threads);
-            let a = &self.data;
-            let b = &other.data;
-            crossbeam::scope(|scope| {
-                for (t, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                    let row0 = t * rows_per;
-                    scope.spawn(move |_| {
-                        matmul_rows(a, b, chunk, row0, k, n);
-                    });
-                }
-            })
-            .expect("matmul worker panicked");
+        let workers = if m * k * n >= PARALLEL_MATMUL_FLOPS && m >= 4 {
+            matmul_workers(std::thread::available_parallelism().map_or(2, |p| p.get()))
         } else {
-            matmul_rows(&self.data, &other.data, &mut out, 0, k, n);
-        }
+            1
+        };
+        let mut out = vec![0.0f32; m * n];
+        product_split(kind, &self.data, &other.data, &mut out, [m, k, n], workers);
         Tensor { shape: vec![m, n], data: out }
     }
 
@@ -303,23 +307,34 @@ impl Tensor {
     }
 }
 
-/// Computes rows `[row0, row0 + out.len()/n)` of `a x b` into `out`.
-fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    let rows = out.len() / n;
-    for li in 0..rows {
-        let i = row0 + li;
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[li * n..(li + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
+/// Worker threads for a product above [`PARALLEL_MATMUL_FLOPS`] on `cpus`
+/// CPUs: at most eight, and one — the caller's own thread, no spawn — when
+/// there is one CPU.
+fn matmul_workers(cpus: usize) -> usize {
+    cpus.clamp(1, 8)
+}
+
+/// `product(a, b)` into `out` on `workers` threads, each computing a run of
+/// whole rows; one worker runs inline.
+fn product_split(
+    kind: Product,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    dims: [usize; 3],
+    workers: usize,
+) {
+    let [m, _, n] = dims;
+    if workers <= 1 || n == 0 {
+        return product_rows::<Native>(kind, a, b, out, 0, dims);
     }
+    let rows_per = m.div_ceil(workers);
+    crossbeam::scope(|scope| {
+        for (t, chunk) in out.chunks_mut(rows_per * n).enumerate() {
+            scope.spawn(move |_| product_rows::<Native>(kind, a, b, chunk, t * rows_per, dims));
+        }
+    })
+    .expect("matmul worker panicked");
 }
 
 #[cfg(test)]
@@ -374,6 +389,30 @@ mod tests {
         }
     }
 
+    /// The scalar `ikj` product every kernel must reproduce bit for bit:
+    /// rows `[row0, row0 + out.len()/n)` of `a x b` into `out`.
+    fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+        let rows = out.len() / n;
+        for li in 0..rows {
+            let i = row0 + li;
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out[li * n..(li + 1) * n];
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn matmul_parallel_matches_serial() {
         // Large enough to trip the parallel path.
@@ -383,8 +422,27 @@ mod tests {
         // Serial reference.
         let mut refd = vec![0.0f32; 128 * 160];
         matmul_rows(a.data(), b.data(), &mut refd, 0, 256, 160);
-        for (x, y) in big.data().iter().zip(&refd) {
-            assert!((x - y).abs() < 1e-3, "parallel/serial divergence");
+        assert_eq!(bits(big.data()), bits(&refd), "parallel/serial divergence");
+    }
+
+    #[test]
+    fn one_cpu_runs_the_product_inline_and_more_split_it_at_most_eight_ways() {
+        assert_eq!(matmul_workers(1), 1);
+        assert_eq!(matmul_workers(2), 2);
+        assert_eq!(matmul_workers(16), 8);
+        assert_eq!(matmul_workers(0), 1);
+    }
+
+    #[test]
+    fn every_worker_count_gives_the_same_bits() {
+        let a = Tensor::randn(&[37, 19], 1.0, 21);
+        let b = Tensor::randn(&[19, 29], 1.0, 22);
+        let mut refd = vec![0.0f32; 37 * 29];
+        matmul_rows(a.data(), b.data(), &mut refd, 0, 19, 29);
+        for workers in [1, 2, 3, 8] {
+            let mut out = vec![f32::NAN; 37 * 29];
+            product_split(Product::AB, a.data(), b.data(), &mut out, [37, 19, 29], workers);
+            assert_eq!(bits(&out), bits(&refd), "{workers} workers");
         }
     }
 
