@@ -119,7 +119,9 @@ impl StageProbe for StageClock {
 /// by stage (`embed_profiled` with a clock as the probe; its ~50 clock
 /// reads per table are in the stage figures, not in the total), best of
 /// seven sweeps each, and returns the `infer_stages` object of
-/// `BENCH_embed.json`.
+/// `BENCH_embed.json`, with `pooled_row_share`: the share of tokens the mean
+/// pool reads, which is the share of rows the last block carries past its
+/// keys and values.
 fn bench_infer_stages(c: &mut Criterion) -> String {
     const PER_PROFILE: usize = 400;
     let tables: Vec<_> = Dataset::ALL
@@ -145,6 +147,16 @@ fn bench_infer_stages(c: &mut Criterion) -> String {
         .collect();
     let n = tables.len() as f64;
     let tokens = work.iter().map(|(_, s)| s.len()).sum::<usize>() as f64 / n;
+    // The non-special tokens; all, if every one is special.
+    let pooled = work
+        .iter()
+        .map(|(_, s)| match s.tokens.iter().filter(|t| !t.special).count() {
+            0 => s.len(),
+            p => p,
+        })
+        .sum::<usize>() as f64
+        / n;
+    let pooled_share = pooled / tokens;
 
     let mut scratch = InferScratch::new();
     let mut out = vec![0.0f32; cfg.hidden];
@@ -187,7 +199,8 @@ fn bench_infer_stages(c: &mut Criterion) -> String {
         })
         .collect();
     println!(
-        "infer_stages: {tokens:.1} tokens/table, embed_with {whole:.2} us/table; {}",
+        "infer_stages: {tokens:.1} tokens/table ({pooled_share:.3} pooled), embed_with \
+         {whole:.2} us/table; {}",
         fields.join(", ")
     );
 
@@ -197,6 +210,7 @@ fn bench_infer_stages(c: &mut Criterion) -> String {
 
     format!(
         "{{\n    \"tables\": {},\n    \"tokens_per_table\": {tokens:.1},\n    \
+         \"pooled_row_share\": {pooled_share:.3},\n    \
          \"embed_with_us_per_table\": {whole:.2},\n    \"stage_us_per_table\": {{ {} }}\n  }}",
         tables.len(),
         fields.join(", ")

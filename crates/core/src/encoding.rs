@@ -297,11 +297,21 @@ struct SeqBuilder<'a> {
     n_cells: usize,
     /// The tokenizer's output for the text in hand, reused across cells.
     pieces: Vec<Piece>,
+    /// The rendering of the non-text value in hand, reused across cells.
+    text: String,
 }
 
 impl<'a> SeqBuilder<'a> {
     fn new(tok: &'a Tokenizer, tagger: &'a TypeTagger, cfg: &'a ModelConfig) -> Self {
-        Self { tok, tagger, cfg, tokens: Vec::new(), n_cells: 0, pieces: Vec::new() }
+        Self {
+            tok,
+            tagger,
+            cfg,
+            tokens: Vec::with_capacity(cfg.max_seq),
+            n_cells: 0,
+            pieces: Vec::new(),
+            text: String::new(),
+        }
     }
 
     fn full(&self) -> bool {
@@ -384,17 +394,32 @@ impl<'a> SeqBuilder<'a> {
                     let inner_sem = cell_sem_type(v, self.tagger).index();
                     let mut inner_bits = v.feature_bits();
                     inner_bits[7] = true; // still inside a nested cell
-                    let text = v.render();
-                    self.push_text_tokens(
-                        &text, t, row, col, cell_id, inner_sem, inner_bits, &mut pos,
-                    );
+                    self.push_rendered(v, t, row, col, cell_id, inner_sem, inner_bits, &mut pos);
                 }
             }
-            other => {
-                let text = other.render();
-                self.push_text_tokens(&text, tpos, row, col, cell_id, sem, bits, &mut pos);
-            }
+            other => self.push_rendered(other, tpos, row, col, cell_id, sem, bits, &mut pos),
         }
+    }
+
+    /// [`SeqBuilder::push_text_tokens`] of `cell`'s rendering, rendered into
+    /// the builder's one reused buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn push_rendered(
+        &mut self,
+        cell: &CellValue,
+        tpos: [u16; 6],
+        row: u32,
+        col: u32,
+        cell_id: usize,
+        sem: usize,
+        bits: [bool; 8],
+        pos: &mut usize,
+    ) {
+        let mut text = std::mem::take(&mut self.text);
+        text.clear();
+        cell.render_into(&mut text);
+        self.push_text_tokens(&text, tpos, row, col, cell_id, sem, bits, pos);
+        self.text = text;
     }
 
     /// Appends the tokens of `text` — at most what the cell (`pos` counts

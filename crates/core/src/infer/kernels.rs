@@ -116,8 +116,9 @@ const TILE_ROWS: usize = 4;
 /// `out[i, j] = seed[i, j] + Σ_p x[i, p] · w[p, j]` for `i < n`, `j < m`,
 /// summed in order of `p` (so a row's result does not depend on which tile
 /// computed it). `seed: None` starts from zero. Register-tiled over
-/// [`TILE_ROWS`] rows × up to three 8-wide column vectors; columns past the
-/// last whole vector take a scalar path.
+/// [`TILE_ROWS`] (or, for the last rows, two or one) rows × up to three
+/// 8-wide column vectors; columns past the last whole vector take a scalar
+/// path.
 ///
 /// One kernel serves the linears (`seed` = bias, stride 0), the attention
 /// scores (`x` = Q head, `w` = Kᵀ, `seed` = visibility mask) and the
@@ -131,12 +132,17 @@ pub fn gemm<V: Lanes>(
     [n, k, m]: [usize; 3],
 ) {
     let vectors = m / LANES;
-    // The last block of a long input overlaps its predecessor rather than
-    // running narrower tiles; short inputs go row by row.
-    let rows = if n >= TILE_ROWS { TILE_ROWS } else { 1 };
+    // Whole 4-row tiles, then the rows left over: three take a 4-row tile
+    // overlapping its predecessor, two or one a narrower tile — the short,
+    // odd row counts of short sequences and of a last block's pooled rows.
     let mut i0 = 0;
     while i0 < n {
-        let i = i0.min(n - rows);
+        let (i, rows) = match n - i0 {
+            left if left >= TILE_ROWS => (i0, TILE_ROWS),
+            3 if n >= TILE_ROWS => (n - TILE_ROWS, TILE_ROWS),
+            1 => (i0, 1),
+            _ => (i0, 2),
+        };
         let mut j = 0;
         while j < vectors {
             let left = vectors - j;
@@ -146,13 +152,16 @@ pub fn gemm<V: Lanes>(
                 (TILE_ROWS, 3) => tile::<V, TILE_ROWS, 3>(x, w, seed, out, out_stride, [i, k, at]),
                 (TILE_ROWS, 2) => tile::<V, TILE_ROWS, 2>(x, w, seed, out, out_stride, [i, k, at]),
                 (TILE_ROWS, _) => tile::<V, TILE_ROWS, 1>(x, w, seed, out, out_stride, [i, k, at]),
+                (2, 3) => tile::<V, 2, 3>(x, w, seed, out, out_stride, [i, k, at]),
+                (2, 2) => tile::<V, 2, 2>(x, w, seed, out, out_stride, [i, k, at]),
+                (2, _) => tile::<V, 2, 1>(x, w, seed, out, out_stride, [i, k, at]),
                 (_, 3) => tile::<V, 1, 3>(x, w, seed, out, out_stride, [i, k, at]),
                 (_, 2) => tile::<V, 1, 2>(x, w, seed, out, out_stride, [i, k, at]),
                 (_, _) => tile::<V, 1, 1>(x, w, seed, out, out_stride, [i, k, at]),
             }
             j += cols;
         }
-        i0 += rows;
+        i0 = i + rows;
     }
     for j in vectors * LANES..m {
         for i in 0..n {
@@ -248,31 +257,36 @@ pub fn layer_norm<V: Lanes>(
     }
 }
 
-/// Borrowed views and scratch one attention head operates on. `n` tokens,
-/// model width `h`, the head's columns are `off..off + dh`; `np` is `n`
-/// rounded up to a multiple of [`LANES`] and `dhp` is `dh` likewise.
+/// Borrowed views and scratch one attention head operates on. `m` query
+/// rows attend over `n` keys, model width `h`, the head's columns are
+/// `off..off + dh`; `np` is `n` rounded up to a multiple of [`LANES`] and
+/// `dhp` is `dh` likewise. `m == n` is plain self-attention; with `m < n`
+/// each output row is bit for bit the row the `m == n` call computes for
+/// the same query and mask row.
 pub struct HeadArgs<'s> {
-    /// Scaled queries `[n, h]`.
+    /// Scaled queries `[m, h]`.
     pub q: &'s [f32],
     /// Keys `[n, h]`.
     pub k: &'s [f32],
     /// Values `[n, h]`.
     pub v: &'s [f32],
-    /// Additive mask `[n, np]`: 0 visible, [`MASK_NEG`] hidden and padding.
+    /// Additive mask `[m, np]`: 0 visible, [`MASK_NEG`] hidden and padding.
     pub mask: &'s [f32],
     /// Scratch `[dh, np]`: the head's keys, transposed.
     pub kt: &'s mut [f32],
     /// Scratch `[n, dhp]`: the head's values, zero-padded.
     pub vh: &'s mut [f32],
-    /// Scratch `[n, np]`.
+    /// Scratch `[m, np]`.
     pub scores: &'s mut [f32],
-    /// Scratch `[n]`: the reciprocal of each row's softmax sum.
+    /// Scratch `[m]`: the reciprocal of each row's softmax sum.
     pub inv: &'s mut [f32],
-    /// Scratch `[n, dhp]`.
+    /// Scratch `[m, dhp]`.
     pub ctxh: &'s mut [f32],
-    /// Output `[n, h]`; only the head's columns are written.
+    /// Output `[m, h]`; only the head's columns are written.
     pub ctx: &'s mut [f32],
-    /// Sequence length.
+    /// Query rows.
+    pub m: usize,
+    /// Keys: the sequence length.
     pub n: usize,
     /// Model width.
     pub h: usize,
@@ -287,7 +301,7 @@ pub struct HeadArgs<'s> {
 /// seeds the accumulators, hidden pairs and padding sit at ~-1e9 and
 /// underflow to exactly 0, as on the tape path.
 pub fn attn_scores<V: Lanes>(a: &mut HeadArgs<'_>) {
-    let (n, h, off, dh) = (a.n, a.h, a.off, a.dh);
+    let (m, n, h, off, dh) = (a.m, a.n, a.h, a.off, a.dh);
     let np = n.next_multiple_of(LANES);
     for p in 0..dh {
         let krow = &mut a.kt[p * np..(p + 1) * np];
@@ -302,9 +316,9 @@ pub fn attn_scores<V: Lanes>(a: &mut HeadArgs<'_>) {
         Some(Rows { data: a.mask, stride: np }),
         a.scores,
         np,
-        [n, dh, np],
+        [m, dh, np],
     );
-    for (srow, inv) in a.scores.chunks_exact_mut(np).zip(a.inv.iter_mut()).take(n) {
+    for (srow, inv) in a.scores.chunks_exact_mut(np).zip(a.inv.iter_mut()).take(m) {
         *inv = 1.0 / exp_row::<V>(srow);
     }
 }
@@ -312,7 +326,7 @@ pub fn attn_scores<V: Lanes>(a: &mut HeadArgs<'_>) {
 /// Second phase: `ctx_h = diag(inv) · scores · V_h`, written into the
 /// head's columns of `ctx`.
 pub fn attn_context<V: Lanes>(a: &mut HeadArgs<'_>) {
-    let (n, h, off, dh) = (a.n, a.h, a.off, a.dh);
+    let (m, n, h, off, dh) = (a.m, a.n, a.h, a.off, a.dh);
     let np = n.next_multiple_of(LANES);
     let dhp = dh.next_multiple_of(LANES);
     for (j, vrow) in a.vh.chunks_exact_mut(dhp).enumerate().take(n) {
@@ -325,9 +339,9 @@ pub fn attn_context<V: Lanes>(a: &mut HeadArgs<'_>) {
         None,
         a.ctxh,
         dhp,
-        [n, n, dhp],
+        [m, n, dhp],
     );
-    for (i, crow) in a.ctxh.chunks_exact(dhp).enumerate().take(n) {
+    for (i, crow) in a.ctxh.chunks_exact(dhp).enumerate().take(m) {
         let inv = a.inv[i];
         for (o, &c) in a.ctx[i * h + off..][..dh].iter_mut().zip(crow) {
             *o = c * inv;

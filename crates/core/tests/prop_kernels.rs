@@ -10,8 +10,10 @@ use tabbin_core::infer::kernels::{
     Native, Rows, Scalar, LANES, MASK_NEG,
 };
 
-/// Lengths on both sides of every lane boundary the kernels have.
-const LENGTHS: [usize; 7] = [1, 7, 8, 9, 47, 48, 96];
+/// Lengths on both sides of every lane boundary the kernels have, and every
+/// row count left over after whole 4-row `gemm` tiles (1, 2, 3), alone and
+/// after a tile.
+const LENGTHS: [usize; 11] = [1, 2, 3, 6, 7, 8, 9, 10, 47, 48, 96];
 
 /// Deterministic floats in `[-scale, scale)` from a seed (xorshift64*).
 fn floats(seed: u64, n: usize, scale: f32) -> Vec<f32> {
@@ -153,6 +155,7 @@ fn head_on<V: Lanes>(
         inv: &mut inv,
         ctxh: &mut ctxh,
         ctx: &mut ctx,
+        m: n,
         n,
         h,
         off,
@@ -161,6 +164,44 @@ fn head_on<V: Lanes>(
     attn_scores::<V>(&mut args);
     attn_context::<V>(&mut args);
     (ctx, scores)
+}
+
+/// The head on `V` lanes for the query rows `rows` (token indices) alone,
+/// over all `n` keys and values: `q` and `mask` are gathered to those rows,
+/// and the `[m, h]` context comes back (only the head's columns written).
+fn head_rows_on<V: Lanes>(
+    qkv: [&[f32]; 3],
+    mask: &[f32],
+    [n, h, off, dh]: [usize; 4],
+    rows: &[usize],
+) -> Vec<f32> {
+    let (m, np, dhp) = (rows.len(), n.next_multiple_of(LANES), dh.next_multiple_of(LANES));
+    let q: Vec<f32> = rows.iter().flat_map(|&i| &qkv[0][i * h..][..h]).copied().collect();
+    let qmask: Vec<f32> = rows.iter().flat_map(|&i| &mask[i * np..][..np]).copied().collect();
+    let mut ctx = vec![0.0f32; m * h];
+    let mut scores = vec![f32::NAN; m * np];
+    let (mut kt, mut vh) = (vec![f32::NAN; dh * np], vec![f32::NAN; n * dhp]);
+    let (mut inv, mut ctxh) = (vec![f32::NAN; m], vec![f32::NAN; m * dhp]);
+    let mut args = HeadArgs {
+        q: &q,
+        k: qkv[1],
+        v: qkv[2],
+        mask: &qmask,
+        kt: &mut kt,
+        vh: &mut vh,
+        scores: &mut scores,
+        inv: &mut inv,
+        ctxh: &mut ctxh,
+        ctx: &mut ctx,
+        m,
+        n,
+        h,
+        off,
+        dh,
+    };
+    attn_scores::<V>(&mut args);
+    attn_context::<V>(&mut args);
+    ctx
 }
 
 /// The head in f64: softmax(mask + q·kᵀ) · v over the head's columns.
@@ -323,6 +364,37 @@ proptest! {
                 let own = &v[i * h + head * dh..][..dh];
                 prop_assert_eq!(bits(&ctx[i * h + head * dh..][..dh]), bits(own));
             }
+        }
+    }
+
+    #[test]
+    fn attention_over_fewer_query_rows_is_those_rows_of_the_full_head(
+        seed in 0..u64::MAX,
+        which in 0..LENGTHS.len(),
+        geometry in prop_oneof![Just((24usize, 12usize)), Just((48, 12)), Just((20, 5))],
+        head in 0..2usize,
+        keep_every in 1..5usize,
+        phase in 0..4usize,
+    ) {
+        let n = LENGTHS[which];
+        let (h, dh) = geometry;
+        let dims = [n, h, head * dh, dh];
+        let q = floats(seed, n * h, 1.0);
+        let k = floats(seed ^ 0xa5a5, n * h, 1.0);
+        let v = floats(seed ^ 0x5a5a, n * h, 2.0);
+        let mask = grid_mask(n, 3, 4, false);
+        // Ascending query rows, as the pool-aware block gathers them; never
+        // empty.
+        let mut rows: Vec<usize> = (0..n).filter(|i| (i + phase) % keep_every == 0).collect();
+        if rows.is_empty() {
+            rows.push(n - 1);
+        }
+        let (full, _) = head_on::<Native>([&q, &k, &v], &mask, dims);
+        let got = head_rows_on::<Native>([&q, &k, &v], &mask, dims, &rows);
+        prop_assert_eq!(bits(&got), bits(&head_rows_on::<Scalar>([&q, &k, &v], &mask, dims, &rows)));
+        for (r, &i) in rows.iter().enumerate() {
+            let cols = head * dh..head * dh + dh;
+            prop_assert_eq!(bits(&got[r * h..][cols.clone()]), bits(&full[i * h..][cols]));
         }
     }
 }

@@ -289,8 +289,13 @@ pub fn decode_request(payload: &[u8]) -> io::Result<(u64, Request)> {
                     cur.remaining()
                 )));
             }
-            let vector = (0..n).map(|_| cur.f32()).collect::<io::Result<Vec<f32>>>()?;
-            cur.done()?;
+            // The check above sized the body exactly: one pass, one
+            // component per 4 bytes, no per-component error path.
+            let vector = cur
+                .rest()
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect();
             Ok((tag, Request::Query { k, vector }))
         }
         OP_STATS => {

@@ -301,32 +301,54 @@ impl CellValue {
 
     /// A flat textual rendering used by tokenizers and baselines.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends [`CellValue::render`]'s text to `out` — no allocation beyond
+    /// growing `out`, so a caller that reuses one buffer renders for free.
+    pub fn render_into(&self, out: &mut String) {
+        let unit = self.unit();
         match self {
-            CellValue::Empty => String::new(),
-            CellValue::Text(s) => s.clone(),
-            CellValue::Number { value, unit } => match unit {
-                Some(u) => format!("{} {}", fmt_num(*value), u.name()),
-                None => fmt_num(*value),
-            },
-            CellValue::Range { lo, hi, unit } => match unit {
-                Some(u) => format!("{}-{} {}", fmt_num(*lo), fmt_num(*hi), u.name()),
-                None => format!("{}-{}", fmt_num(*lo), fmt_num(*hi)),
-            },
-            CellValue::Gaussian { mean, std, unit } => match unit {
-                Some(u) => format!("{}±{} {}", fmt_num(*mean), fmt_num(*std), u.name()),
-                None => format!("{}±{}", fmt_num(*mean), fmt_num(*std)),
-            },
-            CellValue::Nested(t) => format!("[nested: {}]", t.caption),
+            CellValue::Empty => {}
+            CellValue::Text(s) => out.push_str(s),
+            CellValue::Number { value, .. } => fmt_num(*value, out),
+            CellValue::Range { lo, hi, .. } => {
+                fmt_num(*lo, out);
+                out.push('-');
+                fmt_num(*hi, out);
+            }
+            CellValue::Gaussian { mean, std, .. } => {
+                fmt_num(*mean, out);
+                out.push('±');
+                fmt_num(*std, out);
+            }
+            CellValue::Nested(t) => {
+                write!(out, "[nested: {}]", t.caption).expect("writing to a String");
+            }
+        }
+        if let Some(u) = unit {
+            out.push(' ');
+            out.push_str(u.name());
         }
     }
 }
 
-fn fmt_num(v: f64) -> String {
+/// Appends `v` as an integer when it is one (to 1e-9), else with up to four
+/// decimals, trailing zeros and a bare point trimmed.
+fn fmt_num(v: f64, out: &mut String) {
     if (v.fract()).abs() < 1e-9 {
-        format!("{}", v as i64)
+        write!(out, "{}", v as i64).expect("writing to a String");
     } else {
-        let s = format!("{v:.4}");
-        s.trim_end_matches('0').trim_end_matches('.').to_string()
+        let start = out.len();
+        write!(out, "{v:.4}").expect("writing to a String");
+        while out.len() > start && out.ends_with('0') {
+            out.pop();
+        }
+        if out.ends_with('.') {
+            out.pop();
+        }
     }
 }
 
@@ -386,6 +408,70 @@ mod tests {
         assert_eq!(CellValue::range(20.0, 30.0, Some(Unit::Time)).render(), "20-30 time");
         assert_eq!(CellValue::gaussian(1.5, 0.25, None).render(), "1.5±0.25");
         assert_eq!(CellValue::Empty.render(), "");
+    }
+
+    /// The `format!`-based rendering `render_into` replaced.
+    fn render_by_format(c: &CellValue) -> String {
+        let num = |v: f64| {
+            if (v.fract()).abs() < 1e-9 {
+                format!("{}", v as i64)
+            } else {
+                format!("{v:.4}").trim_end_matches('0').trim_end_matches('.').to_string()
+            }
+        };
+        let body = match c {
+            CellValue::Number { value, .. } => num(*value),
+            CellValue::Range { lo, hi, .. } => format!("{}-{}", num(*lo), num(*hi)),
+            CellValue::Gaussian { mean, std, .. } => format!("{}±{}", num(*mean), num(*std)),
+            other => unreachable!("numeric cells only, got {other:?}"),
+        };
+        match c.unit() {
+            Some(u) => format!("{body} {}", u.name()),
+            None => body,
+        }
+    }
+
+    #[test]
+    fn render_into_appends_what_format_renders() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -3.0,
+            20.3,
+            0.5,
+            1e-5,
+            -1e-5,
+            10.00001,
+            0.00004,
+            0.00005,
+            123.456789,
+            -987.65,
+            1e15,
+            -2.5e18,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            7.1e-10,
+        ];
+        let mut out = String::from("prefix|");
+        for (i, &v) in values.iter().enumerate() {
+            let unit = [None, Some(Unit::Time), Some(Unit::Stats)][i % 3];
+            let w = values[(i + 7) % values.len()];
+            let cells = [
+                CellValue::Number { value: v, unit },
+                CellValue::Range { lo: v, hi: w, unit },
+                CellValue::Gaussian { mean: v, std: w, unit },
+            ];
+            for c in &cells {
+                let want = render_by_format(c);
+                assert_eq!(c.render(), want, "{c:?}");
+                out.truncate("prefix|".len());
+                c.render_into(&mut out);
+                assert_eq!(out, format!("prefix|{want}"), "{c:?}");
+            }
+        }
     }
 
     #[test]

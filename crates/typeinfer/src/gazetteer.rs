@@ -53,7 +53,20 @@ impl Gazetteer {
     /// string, then each word. Returns the first hit by priority of whole
     /// phrase over single words.
     pub fn lookup_in(&self, text: &str) -> Option<SemType> {
-        let lower = text.to_ascii_lowercase();
+        // Cell texts are short: lowercase on the stack, onto the heap only
+        // past `STACK` bytes. ASCII lowercasing keeps UTF-8 valid.
+        const STACK: usize = 64;
+        let mut stack = [0u8; STACK];
+        let heap;
+        let lower = if text.len() <= STACK {
+            let buf = &mut stack[..text.len()];
+            buf.copy_from_slice(text.as_bytes());
+            buf.make_ascii_lowercase();
+            std::str::from_utf8(buf).expect("ASCII lowercasing keeps UTF-8 valid")
+        } else {
+            heap = text.to_ascii_lowercase();
+            heap.as_str()
+        };
         let trimmed = lower.trim();
         if let Some(t) = self.terms.get(trimmed) {
             return Some(*t);

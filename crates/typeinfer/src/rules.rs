@@ -75,17 +75,11 @@ fn is_gaussian(t: &str) -> bool {
 /// `lo - hi` (both numeric) with optional unit suffix.
 fn is_range(t: &str) -> bool {
     // Try each '-' as the separator (skip a leading sign).
-    let bytes: Vec<char> = t.chars().collect();
-    for (i, &c) in bytes.iter().enumerate().skip(1) {
-        if c == '-' || c == '–' {
-            let lhs: String = bytes[..i].iter().collect();
-            let rhs: String = bytes[i + 1..].iter().collect();
-            if full_number(lhs.trim()) && parse_front_number(&rhs).is_some() {
-                return true;
-            }
-        }
-    }
-    false
+    t.char_indices().skip(1).any(|(i, c)| {
+        (c == '-' || c == '–')
+            && full_number(t[..i].trim())
+            && parse_front_number(&t[i + c.len_utf8()..]).is_some()
+    })
 }
 
 /// If `t` starts with a number, returns the remainder after it.
@@ -131,6 +125,107 @@ fn parse_front_number(t: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tabbin_corpus::{generate, Dataset, GenOptions};
+    use tabbin_table::Table;
+
+    /// `TypeTagger::tag` as it was before the gazetteer lowercased on the
+    /// stack and `is_range` walked `char_indices`, kept as their oracle: a
+    /// lowercased `String` per lookup, and a `Vec<char>` plus two `String`s
+    /// per hyphen.
+    fn tag_by_allocating_rules(tagger: &TypeTagger, text: &str) -> SemType {
+        let t = text.trim();
+        if t.is_empty() {
+            return SemType::Text;
+        }
+        let lower = t.to_ascii_lowercase();
+        let trimmed = lower.trim();
+        let hit = tagger.gaz.lookup(trimmed).or_else(|| {
+            trimmed
+                .split_whitespace()
+                .find_map(|w| tagger.gaz.lookup(w.trim_matches(|c: char| !c.is_alphanumeric())))
+        });
+        if let Some(ty) = hit {
+            return ty;
+        }
+        if is_gaussian(t) {
+            return SemType::Gaussian;
+        }
+        let chars: Vec<char> = t.chars().collect();
+        for (i, &c) in chars.iter().enumerate().skip(1) {
+            if c == '-' || c == '–' {
+                let lhs: String = chars[..i].iter().collect();
+                let rhs: String = chars[i + 1..].iter().collect();
+                if full_number(lhs.trim()) && parse_front_number(&rhs).is_some() {
+                    return SemType::Range;
+                }
+            }
+        }
+        match leading_number(t) {
+            Some(rest) if rest.trim().is_empty() => SemType::Numeric,
+            Some(_) => SemType::Measurement,
+            None => SemType::Text,
+        }
+    }
+
+    /// Every string a table hands the tagger: its caption, every metadata
+    /// label, and every rendered cell, nested tables included.
+    fn tagged_strings(t: &Table, out: &mut Vec<String>) {
+        out.push(t.caption.clone());
+        for tree in [&t.hmd, &t.vmd] {
+            out.extend(tree.all_labels().into_iter().map(|(l, _)| l.to_string()));
+        }
+        for (_, _, cell) in t.data.iter_indexed() {
+            out.push(cell.render());
+            if let tabbin_table::CellValue::Nested(inner) = cell {
+                tagged_strings(inner, out);
+            }
+        }
+    }
+
+    #[test]
+    fn tag_equals_the_allocating_rules_on_every_generated_profile() {
+        let mut texts = Vec::new();
+        for ds in Dataset::ALL {
+            for t in generate(ds, &GenOptions { n_tables: Some(60), seed: 3 }).plain_tables() {
+                tagged_strings(&t, &mut texts);
+            }
+        }
+        // Shapes the generators may not produce: signs, en dashes, non-ASCII
+        // and strings past the 64-byte stack buffer.
+        let long = "Metastatic COLORECTAL Adenocarcinoma Treated With Ramucirumab Weekly";
+        for extra in [
+            long,
+            "-5-3",
+            "-5 - -3 kg",
+            "1–2 months",
+            "1 – 2",
+            "É cancer",
+            "ÉCOLE",
+            "  42  ",
+            "3-",
+            "-",
+            "–4",
+            "x-1",
+            "1e5-2e5",
+            "2-3-4",
+            "0.73±0.11",
+            "Ärzte-Ramucirumab",
+        ] {
+            texts.push(extra.to_string());
+            texts.push(format!("{extra} {long} ÄÖÜ {extra}"));
+        }
+        let tagger = TypeTagger::new();
+        let mut counts = [0usize; SemType::COUNT];
+        for text in &texts {
+            let ty = tagger.tag(text);
+            assert_eq!(ty, tag_by_allocating_rules(&tagger, text), "{text:?}");
+            counts[ty.index()] += 1;
+        }
+        // The corpus exercises every shape rule, not only the fallback.
+        for ty in [SemType::Gaussian, SemType::Range, SemType::Measurement, SemType::Numeric] {
+            assert!(counts[ty.index()] > 0, "no {ty:?} among {} strings", texts.len());
+        }
+    }
 
     #[test]
     fn paper_example_colon_is_disease() {
