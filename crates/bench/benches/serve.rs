@@ -1,9 +1,12 @@
 //! Serving-tier benchmark: the full `tabbin-serve` stack (tagged-frame
 //! wire protocol → readiness-driven event loop → admission queue → worker
-//! pool → micro-batcher → query engine → sharded store) under closed-loop
-//! load at several offered concurrencies, plus a pipelining section that
-//! measures what protocol v2 buys: one connection with a window of tagged
-//! requests in flight versus the one-outstanding blocking client.
+//! pool → query engine → sharded store) under closed-loop load at several
+//! offered concurrencies, plus a pipelining section that measures what
+//! protocol v2 buys: one connection with a window of tagged requests in
+//! flight versus the same client at a window of one.
+//!
+//! Run with `cargo bench -p tabbin-bench --bench serve` (a few seconds
+//! after the build).
 //!
 //! Writes `BENCH_serve.json` at the workspace root: per offered-load level
 //! the achieved QPS, request latency p50/p99 (successful requests), the
@@ -26,7 +29,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use tabbin_index::{EngineConfig, LshParams, QueryEngine, ShardedStore, StoreConfig};
-use tabbin_serve::{Client, PipelinedClient, QueryOutcome, ServeConfig, Server};
+use tabbin_serve::{Client, QueryOutcome, ServeConfig, Server};
 
 const N_VECTORS: usize = 10_000;
 const DIM: usize = 128;
@@ -200,7 +203,7 @@ fn run_pipeline_comparison(store: &ShardedStore, pool: &Arc<Vec<Vec<f32>>>) -> P
     }
     drop(warm);
 
-    // Baseline: the v1-style client, one outstanding request.
+    // Baseline: the same client at a window of one outstanding request.
     let mut blocking = Client::connect(addr).expect("connect blocking");
     let t = Instant::now();
     for q in &queries {
@@ -219,7 +222,7 @@ fn run_pipeline_comparison(store: &ShardedStore, pool: &Arc<Vec<Vec<f32>>>) -> P
     // claim the *previous* burst's replies — while this side decodes, the
     // server is already chewing on the next burst. The pipe never drains
     // until the tail.
-    let mut pipelined = PipelinedClient::connect(addr, PIPELINE_WINDOW).expect("connect pipelined");
+    let mut pipelined = Client::connect_windowed(addr, PIPELINE_WINDOW).expect("connect pipelined");
     let mut peak_in_flight = 0usize;
     let t = Instant::now();
     let mut pending: std::collections::VecDeque<u64> =

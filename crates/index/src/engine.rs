@@ -1,5 +1,5 @@
-//! The query-execution layer: planning, caching, and micro-batching in
-//! front of pure storage.
+//! The query-execution layer: planning and caching in front of pure
+//! storage.
 //!
 //! Before this module existed, every consumer called the storage tiers
 //! directly and re-made the same decisions — which candidate source to use,
@@ -24,25 +24,20 @@
 //!   (plus the planned source), so scaled duplicates of one direction hit
 //!   the same entry. Mutation invalidates: any `&mut` access to the store
 //!   goes through [`QueryEngine::store_mut`], which clears the cache.
-//! * **Micro-batching** ([`MicroBatcher`]) — concurrent single-query
-//!   callers (the serving tier's worker pool) coalesce into one
-//!   [`Queryable::search_batch_probed`] call via a leader/follower queue: the
-//!   first submitter drains the queue and executes for everyone, followers
-//!   block on their reply. Batching amortizes the per-call fan-out setup
-//!   across queries without a dedicated batcher thread.
 //!
 //! Results are **bit-identical** to calling storage directly with the same
 //! source and a `k`-prefix of the same fetch depth — planning, caching, and
-//! batching are performance features, never result features. The serving
-//! crate (`tabbin-serve`) pins this end to end over a TCP loopback.
+//! [`QueryEngine::query_batch`] are performance features, never result
+//! features. The serving crate (`tabbin-serve`) pins this end to end over
+//! a TCP loopback.
 
 use crate::candidates::{CandidateSource, ExactScan, LshCandidates};
 use crate::simd::Hit;
 use crate::store::{ScoringTier, VectorSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
 /// What the engine needs from a storage tier: dimension/size/routing
 /// introspection for planning, and probe-bounded ranked scans. Implemented
@@ -140,21 +135,18 @@ pub struct EngineConfig {
     pub probe_width: usize,
     /// LRU entries the result cache holds; `0` disables caching.
     pub cache_capacity: usize,
-    /// Most queries one [`MicroBatcher`] batch coalesces.
-    pub batch_max: usize,
     /// Shard-probe budget over routed stores (see [`NprobePolicy`]).
     pub nprobe: NprobePolicy,
 }
 
 impl Default for EngineConfig {
     /// Auto source selection with a 1024-row exact cutoff, 2× probe width,
-    /// a 1024-entry cache, 64-query micro-batches, and auto `nprobe`.
+    /// a 1024-entry cache, and auto `nprobe`.
     fn default() -> Self {
         Self {
             probe: ProbePolicy::Auto { exact_cutoff: 1024 },
             probe_width: 2,
             cache_capacity: 1024,
-            batch_max: 64,
             nprobe: NprobePolicy::Auto,
         }
     }
@@ -242,7 +234,6 @@ impl<S: Queryable> QueryEngine<S> {
     /// [`store_mut`](Self::store_mut) (which invalidates the cache).
     pub fn new(store: S, cfg: EngineConfig) -> Self {
         assert!(cfg.probe_width > 0, "probe_width must be positive");
-        assert!(cfg.batch_max > 0, "batch_max must be positive");
         Self {
             store,
             cfg,
@@ -332,8 +323,8 @@ impl<S: Queryable> QueryEngine<S> {
     /// Answers top-`k` from the result cache alone: `Some` (and a counted
     /// hit) iff the normalized query is already cached at sufficient
     /// depth, `None` without any accounting otherwise — the caller is
-    /// expected to follow a miss with [`query`](Self::query) or a batched
-    /// submission, which does the miss bookkeeping. This is the serving
+    /// expected to follow a miss with [`query`](Self::query), which does
+    /// the miss bookkeeping. This is the serving
     /// tier's fast path: an I/O thread can answer a hot query inline
     /// instead of paying a hand-off to the worker pool.
     pub fn try_cached(&self, q: &[f32], k: usize) -> Option<Vec<Hit>> {
@@ -610,155 +601,6 @@ impl LruCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Micro-batching
-// ---------------------------------------------------------------------------
-
-/// Micro-batcher observability, snapshotted by [`MicroBatcher::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MicroBatchStats {
-    /// Queries submitted.
-    pub submitted: u64,
-    /// Coalesced batches executed (≤ `submitted`; the ratio is the
-    /// achieved occupancy).
-    pub batches: u64,
-}
-
-struct BatchJob {
-    query: Vec<f32>,
-    k: usize,
-    reply: mpsc::Sender<Vec<Hit>>,
-}
-
-struct BatchState {
-    queue: VecDeque<BatchJob>,
-    /// Whether some submitter is currently draining the queue.
-    leading: bool,
-}
-
-/// Coalesces concurrent single-query submissions into
-/// [`QueryEngine::query_batch`] calls, leader/follower style: the first
-/// thread to find no active leader drains the queue (its own job included)
-/// in batches of at most `batch_max` and executes them; every other
-/// submitter just blocks on its reply channel. No dedicated thread, no
-/// timer — batch occupancy adapts to the instantaneous concurrency.
-pub struct MicroBatcher<S: Queryable> {
-    engine: Arc<QueryEngine<S>>,
-    state: Mutex<BatchState>,
-    batch_max: usize,
-    submitted: AtomicU64,
-    batches: AtomicU64,
-}
-
-impl<S: Queryable> MicroBatcher<S> {
-    /// A batcher over `engine`, coalescing up to the engine's configured
-    /// `batch_max` queries per storage call.
-    pub fn new(engine: Arc<QueryEngine<S>>) -> Self {
-        let batch_max = engine.config().batch_max;
-        Self {
-            engine,
-            state: Mutex::new(BatchState { queue: VecDeque::new(), leading: false }),
-            batch_max,
-            submitted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-        }
-    }
-
-    /// The engine this batcher feeds.
-    pub fn engine(&self) -> &Arc<QueryEngine<S>> {
-        &self.engine
-    }
-
-    /// Submission/batch counters right now.
-    pub fn stats(&self) -> MicroBatchStats {
-        MicroBatchStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Submits one query and blocks until its top-`k` arrives. Identical
-    /// results to [`QueryEngine::query`] — batching only changes when the
-    /// storage call happens, never what it returns.
-    ///
-    /// Panic containment: if a leader unwinds mid-batch (a poisoned query
-    /// panicking the engine), a drop guard releases leadership so the
-    /// batcher never wedges, and followers whose reply channel died
-    /// re-execute their own query directly — a panic costs the panicking
-    /// caller (and at worst the leader sharing its batch), never the
-    /// batcher or innocent later submitters.
-    pub fn submit(&self, q: &[f32], k: usize) -> Vec<Hit> {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let lead = {
-            let mut st = self.state.lock().expect("batch lock poisoned");
-            st.queue.push_back(BatchJob { query: q.to_vec(), k, reply: tx });
-            if st.leading {
-                false
-            } else {
-                st.leading = true;
-                true
-            }
-        };
-        if lead {
-            /// Releases leadership if the leader unwinds, so the next
-            /// submitter can lead, and drops the jobs it abandoned —
-            /// dropping their reply senders routes those followers into
-            /// the recv fallback below instead of a forever-block.
-            struct LeadGuard<'a>(&'a Mutex<BatchState>);
-            impl Drop for LeadGuard<'_> {
-                fn drop(&mut self) {
-                    if std::thread::panicking() {
-                        if let Ok(mut st) = self.0.lock() {
-                            st.leading = false;
-                            st.queue.clear();
-                        }
-                    }
-                }
-            }
-            let _guard = LeadGuard(&self.state);
-            loop {
-                let batch: Vec<BatchJob> = {
-                    let mut st = self.state.lock().expect("batch lock poisoned");
-                    if st.queue.is_empty() {
-                        st.leading = false;
-                        break;
-                    }
-                    let n = st.queue.len().min(self.batch_max);
-                    st.queue.drain(..n).collect()
-                };
-                self.execute(batch);
-            }
-        }
-        match rx.recv() {
-            Ok(hits) => hits,
-            // The leader died before answering (it panicked on some job in
-            // the shared batch). Fall back to executing directly — same
-            // result bits, just without the coalescing.
-            Err(_) => self.engine.query(q, k),
-        }
-    }
-
-    /// Executes one drained batch: group by `k` (callers overwhelmingly
-    /// share one), one engine batch call per group, replies routed back.
-    fn execute(&self, batch: Vec<BatchJob>) {
-        let mut groups: HashMap<usize, Vec<BatchJob>> = HashMap::new();
-        for job in batch {
-            groups.entry(job.k).or_default().push(job);
-        }
-        for (k, jobs) in groups {
-            let queries: Vec<Vec<f32>> = jobs.iter().map(|j| j.query.clone()).collect();
-            let lists = self.engine.query_batch(&queries, k);
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            for (job, hits) in jobs.into_iter().zip(lists) {
-                // A follower that gave up (disconnected) is not an error
-                // for the rest of the batch.
-                let _ = job.reply.send(hits);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1001,99 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn micro_batcher_matches_engine_under_concurrency() {
-        let vecs = random_vecs(80, 8, 9);
-        let engine = Arc::new(QueryEngine::new(
-            store_with(&vecs, Some(LshParams::default())),
-            EngineConfig::lsh(),
-        ));
-        let want: Vec<Vec<Hit>> = vecs[..16].iter().map(|q| engine.query(q, 6)).collect();
-        let batcher = Arc::new(MicroBatcher::new(engine));
-        let got: Vec<Vec<Hit>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = vecs[..16]
-                .iter()
-                .map(|q| {
-                    let batcher = Arc::clone(&batcher);
-                    scope.spawn(move |_| batcher.submit(q, 6))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("submitter panicked")).collect()
-        })
-        .expect("scope failed");
-        assert_eq!(got, want);
-        let stats = batcher.stats();
-        assert_eq!(stats.submitted, 16);
-        assert!(stats.batches >= 1 && stats.batches <= 16, "batches {}", stats.batches);
-    }
-
-    /// Storage that panics on a poison marker — stands in for any panic
-    /// escaping the engine mid-batch.
-    struct PanickyStore(ShardedStore);
-
-    impl Queryable for PanickyStore {
-        fn dim(&self) -> usize {
-            Queryable::dim(&self.0)
-        }
-        fn len(&self) -> usize {
-            Queryable::len(&self.0)
-        }
-        fn has_lsh(&self) -> bool {
-            self.0.has_lsh()
-        }
-        fn tier(&self) -> ScoringTier {
-            self.0.tier()
-        }
-        fn routes(&self) -> usize {
-            self.0.n_shards()
-        }
-        fn routed(&self) -> bool {
-            self.0.routed()
-        }
-        fn search_probed(
-            &self,
-            q: &[f32],
-            k: usize,
-            source: &dyn CandidateSource,
-            nprobe: usize,
-        ) -> Vec<Hit> {
-            assert!(q[0] != 42.0, "poison query");
-            self.0.search_probed(q, k, source, nprobe)
-        }
-        fn search_batch_probed(
-            &self,
-            queries: &[Vec<f32>],
-            k: usize,
-            source: &dyn CandidateSource,
-            nprobe: usize,
-        ) -> Vec<Vec<Hit>> {
-            assert!(queries.iter().all(|q| q[0] != 42.0), "poison query");
-            self.0.search_batch_probed(queries, k, source, nprobe)
-        }
-    }
-
-    #[test]
-    fn micro_batcher_releases_leadership_when_a_batch_panics() {
-        let vecs = random_vecs(30, 4, 11);
-        let store = PanickyStore(store_with(&vecs, None));
-        let engine = Arc::new(QueryEngine::new(store, EngineConfig::exact().without_cache()));
-        let batcher = Arc::new(MicroBatcher::new(Arc::clone(&engine)));
-        // The poison submitter leads its own batch and unwinds mid-execute.
-        let poison = vec![42.0, 0.0, 0.0, 0.0];
-        let caught = {
-            let batcher = Arc::clone(&batcher);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                batcher.submit(&poison, 3)
-            }))
-        };
-        assert!(caught.is_err(), "poison query must panic its submitter");
-        // Leadership was released by the unwind guard: the batcher still
-        // answers, correctly, without a new leader being wedged out.
-        let hits = batcher.submit(&vecs[0], 3);
-        assert_eq!(hits, engine.query(&vecs[0], 3));
-        assert_eq!(batcher.stats().submitted, 2);
-    }
-
-    #[test]
     fn quantized_store_flows_through_plan_and_results() {
         let vecs = random_vecs(50, 8, 12);
         let cfg = StoreConfig {
@@ -1120,27 +869,5 @@ mod tests {
         assert_eq!(engine.query(&vecs[0], 5), direct);
         assert_eq!(engine.query(&vecs[0], 5), direct);
         assert_eq!(engine.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn micro_batcher_groups_mixed_k_correctly() {
-        let vecs = random_vecs(40, 6, 10);
-        let engine = Arc::new(QueryEngine::new(store_with(&vecs, None), EngineConfig::exact()));
-        let batcher = Arc::new(MicroBatcher::new(Arc::clone(&engine)));
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..12)
-                .map(|i| {
-                    let batcher = Arc::clone(&batcher);
-                    let q = vecs[i].clone();
-                    let k = 3 + (i % 3);
-                    scope.spawn(move |_| (i, k, batcher.submit(&q, k)))
-                })
-                .collect();
-            for h in handles {
-                let (i, k, hits) = h.join().expect("submitter panicked");
-                assert_eq!(hits, engine.query(&vecs[i], k), "query {i} at k={k}");
-            }
-        })
-        .expect("scope failed");
     }
 }

@@ -38,12 +38,11 @@
 //!   byte-identically.
 //! * [`QueryEngine`] ([`engine`]) — query *execution* extracted out of
 //!   storage: candidate-source planning ([`ProbePolicy`], ef-style probe
-//!   width), the shard-probe budget ([`NprobePolicy`]), an LRU result cache
-//!   keyed on normalized query vectors, and a leader/follower
-//!   [`MicroBatcher`] coalescing concurrent single queries into batched
-//!   scans. The store stays pure storage behind the [`Queryable`] trait;
-//!   the engine is what consumers (eval, examples, the `tabbin-serve`
-//!   network tier) talk to.
+//!   width), the shard-probe budget ([`NprobePolicy`]), and an LRU result
+//!   cache keyed on normalized query vectors. The store stays pure storage
+//!   behind the [`Queryable`] trait; the engine is what consumers (eval,
+//!   examples, the `tabbin-serve` network tier, whose workers call
+//!   [`QueryEngine::query`] once per request) talk to.
 //! * [`VectorSink`] — the insertion surface the batched embedding pipeline
 //!   (`tabbin_core::batch`) streams into, implemented by [`ShardedStore`]
 //!   (and by [`QueryEngine`], which invalidates its cache as it inserts).
@@ -68,8 +67,7 @@ pub mod wal;
 
 pub use candidates::{CandidateSource, Candidates, ExactScan, LshCandidates, QueryContext};
 pub use engine::{
-    EngineConfig, EngineStats, MicroBatchStats, MicroBatcher, NprobePolicy, ProbePolicy,
-    QueryEngine, QueryPlan, Queryable,
+    EngineConfig, EngineStats, NprobePolicy, ProbePolicy, QueryEngine, QueryPlan, Queryable,
 };
 pub use router::{HashRouter, IvfRouter, Router};
 pub use shard::{ShardedStats, ShardedStore};

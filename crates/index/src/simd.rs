@@ -12,12 +12,14 @@
 //!
 //! The store keeps every vector L2-normalized, so similarity search reduces
 //! to a plain dot product — one FMA per element instead of the three the
-//! cosine formula pays, and no square roots on the hot path. The kernel
+//! cosine formula pays, and no square roots on the hot path. The dot kernel
 //! follows the AVX2 pattern established by `tabbin_core::infer`: an
 //! explicitly vectorized path where `target-cpu=native` statically enables
 //! AVX2+FMA (see `.cargo/config.toml`), and a four-accumulator scalar
 //! fallback elsewhere. Within one build the kernel is a pure function of its
-//! inputs, which is what makes snapshot round-trips byte-identical.
+//! inputs, which is what makes snapshot round-trips byte-identical. The
+//! Hamming kernel has no vector path: the stores sign in one or two words,
+//! one `POPCNT` each, and its integer results are the same on every build.
 
 use std::cmp::Ordering;
 
@@ -106,11 +108,10 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
 /// word, 64 signature bits per load instead of 64 `f32` lanes — the whole
 /// point of scoring sign bits first. Signature widths that are not a
 /// multiple of 64 need no masking here: the packer zeroes the tail bits of
-/// the last word on both sides, so they XOR to zero. Like [`dot`], the
-/// kernel statically selects an AVX2 path when `target-cpu=native` enables
-/// it (a nibble-LUT popcount over 256-bit lanes, for wide signatures) and
-/// otherwise relies on `u64::count_ones`, which compiles to a single
-/// `POPCNT` on any popcount-capable build.
+/// the last word on both sides, so they XOR to zero. Every width goes
+/// through `u64::count_ones`, which compiles to a single `POPCNT` on any
+/// popcount-capable build; the stores build 16- to 128-bit signatures (1–2
+/// words), where a vector popcount would be pure setup overhead.
 ///
 /// Lengths are checked with `debug_assert!` only — the store guarantees
 /// both sides share its signature width before any scoring happens.
@@ -118,24 +119,15 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
 pub fn hamming(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "hamming over mismatched signature widths");
     // Short signatures are the hot case (128 bits = 2 words under
-    // `default_blocking`): a vector kernel is pure setup overhead there,
-    // and even the generic scalar loop pays a trip-count branch per word.
-    // Pinning the length per arm lets LLVM emit straight-line XOR+POPCNT.
+    // `default_blocking`): the generic loop pays a trip-count branch per
+    // word there. Pinning the length per arm lets LLVM emit straight-line
+    // XOR+POPCNT.
     match a.len() {
         1 => fixed_hamming::<1>(a, b),
         2 => fixed_hamming::<2>(a, b),
         3 => fixed_hamming::<3>(a, b),
         4 => fixed_hamming::<4>(a, b),
-        _ => {
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            // SAFETY: the avx2 target feature is statically enabled for
-            // this compilation (checked by the cfg above).
-            unsafe {
-                hamming_avx2(a, b)
-            }
-            #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-            hamming_scalar(a, b)
-        }
+        _ => a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum(),
     }
 }
 
@@ -151,52 +143,6 @@ fn fixed_hamming<const N: usize>(a: &[u64], b: &[u64]) -> u32 {
         acc += (a[i] ^ b[i]).count_ones();
     }
     acc
-}
-
-/// Word-at-a-time XOR + `count_ones`; the compiler emits `POPCNT` wherever
-/// the target has it.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
-#[inline]
-fn hamming_scalar(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[target_feature(enable = "avx2")]
-unsafe fn hamming_avx2(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::*;
-    unsafe {
-        let n = a.len().min(b.len());
-        // Nibble-LUT popcount (Muła): per byte, look up the popcount of
-        // each 4-bit half in a shuffled table, then horizontally sum bytes
-        // with SAD against zero. Four u64 words per 256-bit iteration.
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // low lane
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // high lane
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let y = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let v = _mm256_xor_si256(x, y);
-            let lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, low_mask));
-            let hi = _mm256_shuffle_epi8(lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask));
-            let counts = _mm256_add_epi8(lo, hi);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
-            i += 4;
-        }
-        let mut total = (_mm256_extract_epi64::<0>(acc)
-            + _mm256_extract_epi64::<1>(acc)
-            + _mm256_extract_epi64::<2>(acc)
-            + _mm256_extract_epi64::<3>(acc)) as u32;
-        while i < n {
-            total += (a[i] ^ b[i]).count_ones();
-            i += 1;
-        }
-        total
-    }
 }
 
 /// Dot products of one vector against every row of a row-major `rows × dim`
@@ -424,8 +370,8 @@ mod tests {
 
     #[test]
     fn hamming_matches_naive_bit_count() {
-        // Cover the scalar tail and (on AVX2 builds) the 4-word vector loop,
-        // including widths around the 256-bit stride.
+        // Cover the fixed-width arms (1–4 words) and the generic loop past
+        // them.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;

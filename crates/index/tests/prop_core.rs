@@ -21,7 +21,7 @@ use std::sync::Arc;
 use tabbin_index::parallel::PARALLEL_TASK_THRESHOLD;
 use tabbin_index::{
     CandidateSource, EngineConfig, ExactScan, Hit, IvfRouter, LshCandidates, LshParams,
-    MicroBatcher, NprobePolicy, QueryEngine, ShardedStore, StoreConfig,
+    NprobePolicy, QueryEngine, ShardedStore, StoreConfig,
 };
 
 const DIM: usize = 16;
@@ -209,7 +209,7 @@ proptest! {
     }
 
     /// `NprobePolicy::Fixed(n)` is the one way to pin a probe budget: the
-    /// engine (and a batcher over it) answers the `k`-prefix of
+    /// engine answers the `k`-prefix of
     /// `search_probed(q, fetch_k, source, n)`, plans and keys its cache on
     /// the clamped `n`, and serves repeats and smaller `k`s from that entry.
     #[test]
@@ -257,14 +257,10 @@ proptest! {
             prop_assert_eq!(after.cache_hits - before.cache_hits, 2);
             prop_assert_eq!(after.store_queries - before.store_queries, 1);
         }
-        // The batched and micro-batched entry points run the same plan.
+        // The batched entry point runs the same plan.
         let direct: Vec<Vec<Hit>> = queries.iter().map(|q| engine.query(q, K)).collect();
         prop_assert_eq!(&engine.query_batch(&queries, K), &direct);
-        let batcher = MicroBatcher::new(Arc::clone(&engine));
-        for (q, want) in queries.iter().zip(&direct) {
-            prop_assert_eq!(&batcher.submit(q, K), want);
-        }
-        // Every query in the three loops probed exactly the fixed budget
+        // Every query in the two loops probed exactly the fixed budget
         // (under a hash router the bound is ignored: full fan-out).
         let stats = engine.store().stats();
         let per_query = if ivf { want_nprobe } else { n_shards };

@@ -1,7 +1,8 @@
-//! Clients for the serving tier's tagged wire protocol: a one-outstanding
-//! blocking [`Client`], a windowed [`PipelinedClient`], and the
-//! [`ReplyDemux`] both share to match chunked, possibly out-of-order
-//! replies back to their requests by tag.
+//! The client for the serving tier's tagged wire protocol: [`Client`],
+//! which keeps up to a window of tagged requests in flight on one
+//! connection (one for [`Client::connect`]), and the [`ReplyDemux`] that
+//! matches chunked, possibly out-of-order replies back to their requests
+//! by tag.
 
 use crate::wire::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, StatsReply,
@@ -13,9 +14,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use tabbin_index::Hit;
 
-/// Capped exponential backoff for [`Client::query_with_retry`] /
-/// [`PipelinedClient::query_with_retry`]: how many sheds to absorb and
-/// how long to sleep between attempts.
+/// Capped exponential backoff for [`Client::query_with_retry`]: how many
+/// sheds to absorb and how long to sleep between attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Sheds absorbed before the final `Overloaded` is returned to the
@@ -112,126 +112,44 @@ impl ReplyDemux {
     }
 }
 
-/// A blocking connection to a `tabbin-serve` server: one outstanding
-/// request at a time, framed and tagged per [`crate::wire`].
+/// A connection to a `tabbin-serve` server that keeps up to `window`
+/// tagged requests in flight and matches replies by tag, so one socket
+/// overlaps many round trips. [`connect`](Self::connect) opens a window of
+/// one: [`query`](Self::query) then is a plain blocking round trip.
+/// Results come back via [`wait`](Self::wait) (any order) or
+/// [`query_all`](Self::query_all) (submission order) — arrival order on
+/// the wire is up to the server and does not matter.
+///
+/// Every request takes the same path — [`submit`](Self::submit), then
+/// [`wait`](Self::wait), which receives frames until its tag completes —
+/// so replies mean the same thing at every window. Connection-level (tag
+/// 0) replies answer no request and end the connection: the over-cap
+/// greeting surfaces as `ErrorKind::ConnectionRefused`, a fatal framing
+/// error as `InvalidData`.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    next_tag: u64,
-    demux: ReplyDemux,
-}
-
-impl Client {
-    /// Connects to a server.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            next_tag: 1,
-            demux: ReplyDemux::new(),
-        })
-    }
-
-    /// Top-`k` over the wire. Server-side `Error` replies surface as
-    /// `InvalidInput` IO errors carrying the server's message.
-    pub fn query(&mut self, vector: &[f32], k: usize) -> io::Result<QueryOutcome> {
-        let req = Request::Query { k: k as u32, vector: vector.to_vec() };
-        match self.exchange(&req)? {
-            Response::Hits { hits, .. } => Ok(QueryOutcome::Hits(hits)),
-            Response::Overloaded { retry_after_millis } => {
-                Ok(QueryOutcome::Overloaded { retry_after_millis })
-            }
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidInput, msg)),
-            Response::Stats(_) => Err(protocol("stats reply to a query request")),
-        }
-    }
-
-    /// [`query`](Self::query) that absorbs `Overloaded` sheds: sleeps per
-    /// `policy` (honoring the server's `retry_after_millis` hint) and
-    /// retries, returning the first non-shed outcome — or the final
-    /// `Overloaded` once `policy.max_retries` sheds have been absorbed,
-    /// so callers still see persistent overload rather than blocking
-    /// forever.
-    pub fn query_with_retry(
-        &mut self,
-        vector: &[f32],
-        k: usize,
-        policy: RetryPolicy,
-    ) -> io::Result<QueryOutcome> {
-        let mut attempt = 0u32;
-        loop {
-            match self.query(vector, k)? {
-                QueryOutcome::Overloaded { retry_after_millis } if attempt < policy.max_retries => {
-                    let delay = policy.backoff_millis(attempt, retry_after_millis, self.next_tag);
-                    std::thread::sleep(Duration::from_millis(delay));
-                    attempt += 1;
-                }
-                outcome => return Ok(outcome),
-            }
-        }
-    }
-
-    /// The server's health counters.
-    pub fn stats(&mut self) -> io::Result<StatsReply> {
-        match self.exchange(&Request::Stats)? {
-            Response::Stats(stats) => Ok(*stats),
-            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidInput, msg)),
-            Response::Overloaded { .. } => Err(protocol("server refused the connection")),
-            Response::Hits { .. } => Err(protocol("hits reply to a stats request")),
-        }
-    }
-
-    fn exchange(&mut self, req: &Request) -> io::Result<Response> {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        write_frame(&mut self.writer, &encode_request(tag, req))?;
-        loop {
-            let payload = read_frame(&mut self.reader)?;
-            let Some((got, resp)) = self.demux.push(&payload)? else { continue };
-            if got == tag {
-                return Ok(resp);
-            }
-            if got == CONNECTION_TAG {
-                // Connection-level messages answer no request: the
-                // over-cap greeting surfaces as the outcome, a fatal
-                // framing error as an IO error (the server is hanging up).
-                return match resp {
-                    Response::Overloaded { .. } => Ok(resp),
-                    Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidData, msg)),
-                    _ => Err(protocol("unexpected connection-level reply")),
-                };
-            }
-            return Err(protocol("reply for a tag this client never sent"));
-        }
-    }
-}
-
-/// A pipelined connection: keeps up to `window` tagged requests in
-/// flight and matches replies by tag, so one socket overlaps many
-/// round-trips. Results come back via [`wait`](Self::wait) (any order)
-/// or [`query_all`](Self::query_all) (submission order) — arrival order
-/// on the wire is up to the server and does not matter.
-pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     window: usize,
     next_tag: u64,
+    /// Tags submitted whose reply has not arrived.
     outstanding: HashSet<u64>,
-    /// Completed outcomes not yet claimed by `wait`; errors keep the
-    /// server's message.
-    done: HashMap<u64, Result<QueryOutcome, String>>,
+    /// Complete replies not yet claimed by `wait`.
+    done: HashMap<u64, Response>,
     demux: ReplyDemux,
 }
 
-impl PipelinedClient {
+impl Client {
+    /// Connects with a window of one outstanding request.
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        Self::connect_windowed(addr, 1)
+    }
+
     /// Connects with a window of at most `window` outstanding requests.
-    pub fn connect<A: ToSocketAddrs>(addr: A, window: usize) -> io::Result<PipelinedClient> {
+    pub fn connect_windowed<A: ToSocketAddrs>(addr: A, window: usize) -> io::Result<Client> {
         assert!(window > 0, "a zero window could never submit");
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(PipelinedClient {
+        Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
             window,
@@ -252,36 +170,35 @@ impl PipelinedClient {
         self.outstanding.len()
     }
 
+    /// Top-`k` over the wire: [`submit`](Self::submit), then
+    /// [`wait`](Self::wait).
+    pub fn query(&mut self, vector: &[f32], k: usize) -> io::Result<QueryOutcome> {
+        let tag = self.submit(vector, k)?;
+        self.wait(tag)
+    }
+
     /// Submits one query and returns its tag without waiting for the
     /// reply. Blocks only while the window is full, receiving replies
     /// until a slot frees. Writes are buffered; they flush before any
-    /// receive, so submission bursts batch into few syscalls.
+    /// receive, so submission bursts batch into few syscalls. A query
+    /// whose frame would exceed [`crate::MAX_FRAME_LEN`] is refused with
+    /// `InvalidInput` before it is buffered or takes a tag.
     pub fn submit(&mut self, vector: &[f32], k: usize) -> io::Result<u64> {
-        while self.outstanding.len() >= self.window {
-            self.recv_one()?;
-        }
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let req = Request::Query { k: k as u32, vector: vector.to_vec() };
-        let payload = encode_request(tag, &req);
-        self.writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&payload)?;
-        self.outstanding.insert(tag);
-        Ok(tag)
+        self.send(&Request::Query { k: k as u32, vector: vector.to_vec() })
     }
 
-    /// Blocks until `tag`'s reply arrives (absorbing other tags' replies
+    /// Blocks until `tag`'s reply arrives (filing other tags' replies
     /// along the way) and returns its outcome. Server-side `Error`
-    /// replies surface as `InvalidInput` IO errors.
+    /// replies surface as `InvalidInput` IO errors carrying the server's
+    /// message.
     pub fn wait(&mut self, tag: u64) -> io::Result<QueryOutcome> {
-        loop {
-            if let Some(result) = self.done.remove(&tag) {
-                return result.map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg));
+        match self.receive(tag)? {
+            Response::Hits { hits, .. } => Ok(QueryOutcome::Hits(hits)),
+            Response::Overloaded { retry_after_millis } => {
+                Ok(QueryOutcome::Overloaded { retry_after_millis })
             }
-            if !self.outstanding.contains(&tag) {
-                return Err(protocol("waiting on a tag this client never submitted"));
-            }
-            self.recv_one()?;
+            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidInput, msg)),
+            Response::Stats(_) => Err(protocol("stats reply to a query request")),
         }
     }
 
@@ -294,11 +211,13 @@ impl PipelinedClient {
         Ok(())
     }
 
-    /// Submit-and-wait with shed absorption: like
-    /// [`Client::query_with_retry`] but through the pipelined window, so
-    /// a retry loop can ride a connection that has other requests in
-    /// flight. Each attempt is its own tagged request; replies for other
-    /// tags arriving meanwhile are buffered for their own `wait`ers.
+    /// Submit-and-wait that absorbs `Overloaded` sheds: sleeps per
+    /// `policy` (honoring the server's `retry_after_millis` hint) and
+    /// retries, returning the first non-shed outcome — or the final
+    /// `Overloaded` once `policy.max_retries` sheds have been absorbed,
+    /// so callers still see persistent overload rather than blocking
+    /// forever. Each attempt is its own tagged request; replies for other
+    /// tags arriving meanwhile are filed for their own `wait`ers.
     pub fn query_with_retry(
         &mut self,
         vector: &[f32],
@@ -327,7 +246,48 @@ impl PipelinedClient {
         tags.into_iter().map(|t| self.wait(t)).collect()
     }
 
-    /// Receives exactly one frame and files whatever it completes.
+    /// The server's health counters.
+    pub fn stats(&mut self) -> io::Result<StatsReply> {
+        let tag = self.send(&Request::Stats)?;
+        match self.receive(tag)? {
+            Response::Stats(stats) => Ok(*stats),
+            Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidInput, msg)),
+            _ => Err(protocol("non-stats reply to a stats request")),
+        }
+    }
+
+    /// Frames `req` under the next tag and buffers it once the window has
+    /// a slot. The frame bound is checked first: an oversized request
+    /// sent anyway would poison the server's frame assembler and end the
+    /// connection with every request in flight on it.
+    fn send(&mut self, req: &Request) -> io::Result<u64> {
+        let tag = self.next_tag;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &encode_request(tag, req))?;
+        while self.outstanding.len() >= self.window {
+            self.recv_one()?;
+        }
+        self.writer.write_all(&frame)?;
+        self.next_tag += 1;
+        self.outstanding.insert(tag);
+        Ok(tag)
+    }
+
+    /// Receives until `tag`'s reply is complete and claims it.
+    fn receive(&mut self, tag: u64) -> io::Result<Response> {
+        loop {
+            if let Some(resp) = self.done.remove(&tag) {
+                return Ok(resp);
+            }
+            if !self.outstanding.contains(&tag) {
+                return Err(protocol("waiting on a tag this client never submitted"));
+            }
+            self.recv_one()?;
+        }
+    }
+
+    /// Receives exactly one frame and files whatever it completes — the
+    /// one place this client reads replies.
     fn recv_one(&mut self) -> io::Result<()> {
         // Everything submitted must be on the wire before blocking on a
         // reply, or client and server would deadlock waiting on each other.
@@ -335,27 +295,19 @@ impl PipelinedClient {
         let payload = read_frame(&mut self.reader)?;
         let Some((tag, resp)) = self.demux.push(&payload)? else { return Ok(()) };
         if tag == CONNECTION_TAG {
-            return match resp {
-                Response::Overloaded { .. } => Err(io::Error::new(
+            return Err(match resp {
+                Response::Overloaded { .. } => io::Error::new(
                     io::ErrorKind::ConnectionRefused,
                     "server over connection capacity",
-                )),
-                Response::Error(msg) => Err(io::Error::new(io::ErrorKind::InvalidData, msg)),
-                _ => Err(protocol("unexpected connection-level reply")),
-            };
+                ),
+                Response::Error(msg) => io::Error::new(io::ErrorKind::InvalidData, msg),
+                _ => protocol("unexpected connection-level reply"),
+            });
         }
         if !self.outstanding.remove(&tag) {
             return Err(protocol("reply for a tag this client never sent"));
         }
-        let outcome = match resp {
-            Response::Hits { hits, .. } => Ok(QueryOutcome::Hits(hits)),
-            Response::Overloaded { retry_after_millis } => {
-                Ok(QueryOutcome::Overloaded { retry_after_millis })
-            }
-            Response::Error(msg) => Err(msg),
-            Response::Stats(_) => Err("stats reply to a query request".to_string()),
-        };
-        self.done.insert(tag, outcome);
+        self.done.insert(tag, resp);
         Ok(())
     }
 }
@@ -434,12 +386,52 @@ mod tests {
     #[test]
     fn pipelined_retry_reaches_hits_through_the_window() {
         let (addr, server, attempts) = flaky_server(2);
-        let mut client = PipelinedClient::connect(addr, 4).expect("connect");
+        let mut client = Client::connect_windowed(addr, 4).expect("connect");
         let policy = RetryPolicy { max_retries: 4, base_millis: 1, max_millis: 5 };
         let outcome = client.query_with_retry(&[0.0, 1.0], 1, policy).expect("query");
         assert_eq!(outcome, QueryOutcome::Hits(vec![Hit { id: 42, score: 1.0 }]));
         assert_eq!(attempts.load(Ordering::SeqCst), 3);
         drop(client);
+        server.join().expect("server thread");
+    }
+
+    /// A server that greets every connection with the over-cap tag-0
+    /// `Overloaded` frame and then reads until the client hangs up — it
+    /// never closes first, so the client's write cannot race a close.
+    fn over_cap_server(connections: usize) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let handle = std::thread::spawn(move || {
+            for _ in 0..connections {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let greeting = Response::Overloaded { retry_after_millis: 3 };
+                write_frame(&mut stream, &encode_response(CONNECTION_TAG, &greeting))
+                    .expect("write greeting");
+                io::copy(&mut stream, &mut io::sink()).expect("read to EOF");
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn over_cap_greeting_refuses_the_connection_at_every_window() {
+        let (addr, server) = over_cap_server(3);
+        let refused = |r: io::Result<QueryOutcome>| {
+            let err = r.expect_err("the greeting answers no request");
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
+        };
+        let mut one = Client::connect(addr).expect("connect");
+        refused(one.query(&[1.0, 0.0], 1));
+        drop(one);
+        let mut four = Client::connect_windowed(addr, 4).expect("connect");
+        let tag = four.submit(&[1.0, 0.0], 1).expect("submit only buffers");
+        four.submit(&[0.0, 1.0], 1).expect("submit only buffers");
+        refused(four.wait(tag));
+        drop(four);
+        let mut stats = Client::connect(addr).expect("connect");
+        let err = stats.stats().expect_err("the greeting answers no request");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
+        drop(stats);
         server.join().expect("server thread");
     }
 

@@ -19,15 +19,11 @@
 //!   whose reply queues back up.
 //! * [`Server`] ([`server`]) — the event-loop front over a worker pool: a
 //!   **bounded admission queue** sheds load with an explicit
-//!   [`Response::Overloaded`] reply carrying a retry-after hint, and
-//!   workers submit through the engine's
-//!   [`MicroBatcher`](tabbin_index::MicroBatcher) so concurrent requests
-//!   — across connections or pipelined on one — coalesce into batched
-//!   storage scans.
-//! * [`Client`] / [`PipelinedClient`] ([`client`]) — a blocking
-//!   one-outstanding connection, and a windowed pipelined one that keeps
-//!   many tagged requests in flight and matches replies by tag via
-//!   [`ReplyDemux`].
+//!   [`Response::Overloaded`] reply carrying a retry-after hint, and each
+//!   worker answers a request with one [`QueryEngine::query`] call.
+//! * [`Client`] ([`client`]) — one connection keeping up to a window of
+//!   tagged requests in flight (one for [`Client::connect`], a blocking
+//!   round trip), matching replies by tag via [`ReplyDemux`].
 //!
 //! Wire results are **bit-identical** to in-process engine calls (pinned
 //! end to end in `tests/loopback.rs` and `tests/prop_wire.rs`): frames
@@ -40,9 +36,11 @@ pub mod reactor;
 pub mod server;
 pub mod wire;
 
-pub use client::{Client, PipelinedClient, QueryOutcome, ReplyDemux, RetryPolicy};
+pub use client::{Client, QueryOutcome, ReplyDemux, RetryPolicy};
 pub use server::{ServeConfig, Server};
-pub use wire::{Request, Response, StatsReply, CONNECTION_TAG, MAX_CHUNK_HITS, MAX_FRAME_LEN};
+pub use wire::{
+    Request, Response, StatsReply, WorkerStats, CONNECTION_TAG, MAX_CHUNK_HITS, MAX_FRAME_LEN,
+};
 
 // Re-exported so downstream callers can build an engine without also
 // depending on tabbin-index directly.

@@ -6,11 +6,12 @@
 //! ```text
 //! acceptor thread ──► I/O threads (each: epoll + nonblocking conns)
 //!                        │  reassemble frames → decode → validate tag/dim
-//!                        │  try_send ──► bounded admission queue ──► worker pool
-//!                        │     │ full                                   │
-//!                        │     ▼                                        ▼
-//!                        │  Overloaded(retry-after) reply    MicroBatcher::submit
-//!                        ◄── completion mailbox ◄──────────── engine.query_batch
+//!                        │  engine.try_cached hit ──► reply inline
+//!                        │  miss: try_send ──► bounded admission queue ──► worker pool
+//!                        │     │ full                                         │
+//!                        │     ▼                                              ▼
+//!                        │  Overloaded(retry-after) reply                engine.query
+//!                        ◄── completion mailbox ◄────────────────────── encoded hits
 //! ```
 //!
 //! * **Multiplexing** — protocol v2 tags every request, so one connection
@@ -26,10 +27,9 @@
 //!   ([`ServeConfig::max_conn_queued_bytes`]); past it the reactor stops
 //!   reading that socket until replies drain, so a slow reader throttles
 //!   itself instead of ballooning server memory.
-//! * **Micro-batching** — workers submit through the engine's
-//!   [`MicroBatcher`], so requests in flight concurrently — across
-//!   connections *or* pipelined on one — coalesce into one batched
-//!   storage scan.
+//! * **One engine call per request** — a worker runs each admitted query
+//!   as one [`QueryEngine::query`], so `workers` queries run at once,
+//!   whether they arrived on many connections or pipelined on one.
 //! * **Stats bypass admission** — a health probe must answer *especially*
 //!   when the queue is full, so `Stats` requests are served inline on the
 //!   I/O thread from atomic counters, never queued.
@@ -41,8 +41,8 @@
 use crate::conn::ConnState;
 use crate::reactor::{run_io_loop, Action, Completion, IoHandle};
 use crate::wire::{
-    decode_request, encode_hits_payloads, encode_response, payload_tag, Request, Response,
-    StatsReply, CONNECTION_TAG, MAX_FRAME_LEN,
+    decode_request, encode_hits_payloads, encode_response, payload_tag, write_frame, Request,
+    Response, StatsReply, WorkerStats, CONNECTION_TAG, MAX_FRAME_LEN,
 };
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -51,7 +51,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tabbin_index::{MicroBatcher, QueryEngine, ShardedStore};
+use tabbin_index::{QueryEngine, ShardedStore};
 
 /// Construction-time options for a [`Server`]. How many shards a query
 /// probes and when the WAL fsyncs are not server options: the engine's
@@ -64,9 +64,9 @@ pub struct ServeConfig {
     /// I/O threads owning the client sockets.
     pub io_threads: usize,
     /// Admission queue capacity; requests past it are shed with
-    /// [`Response::Overloaded`]. `0` means auto: 8 × `workers`, enough
-    /// runway for every worker to have a full micro-batch queued behind
-    /// it before shedding starts.
+    /// [`Response::Overloaded`]. `0` means auto: 8 × `workers`, so every
+    /// worker has eight jobs queued behind it before shedding starts —
+    /// about 8 ms of runway at the ~1 ms per job the retry hint assumes.
     pub queue_capacity: usize,
     /// Most concurrent connections; further accepts are answered with one
     /// `Overloaded` frame and closed.
@@ -115,7 +115,7 @@ struct QueryJob {
 
 /// State shared by the acceptor, I/O threads, and workers.
 struct Shared {
-    batcher: MicroBatcher<ShardedStore>,
+    engine: Arc<QueryEngine<ShardedStore>>,
     cfg: ServeConfig,
     admit: SyncSender<QueryJob>,
     io: Vec<Arc<IoHandle>>,
@@ -125,16 +125,15 @@ struct Shared {
     connections: AtomicUsize,
     shed: AtomicU64,
     served: AtomicU64,
+    /// Jobs the worker pool ran.
+    worked: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn engine(&self) -> &Arc<QueryEngine<ShardedStore>> {
-        self.batcher.engine()
-    }
-
     fn stats(&self) -> StatsReply {
-        let engine = self.engine();
+        let engine = &self.engine;
+        let worked = self.worked.load(Ordering::Relaxed);
         let shards = engine.store().stats();
         let wal = engine.store().wal_stats();
         StatsReply {
@@ -142,7 +141,7 @@ impl Shared {
             imbalance: shards.imbalance(),
             shards,
             engine: engine.stats(),
-            batcher: self.batcher.stats(),
+            batcher: WorkerStats { submitted: worked, batches: worked },
             queue_depth: self.depth.load(Ordering::Relaxed),
             queue_capacity: self.cfg.resolved_queue_capacity(),
             connections: self.connections.load(Ordering::Relaxed),
@@ -199,7 +198,7 @@ impl Server {
             .map(|_| IoHandle::new().map(Arc::new))
             .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
-            batcher: MicroBatcher::new(engine),
+            engine,
             cfg,
             admit,
             io,
@@ -207,6 +206,7 @@ impl Server {
             connections: AtomicUsize::new(0),
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            worked: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
 
@@ -275,7 +275,7 @@ impl Server {
         }
         // Workers are quiescent; make everything they logged durable so a
         // graceful stop under `Interval`/`Never` loses nothing.
-        let _ = self.shared.engine().store().wal_flush();
+        let _ = self.shared.engine.store().wal_flush();
     }
 }
 
@@ -324,7 +324,7 @@ fn handle_payload(
                 let err = Response::Error("server is shutting down".into());
                 return Action::Reply(vec![encode_response(tag, &err)]);
             }
-            let dim = shared.engine().dim();
+            let dim = shared.engine.dim();
             if vector.len() != dim {
                 let err = Response::Error(format!(
                     "query of {} components, store is {dim}",
@@ -344,7 +344,7 @@ fn handle_payload(
             // completion round-trip. This is what makes a pipelined
             // connection over a warm cache transport-bound rather than
             // scheduler-bound.
-            if let Some(hits) = shared.engine().try_cached(&vector, k as usize) {
+            if let Some(hits) = shared.engine.try_cached(&vector, k as usize) {
                 state.finish_tag(tag);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 return Action::Reply(encode_hits_payloads(tag, &hits));
@@ -389,10 +389,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             stream.set_write_timeout(Some(Duration::from_millis(100))).ok();
             let resp = Response::Overloaded { retry_after_millis: shared.retry_after_hint() };
-            let payload = encode_response(CONNECTION_TAG, &resp);
-            let mut framed = Vec::with_capacity(4 + payload.len());
-            framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&payload);
+            let mut framed = Vec::new();
+            let _ = write_frame(&mut framed, &encode_response(CONNECTION_TAG, &resp));
             let mut w = &stream;
             let _ = w.write_all(&framed);
             continue;
@@ -414,7 +412,8 @@ fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<QueryJob>>) {
         match job {
             Ok(job) => {
                 shared.depth.fetch_sub(1, Ordering::Relaxed);
-                let hits = shared.batcher.submit(&job.vector, job.k);
+                let hits = shared.engine.query(&job.vector, job.k);
+                shared.worked.fetch_add(1, Ordering::Relaxed);
                 shared.served.fetch_add(1, Ordering::Relaxed);
                 let payloads = encode_hits_payloads(job.tag, &hits);
                 let completion = Completion { conn: job.conn, tag: job.tag, payloads };

@@ -38,7 +38,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
-use tabbin_index::{EngineStats, Hit, MicroBatchStats, ShardedStats};
+use tabbin_index::{EngineStats, Hit, ShardedStats};
 
 /// Hard ceiling on one frame's payload (1 MiB). A dim-4096 query is
 /// ~16 KiB and a full hits chunk ~96 KiB; the bound leaves an order of
@@ -105,8 +105,20 @@ pub enum Response {
     Error(String),
 }
 
-/// The server's `Stats` payload: storage, engine, batcher, and admission
-/// counters in one reply — the health endpoint the ROADMAP promised.
+/// Worker-pool counters, carried under the `batcher` name the `Stats`
+/// reply has always used. Each job the pool runs is one
+/// `QueryEngine::query` call, so the two counts are equal.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WorkerStats {
+    /// Queries the worker pool took off the admission queue.
+    pub submitted: u64,
+    /// Engine calls those queries made: one each.
+    pub batches: u64,
+}
+
+/// The server's `Stats` payload: storage, engine, worker-pool, and
+/// admission counters in one reply — the health endpoint the ROADMAP
+/// promised.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsReply {
     /// Per-shard storage stats (live/tombstones/segments/pending rows).
@@ -116,8 +128,9 @@ pub struct StatsReply {
     pub shard_depths: Vec<usize>,
     /// Query-engine cache and storage-call counters.
     pub engine: EngineStats,
-    /// Micro-batcher coalescing counters.
-    pub batcher: MicroBatchStats,
+    /// Worker-pool counters (queries that missed the cache and ran on a
+    /// worker).
+    pub batcher: WorkerStats,
     /// Requests currently admitted and waiting for a worker.
     pub queue_depth: usize,
     /// Admission queue capacity (resolved; see `ServeConfig::queue_capacity`).

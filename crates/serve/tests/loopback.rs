@@ -1,6 +1,6 @@
 //! End-to-end serving tests over real loopback TCP connections: wire
-//! results must be bit-identical to in-process engine results (blocking
-//! *and* pipelined, in-order and out-of-order), the admission queue must
+//! results must be bit-identical to in-process engine results (window 1
+//! *and* windowed, in-order and out-of-order), the admission queue must
 //! shed (never hang) past capacity with a retry hint, large replies must
 //! stream in chunks, and protocol violations (tag 0, duplicate tags,
 //! hostile framing) must be rejected without taking the server down.
@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tabbin_index::{EngineConfig, Hit, LshParams, QueryEngine, ShardedStore, StoreConfig};
 use tabbin_serve::wire::{self, encode_request, Request};
-use tabbin_serve::{Client, PipelinedClient, QueryOutcome, Response, ServeConfig, Server};
+use tabbin_serve::{Client, QueryOutcome, Response, ServeConfig, Server, MAX_FRAME_LEN};
 
 fn random_vecs(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -59,8 +59,8 @@ fn wire_results_are_bit_identical_to_in_process_engine() {
 fn pipelined_out_of_order_completion_matches_blocking_client() {
     let vecs = random_vecs(200, 16, 11);
     let engine = corpus_engine(&vecs);
-    // A twin engine as reference so the server engine's cache state (and
-    // batching) can't mask a routing bug.
+    // A twin engine as reference so the server engine's cache state can't
+    // mask a routing bug.
     let reference = corpus_engine(&vecs);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -70,7 +70,7 @@ fn pipelined_out_of_order_completion_matches_blocking_client() {
     .expect("bind");
 
     let mut pipelined =
-        PipelinedClient::connect(server.local_addr(), 16).expect("pipelined connect");
+        Client::connect_windowed(server.local_addr(), 16).expect("pipelined connect");
     assert_eq!(pipelined.window(), 16);
 
     // Submit a burst wider than the window, then claim results in
@@ -102,7 +102,7 @@ fn pipelined_out_of_order_completion_matches_blocking_client() {
 }
 
 #[test]
-fn concurrent_clients_get_correct_coalesced_results() {
+fn concurrent_clients_get_bit_identical_results_one_engine_call_each() {
     let vecs = random_vecs(150, 12, 2);
     let engine = corpus_engine(&vecs);
     // Reference answers from a twin engine (same store build) so the
@@ -142,8 +142,41 @@ fn concurrent_clients_get_correct_coalesced_results() {
     let stats = server.stats();
     assert_eq!(stats.served, 96);
     assert_eq!(stats.shed, 0);
+    // 96 distinct queries, all cache misses: each ran on a worker as one
+    // engine call.
     assert_eq!(stats.batcher.submitted, 96);
-    assert!(stats.batcher.batches <= 96, "more batches than submissions");
+    assert_eq!(stats.batcher.batches, 96);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_submission_is_refused_alone_and_the_window_keeps_answering() {
+    let vecs = random_vecs(60, 8, 12);
+    let engine = corpus_engine(&vecs);
+    let reference = corpus_engine(&vecs);
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default()).expect("bind");
+    let mut client = Client::connect_windowed(server.local_addr(), 4).expect("connect");
+
+    let tags: Vec<u64> = vecs[..3].iter().map(|q| client.submit(q, 5).expect("submit")).collect();
+    // One float past what a frame can carry: sent, it would poison the
+    // server's frame assembler and kill the three requests in flight.
+    let oversized = vec![0.5f32; MAX_FRAME_LEN as usize / 4];
+    let err = client.submit(&oversized, 5).expect_err("an oversized frame must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(client.in_flight(), 3, "the refused query took a window slot");
+
+    let next = client.submit(&vecs[3], 5).expect("submit after the refusal");
+    for (tag, q) in tags.iter().chain([&next]).zip(&vecs[..4]) {
+        let QueryOutcome::Hits(hits) = client.wait(*tag).expect("in-flight request answers") else {
+            panic!("uncontended query shed");
+        };
+        assert_bit_identical(&hits, &reference.query(q, 5), "after an oversized submission");
+    }
+    let QueryOutcome::Hits(hits) = client.query(&vecs[4], 5).expect("a following query") else {
+        panic!("uncontended query shed");
+    };
+    assert_bit_identical(&hits, &reference.query(&vecs[4], 5), "query after the refusal");
     server.shutdown();
 }
 
@@ -216,14 +249,12 @@ fn connection_flood_is_shed_at_the_cap() {
     assert!(matches!(c2.query(&vecs[1], 3).expect("c2 query"), QueryOutcome::Hits(_)));
 
     // The third connection is accepted at the TCP level, answered with a
-    // single connection-level Overloaded frame, and closed.
+    // single connection-level Overloaded frame (`ConnectionRefused` at
+    // the client), and closed. The close can race the client's write, so
+    // any error is accepted — the point is no hang and no service.
     let mut c3 = Client::connect(addr).expect("c3 tcp connect");
-    match c3.query(&vecs[2], 3) {
-        Ok(QueryOutcome::Overloaded { .. }) => {}
-        // The close can race the client's write; a refused exchange is
-        // also acceptable — the point is no hang and no service.
-        Err(_) => {}
-        Ok(QueryOutcome::Hits(_)) => panic!("third connection was served past the cap"),
+    if let Ok(outcome) = c3.query(&vecs[2], 3) {
+        panic!("third connection was answered past the cap: {outcome:?}");
     }
 
     // Capacity frees once a connection goes away.

@@ -2,8 +2,7 @@
 //! stand up the `tabbin-serve` TCP server on a loopback port, and retrieve
 //! the most similar tables **over the wire** — the `cancer_table_search`
 //! scenario pushed through the full serving stack (wire protocol, bounded
-//! admission queue, worker pool, micro-batcher, query engine, sharded
-//! store).
+//! admission queue, worker pool, query engine, sharded store).
 //!
 //! Run with: `cargo run --example serve_table_search`
 
@@ -14,7 +13,7 @@ use tabbin_core::pretrain::PretrainOptions;
 use tabbin_core::variants::TabBiNFamily;
 use tabbin_corpus::{generate, Dataset, GenOptions};
 use tabbin_index::{EngineConfig, QueryEngine, ShardedStore};
-use tabbin_serve::{Client, PipelinedClient, QueryOutcome, ServeConfig, Server};
+use tabbin_serve::{Client, QueryOutcome, ServeConfig, Server};
 
 fn main() {
     let corpus = generate(Dataset::CancerKg, &GenOptions { n_tables: Some(40), seed: 11 });
@@ -74,7 +73,7 @@ fn main() {
     // order the workers finish in, every tag's hits must be identical to
     // what the one-at-a-time blocking client gets.
     let mut pipelined =
-        PipelinedClient::connect(server.local_addr(), 8).expect("pipelined connect");
+        Client::connect_windowed(server.local_addr(), 8).expect("pipelined connect");
     let probes: Vec<Vec<f32>> =
         ids.iter().take(12).map(|&id| engine.store().get(id).expect("indexed").to_vec()).collect();
     let tags: Vec<u64> =
@@ -95,8 +94,8 @@ fn main() {
     );
     drop(pipelined);
 
-    // The stats endpoint is the health surface: storage, engine, batcher,
-    // and admission counters in one reply.
+    // The stats endpoint is the health surface: storage, engine,
+    // worker-pool, and admission counters in one reply.
     let stats = client.stats().expect("stats over the wire");
     println!(
         "server stats: {} served / {} shed, queue {}/{}, shard depths {:?}, \
