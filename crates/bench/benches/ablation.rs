@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out: what each
 //! TabBiN mechanism costs at runtime (the accuracy effect is measured by
-//! `exp_table12`/`exp_table13`).
+//! Tables 12 and 13: `all_experiments --only table12,table13`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

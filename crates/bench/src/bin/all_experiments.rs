@@ -1,25 +1,27 @@
-//! Runs every experiment in sequence, printing each paper table/figure.
-//! Scale with TABBIN_TABLES / TABBIN_STEPS environment variables.
+//! Regenerates the paper's tables and figures (see DESIGN.md for the
+//! experiment index), each model trained once per run.
+//!
+//! `all_experiments` runs every experiment in print order;
+//! `all_experiments --only table04,figure2` runs the named ones. Scale with
+//! the `TABBIN_TABLES` / `TABBIN_STEPS` / `TABBIN_SEED` environment variables.
+
 fn main() {
-    use tabbin_bench::experiments as e;
-    let cfg = tabbin_bench::ExpConfig::from_env();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let spec = match args.as_slice() {
+        [] => None,
+        [flag, names] if flag == "--only" => Some(names.as_str()),
+        _ => fail("usage: all_experiments [--only NAME[,NAME...]]".into()),
+    };
+    let selected = tabbin_bench::experiments::select(spec).unwrap_or_else(|e| fail(e));
+    let cfg = tabbin_bench::ExpConfig::from_env().unwrap_or_else(|e| fail(e));
     let t0 = std::time::Instant::now();
-    println!("{}", e::figures::figure1(&cfg));
-    println!("{}", e::figures::figure2(&cfg));
-    println!("{}", e::figures::figure3(&cfg));
-    println!("{}", e::figures::figure4(&cfg));
-    println!("{}", e::figures::figure5(&cfg));
-    println!("{}", e::table03::run(&cfg));
-    println!("{}", e::table04::run(&cfg));
-    println!("{}", e::table05::run(&cfg));
-    println!("{}", e::table06::run(&cfg));
-    println!("{}", e::table07::run(&cfg));
-    println!("{}", e::table08::run(&cfg));
-    println!("{}", e::table09::run(&cfg));
-    println!("{}", e::table10::run(&cfg));
-    println!("{}", e::table11::run(&cfg));
-    println!("{}", e::table12::run(&cfg));
-    println!("{}", e::table13::run(&cfg));
-    println!("{}", e::table14::run(&cfg));
+    for block in tabbin_bench::experiments::run(&selected, &cfg) {
+        println!("{block}");
+    }
     println!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
+}
+
+fn fail(msg: String) -> ! {
+    eprintln!("all_experiments: {msg}");
+    std::process::exit(2)
 }

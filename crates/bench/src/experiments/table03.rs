@@ -1,9 +1,10 @@
 //! Table 3: Word2Vec dimensionality sweep — average training time vs
 //! MAP/MRR for CC and TC on CancerKG string content.
 
-use crate::bundle::ExpConfig;
+use crate::bundle::{row_sentences, ExpConfig};
+use crate::experiments::column_words;
 use crate::harness::{eval_cc, eval_tc, format_table};
-use tabbin_baselines::word2vec::{tokenize, Word2Vec, Word2VecConfig};
+use tabbin_baselines::word2vec::{Word2Vec, Word2VecConfig};
 use tabbin_corpus::{generate, Dataset, GenOptions};
 
 /// Scaled dimensionalities standing in for the paper's 100–1000 sweep.
@@ -13,15 +14,7 @@ pub const DIMS: [usize; 5] = [16, 32, 64, 128, 256];
 pub fn run(cfg: &ExpConfig) -> String {
     let corpus =
         generate(Dataset::CancerKg, &GenOptions { n_tables: Some(cfg.n_tables), seed: cfg.seed });
-    let sentences: Vec<Vec<String>> = corpus
-        .tables
-        .iter()
-        .flat_map(|t| {
-            (0..t.table.n_rows()).map(move |i| {
-                t.table.row_text(i).iter().flat_map(|c| tokenize(c)).collect::<Vec<String>>()
-            })
-        })
-        .collect();
+    let sentences = row_sentences(corpus.tables.iter().map(|t| &t.table));
 
     let mut rows = Vec::new();
     for dim in DIMS {
@@ -30,12 +23,7 @@ pub fn run(cfg: &ExpConfig) -> String {
             &Word2VecConfig { dim, epochs: 6, seed: cfg.seed, ..Default::default() },
         );
         let cc = eval_cc(&corpus, false, cfg.k, cfg.max_queries, |t, j| {
-            let mut text = t.hmd.leaf_labels().get(j).map(|s| s.to_string()).unwrap_or_default();
-            for c in t.column_text(j) {
-                text.push(' ');
-                text.push_str(&c);
-            }
-            model.embed_text(&text)
+            model.embed_text(&column_words(t, j))
         });
         let tc = eval_tc(
             &corpus,

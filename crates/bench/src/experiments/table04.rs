@@ -2,28 +2,30 @@
 //! all five datasets, TabBiN vs TUTA vs BioBERT vs Word2Vec.
 
 use crate::bundle::{Bundle, ExpConfig};
-use crate::experiments::cc_lineup;
-use crate::harness::format_table;
+use crate::experiments::{column_words, rows_over, LineupTable};
+use crate::harness::{eval_cc, eval_cc_batch};
 use tabbin_corpus::Dataset;
 
-/// Runs the CC comparison.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let bundle = Bundle::train(ds, cfg);
-        for (content, numeric) in [("textual", false), ("numerical", true)] {
-            let lineup = cc_lineup(&bundle, numeric, cfg.k, cfg.max_queries);
-            if lineup[0].1.queries == 0 {
-                continue;
-            }
-            let mut row = vec![ds.name().to_string(), content.to_string()];
-            row.extend(lineup.iter().map(|(_, e)| e.render()));
-            rows.push(row);
-        }
-    }
-    format_table(
-        "Table 4 — MAP/MRR for Column Clustering (textual and numerical)",
-        &["dataset", "content", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
-        &rows,
-    )
+/// The CC comparison.
+pub const TABLE: LineupTable = LineupTable {
+    datasets: &Dataset::ALL,
+    rows,
+    title: "Table 4 — MAP/MRR for Column Clustering (textual and numerical)",
+    headers: &["dataset", "content", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+};
+
+fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    let (corpus, tok, k, max_q) =
+        (&bundle.corpus, &bundle.family.tokenizer, cfg.k, cfg.max_queries);
+    rows_over(bundle, &[("textual", false), ("numerical", true)], |numeric| {
+        vec![
+            // Batched path: all of a table's columns in one pass.
+            eval_cc_batch(corpus, numeric, k, max_q, |t, cols| {
+                bundle.family.embed_columns_subset(t, cols)
+            }),
+            eval_cc(corpus, numeric, k, max_q, |t, j| bundle.tuta.embed_column(t, j, tok)),
+            eval_cc(corpus, numeric, k, max_q, |t, j| bundle.bert.embed_column(tok, t, j)),
+            eval_cc(corpus, numeric, k, max_q, |t, j| bundle.w2v.embed_text(&column_words(t, j))),
+        ]
+    })
 }

@@ -2,36 +2,25 @@
 //! mostly numerical content, and nesting (CovidKG and CancerKG).
 
 use crate::bundle::{Bundle, ExpConfig};
-use crate::experiments::tc_lineup;
-use crate::harness::format_table;
-use tabbin_corpus::{Dataset, LabeledTable};
+use crate::experiments::{rows_over, tc_lineup, LineupTable, Subset};
+use tabbin_corpus::Dataset;
 use tabbin_table::TableKind;
 
-/// Runs the structural TC comparison.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut rows = Vec::new();
-    type Subset = (&'static str, fn(&LabeledTable) -> bool);
-    let subsets: [Subset; 4] = [
-        ("HMD only", |t| t.table.kind() != TableKind::BiN),
-        ("HMD+VMD", |t| t.table.kind() == TableKind::BiN),
-        (">80% Num", |t| t.table.numeric_fraction() > 0.8),
-        ("Nested", |t| t.table.has_nesting()),
-    ];
-    for ds in [Dataset::CovidKg, Dataset::CancerKg] {
-        let bundle = Bundle::train(ds, cfg);
-        for (name, subset) in subsets {
-            let lineup = tc_lineup(&bundle, cfg.k, subset);
-            if lineup[0].1.queries == 0 {
-                continue;
-            }
-            let mut row = vec![ds.name().to_string(), name.to_string()];
-            row.extend(lineup.iter().map(|(_, e)| e.render()));
-            rows.push(row);
-        }
-    }
-    format_table(
-        "Table 5 — MAP/MRR for Table Clustering by structure (HMD vs HMD+VMD, numeric, nested)",
-        &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
-        &rows,
-    )
+/// The structural TC comparison.
+pub const TABLE: LineupTable = LineupTable {
+    datasets: &[Dataset::CovidKg, Dataset::CancerKg],
+    rows,
+    title: "Table 5 — MAP/MRR for Table Clustering by structure (HMD vs HMD+VMD, numeric, nested)",
+    headers: &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+};
+
+const SUBSETS: [Subset; 4] = [
+    ("HMD only", |t| t.table.kind() != TableKind::BiN),
+    ("HMD+VMD", |t| t.table.kind() == TableKind::BiN),
+    (">80% Num", |t| t.table.numeric_fraction() > 0.8),
+    ("Nested", |t| t.table.has_nesting()),
+];
+
+fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    rows_over(bundle, &SUBSETS, |subset| tc_lineup(bundle, cfg.k, subset))
 }

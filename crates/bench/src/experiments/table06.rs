@@ -2,35 +2,24 @@
 //! tables with heterogeneous data types (Webtables and CancerKG).
 
 use crate::bundle::{Bundle, ExpConfig};
-use crate::experiments::tc_lineup;
-use crate::harness::format_table;
-use tabbin_corpus::{Dataset, LabeledTable};
+use crate::experiments::{rows_over, tc_lineup, LineupTable, Subset};
+use tabbin_corpus::Dataset;
 use tabbin_table::TableKind;
 
-/// Runs the relational/non-relational TC comparison.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut rows = Vec::new();
-    type Subset = (&'static str, fn(&LabeledTable) -> bool);
-    let subsets: [Subset; 3] = [
-        ("relational", |t| t.table.kind() == TableKind::Relational),
-        ("non-relational", |t| t.table.kind() != TableKind::Relational),
-        ("all (mixed)", |_| true),
-    ];
-    for ds in [Dataset::Webtables, Dataset::CancerKg] {
-        let bundle = Bundle::train(ds, cfg);
-        for (name, subset) in subsets {
-            let lineup = tc_lineup(&bundle, cfg.k, subset);
-            if lineup[0].1.queries == 0 {
-                continue;
-            }
-            let mut row = vec![ds.name().to_string(), name.to_string()];
-            row.extend(lineup.iter().map(|(_, e)| e.render()));
-            rows.push(row);
-        }
-    }
-    format_table(
-        "Table 6 — MAP/MRR for Table Clustering: relational vs non-relational",
-        &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
-        &rows,
-    )
+/// The relational/non-relational TC comparison.
+pub const TABLE: LineupTable = LineupTable {
+    datasets: &[Dataset::Webtables, Dataset::CancerKg],
+    rows,
+    title: "Table 6 — MAP/MRR for Table Clustering: relational vs non-relational",
+    headers: &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+};
+
+const SUBSETS: [Subset; 3] = [
+    ("relational", |t| t.table.kind() == TableKind::Relational),
+    ("non-relational", |t| t.table.kind() != TableKind::Relational),
+    ("all (mixed)", |_| true),
+];
+
+fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    rows_over(bundle, &SUBSETS, |subset| tc_lineup(bundle, cfg.k, subset))
 }

@@ -2,40 +2,27 @@
 //! TabBiN-column only, TabBiN-HMD only, and the colcomp composite (§4.5).
 
 use crate::bundle::{Bundle, ExpConfig};
-use crate::harness::{eval_cc, eval_cc_batch, format_table};
+use crate::experiments::{rows_over, LineupTable};
+use crate::harness::{eval_cc, eval_cc_batch};
 use tabbin_corpus::Dataset;
 
-/// Runs the composite-embedding CC analysis.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut rows = Vec::new();
-    for ds in Dataset::ALL {
-        let bundle = Bundle::train(ds, cfg);
-        for (content, numeric) in [("textual", false), ("numerical", true)] {
-            let data_only = eval_cc(&bundle.corpus, numeric, cfg.k, cfg.max_queries, |t, j| {
-                bundle.family.embed_column_data(t, j)
-            });
-            if data_only.queries == 0 {
-                continue;
-            }
-            let attr_only = eval_cc(&bundle.corpus, numeric, cfg.k, cfg.max_queries, |t, j| {
-                bundle.family.embed_attribute(t, j)
-            });
-            let colcomp =
-                eval_cc_batch(&bundle.corpus, numeric, cfg.k, cfg.max_queries, |t, cols| {
-                    bundle.family.embed_columns_subset(t, cols)
-                });
-            rows.push(vec![
-                ds.name().to_string(),
-                content.to_string(),
-                data_only.render(),
-                attr_only.render(),
-                colcomp.render(),
-            ]);
-        }
-    }
-    format_table(
-        "Table 10 — CC without vs with composite embeddings",
-        &["dataset", "content", "TabBiN-col", "TabBiN-HMD", "TabBiN-colcomp"],
-        &rows,
-    )
+/// The composite-embedding CC analysis.
+pub const TABLE: LineupTable = LineupTable {
+    datasets: &Dataset::ALL,
+    rows,
+    title: "Table 10 — CC without vs with composite embeddings",
+    headers: &["dataset", "content", "TabBiN-col", "TabBiN-HMD", "TabBiN-colcomp"],
+};
+
+fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    let (corpus, family, k, max_q) = (&bundle.corpus, &bundle.family, cfg.k, cfg.max_queries);
+    rows_over(bundle, &[("textual", false), ("numerical", true)], |numeric| {
+        vec![
+            eval_cc(corpus, numeric, k, max_q, |t, j| family.embed_column_data(t, j)),
+            eval_cc(corpus, numeric, k, max_q, |t, j| family.embed_attribute(t, j)),
+            eval_cc_batch(corpus, numeric, k, max_q, |t, cols| {
+                family.embed_columns_subset(t, cols)
+            }),
+        ]
+    })
 }

@@ -2,44 +2,33 @@
 //! row model only, tblcomp1, tblcomp2 (§4.5), across structural subsets.
 
 use crate::bundle::{Bundle, ExpConfig};
-use crate::harness::{eval_tc, eval_tc_batch, format_table};
-use tabbin_corpus::{Dataset, LabeledTable};
+use crate::experiments::{rows_over, LineupTable, Subset};
+use crate::harness::{eval_tc, eval_tc_batch};
+use tabbin_corpus::Dataset;
 use tabbin_table::TableKind;
 
-/// Runs the composite-embedding TC analysis.
-pub fn run(cfg: &ExpConfig) -> String {
-    let mut rows = Vec::new();
-    type Subset = (&'static str, fn(&LabeledTable) -> bool);
-    let subsets: [Subset; 4] = [
-        ("all", |_| true),
-        ("HMD+VMD", |t| t.table.kind() == TableKind::BiN),
-        ("relational", |t| t.table.kind() == TableKind::Relational),
-        ("nested", |t| t.table.has_nesting()),
-    ];
-    for ds in [Dataset::CancerKg, Dataset::CovidKg] {
-        let bundle = Bundle::train(ds, cfg);
-        for (name, subset) in subsets {
-            let row_only =
-                eval_tc(&bundle.corpus, cfg.k, subset, |t| bundle.family.embed_table_data(t));
-            if row_only.queries == 0 {
-                continue;
-            }
-            let comp1 = eval_tc(&bundle.corpus, cfg.k, subset, |t| bundle.family.embed_tblcomp1(t));
-            let comp2 = eval_tc_batch(&bundle.corpus, cfg.k, subset, |ts| {
-                bundle.family.embed_table_refs(ts)
-            });
-            rows.push(vec![
-                ds.name().to_string(),
-                name.to_string(),
-                row_only.render(),
-                comp1.render(),
-                comp2.render(),
-            ]);
-        }
-    }
-    format_table(
-        "Table 11 — TC without vs with composite embeddings",
-        &["dataset", "subset", "TabBiN-row", "tblcomp1", "tblcomp2"],
-        &rows,
-    )
+/// The composite-embedding TC analysis.
+pub const TABLE: LineupTable = LineupTable {
+    datasets: &[Dataset::CancerKg, Dataset::CovidKg],
+    rows,
+    title: "Table 11 — TC without vs with composite embeddings",
+    headers: &["dataset", "subset", "TabBiN-row", "tblcomp1", "tblcomp2"],
+};
+
+const SUBSETS: [Subset; 4] = [
+    ("all", |_| true),
+    ("HMD+VMD", |t| t.table.kind() == TableKind::BiN),
+    ("relational", |t| t.table.kind() == TableKind::Relational),
+    ("nested", |t| t.table.has_nesting()),
+];
+
+fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    let (corpus, family) = (&bundle.corpus, &bundle.family);
+    rows_over(bundle, &SUBSETS, |subset| {
+        vec![
+            eval_tc(corpus, cfg.k, subset, |t| family.embed_table_data(t)),
+            eval_tc(corpus, cfg.k, subset, |t| family.embed_tblcomp1(t)),
+            eval_tc_batch(corpus, cfg.k, subset, |ts| family.embed_table_refs(ts)),
+        ]
+    })
 }

@@ -40,8 +40,18 @@ pub fn sample_queries(n: usize, max: usize) -> Vec<usize> {
     }
 }
 
+/// [`sample_queries`] over `labels`, keeping only the queries whose label
+/// another item shares (something to retrieve must exist).
+pub fn retrievable_queries<L: PartialEq>(labels: &[L], max: usize) -> Vec<usize> {
+    sample_queries(labels.len(), max)
+        .into_iter()
+        .filter(|&q| labels.iter().enumerate().any(|(i, l)| i != q && *l == labels[q]))
+        .collect()
+}
+
 /// Column-clustering evaluation (§4.1): embed every selected column, rank by
-/// cosine, relevance = same semantic id.
+/// cosine, relevance = same semantic id. The per-column form of
+/// [`eval_cc_batch`].
 pub fn eval_cc(
     corpus: &Corpus,
     numeric: bool,
@@ -49,12 +59,9 @@ pub fn eval_cc(
     max_queries: usize,
     mut embed: impl FnMut(&Table, usize) -> Vec<f32>,
 ) -> RetrievalEval {
-    let cols = collect_columns(corpus, numeric);
-    // Only evaluate semantic ids that appear more than once (something to
-    // retrieve must exist).
-    let items: Vec<Vec<f32>> =
-        cols.iter().map(|c| embed(&corpus.tables[c.table].table, c.col)).collect();
-    eval_cc_over(&cols, items, k, max_queries)
+    eval_cc_batch(corpus, numeric, k, max_queries, |t, cols| {
+        cols.iter().map(|&j| embed(t, j)).collect()
+    })
 }
 
 /// [`eval_cc`] with a per-table **batch** embedder: `embed_columns` is called
@@ -71,35 +78,17 @@ pub fn eval_cc_batch(
     mut embed_columns: impl FnMut(&Table, &[usize]) -> Vec<Vec<f32>>,
 ) -> RetrievalEval {
     let cols = collect_columns(corpus, numeric);
-    // Group the needed column indices by table, embed each group in one
-    // batched call, then lay the results back out in `cols` order.
-    let mut wanted: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for c in &cols {
-        wanted.entry(c.table).or_default().push(c.col);
-    }
-    let mut by_table: std::collections::HashMap<(usize, usize), Vec<f32>> = Default::default();
-    for (&ti, col_ids) in &wanted {
-        let embs = embed_columns(&corpus.tables[ti].table, col_ids);
+    // `cols` runs table by table: embed each table's group in one batched
+    // call, which keeps the items in `cols` order.
+    let mut items: Vec<Vec<f32>> = Vec::with_capacity(cols.len());
+    for group in cols.chunk_by(|a, b| a.table == b.table) {
+        let col_ids: Vec<usize> = group.iter().map(|c| c.col).collect();
+        let embs = embed_columns(&corpus.tables[group[0].table].table, &col_ids);
         assert_eq!(embs.len(), col_ids.len(), "embedder must return one vector per column");
-        for (&ci, e) in col_ids.iter().zip(embs) {
-            by_table.insert((ti, ci), e);
-        }
+        items.extend(embs);
     }
-    let items: Vec<Vec<f32>> = cols.iter().map(|c| by_table[&(c.table, c.col)].clone()).collect();
-    eval_cc_over(&cols, items, k, max_queries)
-}
-
-fn eval_cc_over(
-    cols: &[ColumnRef],
-    items: Vec<Vec<f32>>,
-    k: usize,
-    max_queries: usize,
-) -> RetrievalEval {
     let labels: Vec<u32> = cols.iter().map(|c| c.sem).collect();
-    let queries: Vec<usize> = sample_queries(cols.len(), max_queries)
-        .into_iter()
-        .filter(|&q| labels.iter().enumerate().any(|(i, &l)| i != q && l == labels[q]))
-        .collect();
+    let queries = retrievable_queries(&labels, max_queries);
     evaluate_retrieval(&items, &labels, &queries, k)
 }
 
@@ -155,10 +144,7 @@ pub fn eval_ec(
             labels.push(ety);
         }
     }
-    let queries: Vec<usize> = sample_queries(items.len(), max_queries)
-        .into_iter()
-        .filter(|&q| labels.iter().enumerate().any(|(i, &l)| i != q && l == labels[q]))
-        .collect();
+    let queries = retrievable_queries(&labels, max_queries);
     evaluate_retrieval(&items, &labels, &queries, k)
 }
 
@@ -167,38 +153,23 @@ pub fn eval_ec(
 pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let sep: String = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("+");
-    out.push_str(&sep);
-    out.push('\n');
-    let fmt_row = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!(" {:<w$} ", c, w = widths.get(i).copied().unwrap_or(c.len())))
-            .collect::<Vec<_>>()
-            .join("|")
+    let sep = widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("+") + "\n";
+    // Cells past the header's columns are padded to their own length.
+    let line = |cells: &[&str]| -> String {
+        let width = |i: usize, c: &str| widths.get(i).copied().unwrap_or(c.len());
+        let cells: Vec<String> =
+            cells.iter().enumerate().map(|(i, c)| format!(" {c:<w$} ", w = width(i, c))).collect();
+        cells.join("|") + "\n"
     };
-    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells));
-    out.push('\n');
-    out.push_str(&sep);
-    out.push('\n');
+    let mut out = format!("{title}\n{sep}{}{sep}", line(headers));
     for row in rows {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
+        out += &line(&row.iter().map(String::as_str).collect::<Vec<_>>());
     }
-    out.push_str(&sep);
-    out.push('\n');
-    out
+    out + &sep
 }
 
 #[cfg(test)]
