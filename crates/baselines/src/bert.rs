@@ -1,254 +1,108 @@
-//! A plain flat-sequence BERT-style encoder — the BioBERT baseline stand-in.
+//! The BioBERT baseline stand-in: the shared transformer over flat sequences.
 //!
-//! Differences from TabBiN (all deliberate, mirroring what the paper's
-//! BioBERT rows measure): the table is linearized to one token sequence
-//! (caption + metadata labels + cells, row-major); position embeddings are
-//! plain sequence offsets; there is **no** visibility matrix, **no**
-//! bi-dimensional coordinates, **no** numeric-feature embedding, **no** type
-//! or unit/nesting features. Numbers still surface as `[VAL]` through the
-//! shared tokenizer, so numeric content is largely opaque to this model —
-//! exactly the weakness the paper exploits on numeric CC.
+//! A [`TabBiNModel`] built, pre-trained and embedded exactly as TUTA's is;
+//! only its input differs, mirroring what the paper's BioBERT rows measure.
+//! The table is linearized to one token sequence (caption, metadata labels,
+//! then cells row-major) whose only structure is each token's sequence
+//! position: **no** visibility matrix, **no** table coordinates, **no**
+//! numeric values, **no** type or unit/nesting features, and **no** cells —
+//! the whole sequence is one, so Cell-level Cloze never fires and
+//! pre-training is MLM alone. Numbers surface as `[VAL]` through the shared
+//! tokenizer, so numeric content is opaque to this model — exactly the
+//! weakness the paper exploits on numeric CC.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::seq::SeqBuilder;
+use tabbin_core::config::{AblationFlags, ModelConfig};
+use tabbin_core::encoding::EncodedSequence;
+use tabbin_core::model::TabBiNModel;
+use tabbin_core::pretrain::{pretrain, PretrainOptions, StepStats};
 use tabbin_table::{CellValue, Table};
-use tabbin_tensor::nn::{AttentionConfig, Embedding, EncoderBlock, LayerNorm, Linear};
-use tabbin_tensor::optim::Adam;
-use tabbin_tensor::{Graph, NodeId, ParamStore};
-use tabbin_tokenizer::{Piece, SpecialToken, Tokenizer};
+use tabbin_tokenizer::{SpecialToken, Tokenizer};
 
-/// Geometry of the baseline encoder.
-#[derive(Clone, Copy, Debug)]
-pub struct BertConfig {
-    /// Hidden size.
-    pub hidden: usize,
-    /// Encoder blocks.
-    pub layers: usize,
-    /// Attention heads.
-    pub heads: usize,
-    /// Feed-forward width.
-    pub ff: usize,
-    /// Maximum sequence length.
-    pub max_seq: usize,
-}
-
-impl Default for BertConfig {
-    fn default() -> Self {
-        Self { hidden: 48, layers: 2, heads: 4, ff: 96, max_seq: 96 }
-    }
-}
-
-/// MLM pre-training options.
-#[derive(Clone, Copy, Debug)]
-pub struct BertPretrainOptions {
-    /// Optimization steps.
-    pub steps: usize,
-    /// Sequences per step.
-    pub batch: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Masking probability.
-    pub mask_prob: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for BertPretrainOptions {
-    fn default() -> Self {
-        Self { steps: 200, batch: 4, lr: 1e-3, mask_prob: 0.15, seed: 29 }
-    }
-}
-
-/// The flat BERT-style model.
+/// The flat BERT-style baseline.
 #[derive(Debug)]
 pub struct BertSim {
-    cfg: BertConfig,
-    store: ParamStore,
-    tok_emb: Embedding,
-    pos_emb: Embedding,
-    ln: LayerNorm,
-    blocks: Vec<EncoderBlock>,
-    mlm: Linear,
-    vocab: usize,
+    /// The underlying encoder (visibility, type and unit embeddings
+    /// disabled; the coordinate embedding carries the sequence position).
+    pub model: TabBiNModel,
 }
 
 impl BertSim {
-    /// Fresh model over a vocabulary.
-    pub fn new(cfg: BertConfig, vocab: usize, seed: u64) -> Self {
-        assert_eq!(cfg.hidden % cfg.heads, 0, "hidden must divide into heads");
-        let mut store = ParamStore::new();
-        let tok_emb = Embedding::new(&mut store, "bert.tok", vocab, cfg.hidden, seed ^ 0x11);
-        let pos_emb = Embedding::new(&mut store, "bert.pos", cfg.max_seq, cfg.hidden, seed ^ 0x12);
-        let ln = LayerNorm::new(&mut store, "bert.ln", cfg.hidden);
-        let attn = AttentionConfig { d_model: cfg.hidden, heads: cfg.heads };
-        let blocks = (0..cfg.layers)
-            .map(|l| {
-                EncoderBlock::new(
-                    &mut store,
-                    &format!("bert{l}"),
-                    attn,
-                    cfg.ff,
-                    seed ^ (l as u64 + 3),
-                )
-            })
-            .collect();
-        let mlm = Linear::new(&mut store, "bert.mlm", cfg.hidden, vocab, seed ^ 0x13);
-        Self { cfg, store, tok_emb, pos_emb, ln, blocks, mlm, vocab }
+    /// Builds the baseline with BERT's feature set.
+    pub fn new(base: ModelConfig, vocab: usize, seed: u64) -> Self {
+        let cfg = base.with_ablation(AblationFlags {
+            visibility: false,
+            type_inference: false,
+            units_nesting: false,
+            coordinates: true,
+        });
+        Self { model: TabBiNModel::new(cfg, vocab, seed) }
     }
 
     /// Linearizes a table: caption, HMD labels, VMD labels, then cells
-    /// row-major (nested tables flattened as text).
-    pub fn linearize(table: &Table, tok: &Tokenizer, max_seq: usize) -> Vec<u32> {
-        let mut ids = vec![SpecialToken::Cls.id()];
-        let push_text = |ids: &mut Vec<u32>, text: &str| {
-            for p in tok.encode(text) {
-                if ids.len() >= max_seq {
-                    return;
-                }
-                ids.push(match p {
-                    Piece::Word(w) => w,
-                    Piece::Value(_) => SpecialToken::Val.id(),
-                });
-            }
-        };
-        push_text(&mut ids, &table.caption);
-        for (l, _) in table.hmd.all_labels() {
-            push_text(&mut ids, l);
-        }
-        for (l, _) in table.vmd.all_labels() {
-            push_text(&mut ids, l);
+    /// row-major, each followed by `[SEP]` (nested tables flattened as text).
+    pub fn encode_table(&self, table: &Table, tok: &Tokenizer) -> EncodedSequence {
+        let mut b = SeqBuilder::flat(tok, &self.model.cfg);
+        b.special(SpecialToken::Cls);
+        b.text(&table.caption);
+        for (l, _) in table.hmd.all_labels().into_iter().chain(table.vmd.all_labels()) {
+            b.text(l);
         }
         for (_, _, c) in table.data.iter_indexed() {
             match c {
                 CellValue::Nested(inner) => {
                     for (l, _) in inner.hmd.all_labels() {
-                        push_text(&mut ids, l);
+                        b.text(l);
                     }
                     for (_, _, v) in inner.data.iter_indexed() {
-                        push_text(&mut ids, &v.render());
+                        b.text(&v.render());
                     }
                 }
-                other => push_text(&mut ids, &other.render()),
+                other => b.text(&other.render()),
             }
-            if ids.len() < max_seq {
-                ids.push(SpecialToken::Sep.id());
-            }
+            b.special(SpecialToken::Sep);
         }
-        ids.truncate(max_seq);
-        ids
+        b.finish()
     }
 
-    fn forward(&self, g: &mut Graph, ids: &[u32]) -> NodeId {
-        let tok_ids: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        let pos_ids: Vec<usize> = (0..ids.len()).map(|i| i.min(self.cfg.max_seq - 1)).collect();
-        let te = self.tok_emb.forward(g, &self.store, &tok_ids);
-        let pe = self.pos_emb.forward(g, &self.store, &pos_ids);
-        let sum = g.add(te, pe);
-        let mut x = self.ln.forward(g, &self.store, sum);
-        for b in &self.blocks {
-            x = b.forward(g, &self.store, x, None);
-        }
-        x
+    /// `[CLS]` and free text as a flat sequence.
+    pub fn encode_text(&self, text: &str, tok: &Tokenizer) -> EncodedSequence {
+        let mut b = SeqBuilder::flat(tok, &self.model.cfg);
+        b.special(SpecialToken::Cls);
+        b.text(text);
+        b.finish()
     }
 
-    /// MLM pre-training over raw id sequences; returns the loss curve.
-    pub fn pretrain(&mut self, sequences: &[Vec<u32>], opts: &BertPretrainOptions) -> Vec<f32> {
-        let usable: Vec<&Vec<u32>> = sequences.iter().filter(|s| s.len() >= 4).collect();
-        if usable.is_empty() {
-            return Vec::new();
-        }
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let mut opt = Adam::new(opts.lr);
-        let mut curve = Vec::with_capacity(opts.steps);
-        for _ in 0..opts.steps {
-            let mut step_loss = 0.0f32;
-            let mut counted = 0usize;
-            for _ in 0..opts.batch {
-                let seq = usable[rng.random_range(0..usable.len())];
-                let mut ids = seq.clone();
-                let mut targets = vec![-1i64; ids.len()];
-                let mut any = false;
-                for i in 1..ids.len() {
-                    if ids[i] == SpecialToken::Sep.id() {
-                        continue;
-                    }
-                    if rng.random::<f64>() < opts.mask_prob {
-                        targets[i] = ids[i] as i64;
-                        ids[i] = SpecialToken::Mask.id();
-                        any = true;
-                    }
-                }
-                if !any {
-                    let i = rng.random_range(1..ids.len());
-                    targets[i] = ids[i] as i64;
-                    ids[i] = SpecialToken::Mask.id();
-                }
-                let mut g = Graph::new();
-                let hidden = self.forward(&mut g, &ids);
-                let rows: Vec<usize> = (0..ids.len()).filter(|&i| targets[i] >= 0).collect();
-                let sel = g.row_select(hidden, &rows);
-                let logits = self.mlm.forward(&mut g, &self.store, sel);
-                let t: Vec<i64> = rows.iter().map(|&i| targets[i]).collect();
-                let loss = g.cross_entropy_rows(logits, &t);
-                step_loss += g.value(loss).data()[0];
-                counted += 1;
-                g.backward(loss);
-                g.accumulate_grads(&mut self.store);
-            }
-            self.store.clip_grad_norm(5.0);
-            opt.step(&mut self.store);
-            self.store.zero_grads();
-            curve.push(step_loss / counted.max(1) as f32);
-        }
-        curve
-    }
-
-    /// Mean-pooled embedding of an id sequence.
-    pub fn embed_ids(&self, ids: &[u32]) -> Vec<f32> {
-        if ids.is_empty() {
-            return vec![0.0; self.cfg.hidden];
-        }
-        let mut g = Graph::new();
-        let hidden = self.forward(&mut g, ids);
-        let pooled = g.mean_rows(hidden);
-        g.value(pooled).data().to_vec()
+    /// Pre-trains with the shared objectives (MLM alone: see the module
+    /// docs).
+    pub fn pretrain(
+        &mut self,
+        tables: &[Table],
+        tok: &Tokenizer,
+        opts: &PretrainOptions,
+    ) -> Vec<StepStats> {
+        let seqs: Vec<EncodedSequence> = tables.iter().map(|t| self.encode_table(t, tok)).collect();
+        pretrain(&mut self.model, &seqs, opts)
     }
 
     /// Embedding of free text.
-    pub fn embed_text(&self, tok: &Tokenizer, text: &str) -> Vec<f32> {
-        let mut ids = vec![SpecialToken::Cls.id()];
-        for p in tok.encode(text) {
-            if ids.len() >= self.cfg.max_seq {
-                break;
-            }
-            ids.push(p.vocab_id());
-        }
-        self.embed_ids(&ids)
+    pub fn embed_text(&self, text: &str, tok: &Tokenizer) -> Vec<f32> {
+        self.model.embed(&self.encode_text(text, tok))
     }
 
     /// Embedding of a whole table (linearized).
-    pub fn embed_table(&self, tok: &Tokenizer, table: &Table) -> Vec<f32> {
-        self.embed_ids(&Self::linearize(table, tok, self.cfg.max_seq))
+    pub fn embed_table(&self, table: &Table, tok: &Tokenizer) -> Vec<f32> {
+        self.model.embed(&self.encode_table(table, tok))
     }
 
     /// Embedding of one column: header label plus rendered cells.
-    pub fn embed_column(&self, tok: &Tokenizer, table: &Table, j: usize) -> Vec<f32> {
+    pub fn embed_column(&self, table: &Table, j: usize, tok: &Tokenizer) -> Vec<f32> {
         let mut text = table.hmd.leaf_labels().get(j).map(|s| s.to_string()).unwrap_or_default();
         for cell in table.column_text(j) {
             text.push(' ');
             text.push_str(&cell);
         }
-        self.embed_text(tok, &text)
-    }
-
-    /// Hidden width (embedding length).
-    pub fn hidden(&self) -> usize {
-        self.cfg.hidden
-    }
-
-    /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab
+        self.embed_text(&text, tok)
     }
 }
 
@@ -256,6 +110,7 @@ impl BertSim {
 mod tests {
     use super::*;
     use tabbin_table::samples::{figure1_table, table2_relational};
+    use tabbin_typeinfer::SemType;
 
     fn tok() -> Tokenizer {
         Tokenizer::train(
@@ -265,52 +120,73 @@ mod tests {
         )
     }
 
+    fn bert(t: &Tokenizer, max_seq: usize) -> BertSim {
+        BertSim::new(ModelConfig { max_seq, ..ModelConfig::tiny() }, t.vocab_size(), 7)
+    }
+
     #[test]
     fn linearize_starts_with_cls_and_bounds_length() {
         let t = tok();
-        let ids = BertSim::linearize(&figure1_table(), &t, 32);
-        assert_eq!(ids[0], SpecialToken::Cls.id());
-        assert!(ids.len() <= 32);
+        let seq = bert(&t, 32).encode_table(&figure1_table(), &t);
+        assert_eq!(seq.tokens[0].vocab_id, SpecialToken::Cls.id());
+        assert!(seq.len() <= 32);
     }
 
     #[test]
     fn pretrain_reduces_loss() {
         let t = tok();
         let tables = [table2_relational(), figure1_table()];
-        let seqs: Vec<Vec<u32>> = tables.iter().map(|tb| BertSim::linearize(tb, &t, 48)).collect();
-        let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
-        let mut model = BertSim::new(cfg, t.vocab_size(), 7);
+        let mut model = bert(&t, 48);
         let curve = model.pretrain(
-            &seqs,
-            &BertPretrainOptions { steps: 30, batch: 2, lr: 2e-3, ..Default::default() },
+            &tables,
+            &t,
+            &PretrainOptions { steps: 30, batch: 2, lr: 2e-3, ..Default::default() },
         );
-        let first: f32 = curve[..5].iter().sum::<f32>() / 5.0;
-        let last: f32 = curve[25..].iter().sum::<f32>() / 5.0;
+        let first: f32 = curve[..5].iter().map(|s| s.mlm_loss).sum::<f32>() / 5.0;
+        let last: f32 = curve[25..].iter().map(|s| s.mlm_loss).sum::<f32>() / 5.0;
         assert!(last < first, "BERT baseline failed to train: {first} -> {last}");
+        assert!(curve.iter().all(|s| s.clc_loss == 0.0), "one cell: CLC must never fire");
     }
 
     #[test]
     fn embeddings_have_hidden_width() {
         let t = tok();
-        let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
-        let model = BertSim::new(cfg, t.vocab_size(), 7);
-        assert_eq!(model.embed_table(&t, &table2_relational()).len(), 24);
-        assert_eq!(model.embed_column(&t, &table2_relational(), 1).len(), 24);
-        assert_eq!(model.embed_text(&t, "sam").len(), 24);
+        let model = bert(&t, 48);
+        assert_eq!(model.embed_table(&table2_relational(), &t).len(), 24);
+        assert_eq!(model.embed_column(&table2_relational(), 1, &t).len(), 24);
+        assert_eq!(model.embed_text("sam", &t).len(), 24);
     }
 
     #[test]
     fn numbers_collapse_to_val_making_numeric_columns_opaque() {
         // Two numeric columns with different values but no text content
-        // linearize to the same id sequence modulo [VAL] — demonstrating the
-        // baseline's numeric blindness.
+        // encode to the same sequence — the baseline's numeric blindness.
         let t = tok();
         let a =
             Table::builder("x").hmd_flat(&["q"]).row(vec![CellValue::number(5.0, None)]).build();
         let b =
             Table::builder("x").hmd_flat(&["q"]).row(vec![CellValue::number(900.0, None)]).build();
-        let ia = BertSim::linearize(&a, &t, 32);
-        let ib = BertSim::linearize(&b, &t, 32);
-        assert_eq!(ia, ib);
+        let model = bert(&t, 32);
+        assert_eq!(model.encode_table(&a, &t).tokens, model.encode_table(&b, &t).tokens);
+    }
+
+    #[test]
+    fn bert_sequences_carry_no_structure() {
+        let t = tok();
+        let model = bert(&t, 48);
+        let seq = model.encode_table(&figure1_table(), &t);
+        assert_eq!(seq.len(), 48, "figure 1 should fill the sequence");
+        assert_eq!(seq.n_cells, 1);
+        for (pos, tk) in seq.tokens.iter().enumerate() {
+            assert_eq!(tk.value, None);
+            assert_eq!(tk.sem_type, SemType::Text.index());
+            assert_eq!(tk.feat_bits, [false; 8]);
+            assert_eq!((tk.cell_pos, tk.row, tk.col), (0, 0, 0));
+            assert_eq!(tk.tpos, [(pos / 8) as u16, (pos % 8) as u16, 0, 0, 0, 0]);
+            assert!(tk.special || tk.cell_id == 0);
+        }
+        let flags = model.model.cfg.ablation;
+        assert!(!flags.visibility && !flags.type_inference && !flags.units_nesting);
+        assert!(flags.coordinates);
     }
 }

@@ -3,11 +3,14 @@
 //! DITTO fine-tunes a pre-trained language model for binary match/mismatch
 //! classification over `COL … VAL …` serialized entity pairs. This
 //! simulation keeps the protocol: a [`BertSim`] encoder is MLM-pre-trained
-//! on the pair corpus, then a classification head is trained on embedded
-//! pairs.
+//! on the pair corpus through the shared `pretrain`, then a classification
+//! head is trained on embedded pairs.
 
-use crate::bert::{BertConfig, BertPretrainOptions, BertSim};
+use crate::bert::BertSim;
+use tabbin_core::config::ModelConfig;
+use tabbin_core::encoding::EncodedSequence;
 use tabbin_core::matcher::{EmbeddedPair, EntityMatcher, MatcherOptions};
+use tabbin_core::pretrain::{pretrain, PretrainOptions};
 use tabbin_corpus::EmPair;
 use tabbin_tokenizer::Tokenizer;
 
@@ -74,7 +77,7 @@ fn hashed_bag(text: &str) -> Vec<f32> {
 }
 
 fn embed_with(encoder: &BertSim, tokenizer: &Tokenizer, text: &str) -> Vec<f32> {
-    let mut e = encoder.embed_text(tokenizer, text);
+    let mut e = encoder.embed_text(text, tokenizer);
     e.extend(hashed_bag(text));
     e
 }
@@ -84,31 +87,27 @@ impl DittoSim {
         embed_with(&self.encoder, &self.tokenizer, text)
     }
 
-    /// Trains encoder and head on `train` pairs.
-    pub fn train(train: &[EmPair], cfg: BertConfig, opts: &DittoOptions) -> Self {
+    /// Trains encoder (at [`ModelConfig::tiny`]'s geometry) and head on
+    /// `train` pairs.
+    pub fn train(train: &[EmPair], opts: &DittoOptions) -> Self {
+        let cfg = ModelConfig::tiny();
         // Tokenizer from the pair texts themselves (RoBERTa vocabulary
         // stand-in).
         let texts: Vec<&str> = train.iter().flat_map(|p| [p.a.as_str(), p.b.as_str()]).collect();
         let tokenizer = Tokenizer::train(texts.iter().copied(), 4000, 1);
         let mut encoder = BertSim::new(cfg, tokenizer.vocab_size(), opts.seed);
-        let sequences: Vec<Vec<u32>> = texts
-            .iter()
-            .map(|t| {
-                let mut ids = vec![tabbin_tokenizer::SpecialToken::Cls.id()];
-                ids.extend(tokenizer.encode(t).iter().map(|p| p.vocab_id()));
-                ids.truncate(cfg.max_seq);
-                ids
-            })
-            .collect();
-        encoder.pretrain(
+        let sequences: Vec<EncodedSequence> =
+            texts.iter().map(|t| encoder.encode_text(t, &tokenizer)).collect();
+        pretrain(
+            &mut encoder.model,
             &sequences,
-            &BertPretrainOptions {
+            &PretrainOptions {
                 steps: opts.pretrain_steps,
                 seed: opts.seed ^ 0x55,
                 ..Default::default()
             },
         );
-        let dim = encoder.hidden() + LEX_DIM;
+        let dim = cfg.hidden + LEX_DIM;
         let embedded: Vec<EmbeddedPair> = train
             .iter()
             .map(|p| EmbeddedPair {
@@ -153,12 +152,8 @@ mod tests {
     fn ditto_learns_product_matching() {
         let train = amazon_google_like(60, 60, 1);
         let test = amazon_google_like(25, 25, 2);
-        let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
-        let model = DittoSim::train(
-            &train,
-            cfg,
-            &DittoOptions { pretrain_steps: 20, head_epochs: 20, seed: 3 },
-        );
+        let model =
+            DittoSim::train(&train, &DittoOptions { pretrain_steps: 20, head_epochs: 20, seed: 3 });
         let f1 = model.f1_percent(&test);
         assert!(f1 > 55.0, "DITTO-sim F1 too low: {f1}");
     }
@@ -166,12 +161,8 @@ mod tests {
     #[test]
     fn predict_is_deterministic() {
         let train = amazon_google_like(20, 20, 4);
-        let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
-        let model = DittoSim::train(
-            &train,
-            cfg,
-            &DittoOptions { pretrain_steps: 5, head_epochs: 5, seed: 5 },
-        );
+        let model =
+            DittoSim::train(&train, &DittoOptions { pretrain_steps: 5, head_epochs: 5, seed: 5 });
         let p = &train[0];
         assert_eq!(model.predict(&p.a, &p.b), model.predict(&p.a, &p.b));
     }

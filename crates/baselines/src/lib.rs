@@ -1,31 +1,34 @@
 //! Baselines for the TabBiN reproduction (§4).
 //!
+//! The two transformer baselines are the same [`tabbin_core::model::TabBiNModel`]
+//! as TabBiN, pre-trained by the same `tabbin_core::pretrain::pretrain`; they
+//! differ from it and from each other only in their sequence builders and
+//! ablation flags, so the lineup compares input encodings, not model stacks.
+//!
 //! * [`word2vec`] — skip-gram with negative sampling, trained on table
 //!   tuples (the paper's Word2Vec rows, Table 3 dimensionality sweep).
-//! * [`bert`] — a plain flat-sequence transformer standing in for the
-//!   fine-tuned BioBERT baseline: same tokenizer, **no** structural
-//!   embeddings, **no** visibility matrix, **no** numeric/unit/type
-//!   features.
+//! * [`bert`] — the fine-tuned BioBERT baseline's stand-in: flat sequences
+//!   (caption + metadata labels + cells) whose only structure is each token's
+//!   position — **no** visibility matrix, **no** table coordinates, **no**
+//!   numeric/unit/type features.
 //! * [`tuta`] — a TUTA-style tree-positional transformer: whole-table
 //!   (metadata + data mixed) sequences with coordinate and numeric
 //!   embeddings, but no unit/nesting treatment, no type inference, and no
 //!   segment separation — exactly the deltas the paper probes.
 //! * [`ditto`] — a DITTO-style sequence-pair entity matcher over
-//!   `COL … VAL …` serializations.
-//! * [`llm_rag`] — a calibrated simulator of the LLM ± RAG baselines
-//!   (GPT-2, Llama2, GPT-3.5+RAG, GPT-4+RAG); proprietary LLMs cannot run
-//!   offline, so this reproduces their *reported behavioral signature*
-//!   (near-perfect first ranks with weaker tail ranking) with documented
-//!   constants.
+//!   `COL … VAL …` serializations, with a [`bert`] encoder.
+//!
+//! The paper's LLM ± RAG rows (Table 14) are not reproduced: proprietary
+//! LLMs cannot run offline, and the experiment prints the paper's figures as
+//! quoted text instead.
 
 pub mod bert;
 pub mod ditto;
-pub mod llm_rag;
+mod seq;
 pub mod tuta;
 pub mod word2vec;
 
 pub use bert::BertSim;
 pub use ditto::DittoSim;
-pub use llm_rag::{LlmRagSim, LlmTier};
 pub use tuta::TutaSim;
 pub use word2vec::{Word2Vec, Word2VecConfig};

@@ -10,23 +10,23 @@
 //! tables are flattened as plain text without nested coordinates.
 //!
 //! Implementation: a [`TabBiNModel`] with the type/unit embeddings ablated,
-//! fed whole-table sequences built by [`TutaSim::encode_table`].
+//! fed whole-table sequences built by [`TutaSim::encode_table`] through the
+//! tree layout of the builder it shares with [`crate::bert`].
 
+use crate::seq::SeqBuilder;
 use tabbin_core::config::{AblationFlags, ModelConfig};
-use tabbin_core::encoding::{EncodedSequence, EncodedToken, NO_CELL};
+use tabbin_core::encoding::EncodedSequence;
 use tabbin_core::model::TabBiNModel;
 use tabbin_core::pretrain::{pretrain, PretrainOptions, StepStats};
 use tabbin_table::coords::assign_coordinates;
 use tabbin_table::{CellValue, Table};
-use tabbin_tokenizer::{Piece, SpecialToken, Tokenizer};
-use tabbin_typeinfer::SemType;
+use tabbin_tokenizer::{SpecialToken, Tokenizer};
 
 /// The TUTA-style baseline model.
 #[derive(Debug)]
 pub struct TutaSim {
     /// The underlying encoder (type and unit embeddings disabled).
     pub model: TabBiNModel,
-    cfg: ModelConfig,
 }
 
 impl TutaSim {
@@ -38,7 +38,7 @@ impl TutaSim {
             units_nesting: false,
             coordinates: true,
         });
-        Self { model: TabBiNModel::new(cfg, vocab, seed), cfg }
+        Self { model: TabBiNModel::new(cfg, vocab, seed) }
     }
 
     /// Encodes a whole table as one joint sequence: HMD labels, VMD labels,
@@ -47,21 +47,21 @@ impl TutaSim {
         let coords = assign_coordinates(table);
         let hmd_depth = table.hmd.depth() as u32;
         let vmd_depth = table.vmd.depth() as u32;
-        let mut b = TutaSeqBuilder::new(tok, self.cfg.max_seq, self.cfg.max_cell_tokens);
+        let mut b = SeqBuilder::tree(tok, &self.model.cfg);
         b.special(SpecialToken::Cls);
 
         // HMD labels live in the top header rows of the raw grid.
         for (i, a) in coords.hmd.iter().enumerate() {
             let (hr, hc) = a.coord.horizontal.pair();
             let label = table.hmd.leaf_labels().get(i).map(|s| s.to_string()).unwrap_or_default();
-            b.cell_text(&label, [0, 0, hr, hc, 0, 0], a.row as u32, vmd_depth + a.col as u32);
+            b.cell(&label, [0, 0, hr, hc, 0, 0], a.row as u32, vmd_depth + a.col as u32);
         }
         // VMD labels live in the left columns.
         for a in &coords.vmd {
             let (vr, vc) = a.coord.vertical.pair();
             let label =
                 table.vmd.leaf_labels().get(a.row).map(|s| s.to_string()).unwrap_or_default();
-            b.cell_text(&label, [vr, vc, 0, 0, 0, 0], hmd_depth + a.row as u32, a.col as u32);
+            b.cell(&label, [vr, vc, 0, 0, 0, 0], hmd_depth + a.row as u32, a.col as u32);
         }
         // Data cells, nested content flattened as text (no nested coords).
         for (r, c, v) in table.data.iter_indexed() {
@@ -80,7 +80,7 @@ impl TutaSim {
                 }
                 other => other.render(),
             };
-            b.cell_value(&text, v, tp, hmd_depth + r as u32, vmd_depth + c as u32);
+            b.cell(&text, tp, hmd_depth + r as u32, vmd_depth + c as u32);
             b.special(SpecialToken::Sep);
         }
         b.finish()
@@ -105,102 +105,27 @@ impl TutaSim {
     /// Column embedding: header label + column cells as a joint sequence.
     pub fn embed_column(&self, table: &Table, j: usize, tok: &Tokenizer) -> Vec<f32> {
         let coords = assign_coordinates(table);
-        let mut b = TutaSeqBuilder::new(tok, self.cfg.max_seq, self.cfg.max_cell_tokens);
+        let mut b = SeqBuilder::tree(tok, &self.model.cfg);
         b.special(SpecialToken::Cls);
         if let Some(label) = table.hmd.leaf_labels().get(j) {
-            b.cell_text(label, [0, 0, 0, j as u16 + 1, 0, 0], 0, j as u32);
+            b.cell(label, [0, 0, 0, j as u16 + 1, 0, 0], 0, j as u32);
         }
         for i in 0..table.n_rows() {
             let coord = coords.data_coord(i, j).cloned().unwrap_or_default();
             let mut tp = coord.tpos_indices();
             tp[4] = 0;
             tp[5] = 0;
-            let v = table.data.get(i, j);
-            b.cell_value(&v.render(), v, tp, i as u32 + 1, j as u32);
+            b.cell(&table.data.get(i, j).render(), tp, i as u32 + 1, j as u32);
         }
         self.model.embed(&b.finish())
     }
 
     /// Entity embedding from plain text.
     pub fn embed_entity(&self, text: &str, tok: &Tokenizer) -> Vec<f32> {
-        let mut b = TutaSeqBuilder::new(tok, self.cfg.max_seq, self.cfg.max_cell_tokens);
+        let mut b = SeqBuilder::tree(tok, &self.model.cfg);
         b.special(SpecialToken::Cls);
-        b.cell_text(text, [0; 6], 0, 0);
+        b.text(text);
         self.model.embed(&b.finish())
-    }
-}
-
-/// Sequence builder for the TUTA layout (types forced to `text`, feature
-/// bits all clear — those embeddings are disabled anyway).
-struct TutaSeqBuilder<'a> {
-    tok: &'a Tokenizer,
-    max_seq: usize,
-    max_cell: usize,
-    tokens: Vec<EncodedToken>,
-    n_cells: usize,
-}
-
-impl<'a> TutaSeqBuilder<'a> {
-    fn new(tok: &'a Tokenizer, max_seq: usize, max_cell: usize) -> Self {
-        Self { tok, max_seq, max_cell, tokens: Vec::new(), n_cells: 0 }
-    }
-
-    fn special(&mut self, s: SpecialToken) {
-        if self.tokens.len() >= self.max_seq {
-            return;
-        }
-        self.tokens.push(EncodedToken {
-            vocab_id: s.id(),
-            value: None,
-            cell_pos: 0,
-            tpos: [0; 6],
-            sem_type: SemType::Text.index(),
-            feat_bits: [false; 8],
-            row: 0,
-            col: 0,
-            special: true,
-            cell_id: NO_CELL,
-        });
-    }
-
-    fn cell_text(&mut self, text: &str, tpos: [u16; 6], row: u32, col: u32) {
-        self.push(text, None, tpos, row, col);
-    }
-
-    fn cell_value(&mut self, text: &str, _v: &CellValue, tpos: [u16; 6], row: u32, col: u32) {
-        self.push(text, None, tpos, row, col);
-    }
-
-    fn push(&mut self, text: &str, _value: Option<f64>, tpos: [u16; 6], row: u32, col: u32) {
-        let cell_id = self.n_cells;
-        self.n_cells += 1;
-        for (pos, p) in self.tok.encode(text).into_iter().enumerate() {
-            if self.tokens.len() >= self.max_seq || pos >= self.max_cell {
-                return;
-            }
-            let (vocab_id, value) = match p {
-                Piece::Word(w) => (w, None),
-                // TUTA keeps numeric features (magnitude etc.), so the value
-                // payload is preserved.
-                Piece::Value(v) => (SpecialToken::Val.id(), Some(v)),
-            };
-            self.tokens.push(EncodedToken {
-                vocab_id,
-                value,
-                cell_pos: pos,
-                tpos,
-                sem_type: SemType::Text.index(),
-                feat_bits: [false; 8],
-                row,
-                col,
-                special: false,
-                cell_id,
-            });
-        }
-    }
-
-    fn finish(self) -> EncodedSequence {
-        EncodedSequence { tokens: self.tokens, n_cells: self.n_cells }
     }
 }
 

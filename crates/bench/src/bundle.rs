@@ -2,7 +2,7 @@
 //! sharing the corpus-trained tokenizer as the paper's models share the
 //! BioBERT vocabulary.
 
-use tabbin_baselines::bert::{BertConfig, BertPretrainOptions, BertSim};
+use tabbin_baselines::bert::BertSim;
 use tabbin_baselines::tuta::TutaSim;
 use tabbin_baselines::word2vec::{tokenize, Word2Vec, Word2VecConfig};
 use tabbin_core::config::ModelConfig;
@@ -119,25 +119,11 @@ impl Bundle {
         let opts = PretrainOptions { steps: cfg.steps, seed: cfg.seed, ..Default::default() };
         tuta.pretrain(&tables, &family.tokenizer, &opts);
 
-        let bert_cfg = BertConfig {
-            hidden: model_cfg.hidden,
-            layers: model_cfg.layers,
-            heads: model_cfg.heads,
-            ff: model_cfg.ff,
-            max_seq: model_cfg.max_seq,
-        };
-        let mut bert = BertSim::new(bert_cfg, vocab, cfg.seed ^ 0xbbbb);
-        let seqs: Vec<Vec<u32>> = tables
-            .iter()
-            .map(|t| BertSim::linearize(t, &family.tokenizer, model_cfg.max_seq))
-            .collect();
+        let mut bert = BertSim::new(model_cfg, vocab, cfg.seed ^ 0xbbbb);
         bert.pretrain(
-            &seqs,
-            &BertPretrainOptions {
-                steps: cfg.steps,
-                seed: cfg.seed ^ 0xcccc,
-                ..Default::default()
-            },
+            &tables,
+            &family.tokenizer,
+            &PretrainOptions { seed: cfg.seed ^ 0xcccc, ..opts },
         );
 
         let (w2v, _) = Word2Vec::train(

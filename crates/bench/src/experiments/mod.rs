@@ -36,6 +36,9 @@ pub struct LineupTable {
     pub title: &'static str,
     /// Column headers.
     pub headers: &'static [&'static str],
+    /// Lines printed under the table, each ending in a newline; empty for
+    /// none.
+    pub note: &'static str,
 }
 
 /// How an experiment gets its models.
@@ -121,7 +124,9 @@ pub fn run(selected: &[&Experiment], cfg: &ExpConfig) -> Vec<String> {
         .iter()
         .map(|e| match &e.kind {
             Kind::Standalone(f) => f(cfg),
-            Kind::Lineup(t) => format_table(t.title, t.headers, &rows.next().unwrap().concat()),
+            Kind::Lineup(t) => {
+                format_table(t.title, t.headers, &rows.next().unwrap().concat()) + t.note
+            }
             Kind::Ablation(_) => studies.next().unwrap(),
         })
         .collect()
@@ -172,7 +177,7 @@ pub fn tc_lineup(
         // Batched path: parameters placed once for the whole subset.
         eval_tc_batch(&bundle.corpus, k, subset, |ts| bundle.family.embed_table_refs(ts)),
         eval_tc(&bundle.corpus, k, subset, |t| bundle.tuta.embed_table(t, tok)),
-        eval_tc(&bundle.corpus, k, subset, |t| bundle.bert.embed_table(tok, t)),
+        eval_tc(&bundle.corpus, k, subset, |t| bundle.bert.embed_table(t, tok)),
         eval_tc(&bundle.corpus, k, subset, |t| {
             let mut text = t.caption.clone();
             for (l, _) in t.hmd.all_labels() {

@@ -12,6 +12,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 4 — MAP/MRR for Column Clustering (textual and numerical)",
     headers: &["dataset", "content", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+    note: "",
 };
 
 fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
@@ -24,7 +25,7 @@ fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
                 bundle.family.embed_columns_subset(t, cols)
             }),
             eval_cc(corpus, numeric, k, max_q, |t, j| bundle.tuta.embed_column(t, j, tok)),
-            eval_cc(corpus, numeric, k, max_q, |t, j| bundle.bert.embed_column(tok, t, j)),
+            eval_cc(corpus, numeric, k, max_q, |t, j| bundle.bert.embed_column(t, j, tok)),
             eval_cc(corpus, numeric, k, max_q, |t, j| bundle.w2v.embed_text(&column_words(t, j))),
         ]
     })

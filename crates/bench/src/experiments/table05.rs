@@ -12,6 +12,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 5 — MAP/MRR for Table Clustering by structure (HMD vs HMD+VMD, numeric, nested)",
     headers: &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+    note: "",
 };
 
 const SUBSETS: [Subset; 4] = [

@@ -12,6 +12,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 6 — MAP/MRR for Table Clustering: relational vs non-relational",
     headers: &["dataset", "subset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+    note: "",
 };
 
 const SUBSETS: [Subset; 3] = [

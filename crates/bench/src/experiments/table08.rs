@@ -11,6 +11,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 8 — MAP/MRR for Entity Clustering",
     headers: &["dataset", "TabBiN", "TUTA", "BioBERT", "Word2Vec"],
+    note: "",
 };
 
 fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
@@ -26,7 +27,7 @@ fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
         bundle.tuta.embed_entity(e, tok)
     });
     let bert = eval_ec(&bundle.corpus, cfg.k, per_type, cfg.max_queries, |e| {
-        bundle.bert.embed_text(tok, e)
+        bundle.bert.embed_text(e, tok)
     });
     let w2v =
         eval_ec(&bundle.corpus, cfg.k, per_type, cfg.max_queries, |e| bundle.w2v.embed_text(e));

@@ -3,7 +3,6 @@
 
 use crate::bundle::ExpConfig;
 use crate::harness::format_table;
-use tabbin_baselines::bert::BertConfig;
 use tabbin_baselines::ditto::{DittoOptions, DittoSim};
 use tabbin_core::config::ModelConfig;
 use tabbin_core::matcher::{EmbeddedPair, EntityMatcher, MatcherOptions};
@@ -43,9 +42,8 @@ fn tabbin_f1(train: &[EmPair], test: &[EmPair], seed: u64) -> f64 {
 }
 
 fn ditto_f1(train: &[EmPair], test: &[EmPair], seed: u64) -> f64 {
-    let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
     let model =
-        DittoSim::train(train, cfg, &DittoOptions { pretrain_steps: 100, head_epochs: 50, seed });
+        DittoSim::train(train, &DittoOptions { pretrain_steps: 100, head_epochs: 50, seed });
     model.f1_percent(test)
 }
 

@@ -12,6 +12,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 10 — CC without vs with composite embeddings",
     headers: &["dataset", "content", "TabBiN-col", "TabBiN-HMD", "TabBiN-colcomp"],
+    note: "",
 };
 
 fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {

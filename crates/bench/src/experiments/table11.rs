@@ -13,6 +13,7 @@ pub const TABLE: LineupTable = LineupTable {
     rows,
     title: "Table 11 — TC without vs with composite embeddings",
     headers: &["dataset", "subset", "TabBiN-row", "tblcomp1", "tblcomp2"],
+    note: "",
 };
 
 const SUBSETS: [Subset; 4] = [

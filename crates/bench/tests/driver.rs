@@ -73,6 +73,18 @@ fn shared_bundles_print_what_each_table_prints_alone() {
     check_against_runs_alone(Some(spec), &small());
 }
 
+/// Table 14 prints only what it measures: the TabBiN rows, then the paper's
+/// LLM ± RAG figures as a quoted note, never as a model row.
+#[test]
+fn table14_quotes_the_llm_rows_instead_of_simulating_them() {
+    let block = run(&select(Some("table14")).unwrap(), &small()).remove(0);
+    assert!(block.contains("not reproduced offline"), "{block}");
+    let models: Vec<&str> =
+        block.lines().filter_map(|l| l.split('|').nth(1)).map(str::trim).skip(1).collect();
+    assert!(!models.is_empty(), "{block}");
+    assert!(models.iter().all(|m| !m.contains("RAG+") && !m.contains("GPT")), "{block}");
+}
+
 #[test]
 fn a_selection_keeps_print_order_and_rejects_unknown_names() {
     let names: Vec<&str> =

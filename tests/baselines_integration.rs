@@ -1,7 +1,6 @@
 //! Baseline behavior relative to TabBiN on the evaluation protocols.
 
-use tabbin_baselines::bert::{BertConfig, BertPretrainOptions, BertSim};
-use tabbin_baselines::llm_rag::{LlmRagSim, LlmTier};
+use tabbin_baselines::bert::BertSim;
 use tabbin_baselines::tuta::TutaSim;
 use tabbin_baselines::word2vec::{tokenize, Word2Vec, Word2VecConfig};
 use tabbin_core::config::ModelConfig;
@@ -69,36 +68,17 @@ fn tuta_and_bert_produce_usable_embeddings() {
         tok,
         &PretrainOptions { steps: 5, batch: 2, seed: 13, ..Default::default() },
     );
-    let cfg = BertConfig { hidden: 24, layers: 1, heads: 2, ff: 32, max_seq: 48 };
-    let mut bert = BertSim::new(cfg, tok.vocab_size(), 13);
-    let seqs: Vec<Vec<u32>> = tables.iter().map(|t| BertSim::linearize(t, tok, 48)).collect();
-    bert.pretrain(&seqs, &BertPretrainOptions { steps: 5, ..Default::default() });
+    let mut bert = BertSim::new(ModelConfig::tiny(), tok.vocab_size(), 13);
+    bert.pretrain(&tables, tok, &PretrainOptions { steps: 5, ..Default::default() });
 
     for t in tables.iter().take(4) {
         let et = tuta.embed_table(t, tok);
-        let eb = bert.embed_table(tok, t);
+        let eb = bert.embed_table(t, tok);
         assert_eq!(et.len(), 24);
         assert_eq!(eb.len(), 24);
         assert!(et.iter().all(|v| v.is_finite()));
         assert!(eb.iter().all(|v| v.is_finite()));
     }
-}
-
-#[test]
-fn llm_simulator_reproduces_the_papers_signature() {
-    // RAG+GPT-4: MRR ≈ 1.0 while a strong embedding model keeps the MAP lead
-    // achievable (simulated MAP must stay clearly below 1).
-    let labels: Vec<usize> = (0..60).map(|i| i % 5).collect();
-    let queries: Vec<usize> = (0..30).collect();
-    let sim = LlmRagSim::new(LlmTier::Gpt4, true);
-    let (map, mrr) = sim.evaluate(&labels, &queries, 20, 99);
-    assert!(mrr > 0.999, "MRR {mrr}");
-    assert!(map < 0.95, "MAP {map}");
-
-    // Ordering across tiers with RAG.
-    let (m_llama, _) = LlmRagSim::new(LlmTier::Llama2, true).evaluate(&labels, &queries, 20, 99);
-    let (m_gpt35, _) = LlmRagSim::new(LlmTier::Gpt35, true).evaluate(&labels, &queries, 20, 99);
-    assert!(m_gpt35 > m_llama, "GPT-3.5+RAG {m_gpt35} vs Llama2+RAG {m_llama}");
 }
 
 #[test]
