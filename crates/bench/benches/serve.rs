@@ -1,6 +1,6 @@
 //! Serving-tier benchmark: the full `tabbin-serve` stack (tagged-frame
-//! wire protocol → readiness-driven event loop → admission queue → worker
-//! pool → query engine → sharded store) under closed-loop load at several
+//! wire protocol → readiness-driven event loop → per-turn admission → query
+//! engine on the loop thread → sharded store) under closed-loop load at several
 //! offered concurrencies, plus a pipelining section that measures what
 //! protocol v2 buys: one connection with a window of tagged requests in
 //! flight versus the same client at a window of one.
@@ -39,7 +39,6 @@ const N_SHARDS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 400;
 /// Offered-load levels: closed-loop client counts.
 const LOADS: [usize; 3] = [2, 8, 32];
-const WORKERS: usize = 4;
 /// Ceiling on the shed rate at the highest closed-loop load.
 const MAX_SHED_RATE: f64 = 0.05;
 /// Outstanding-request window of the pipelined connection.
@@ -97,12 +96,8 @@ fn run_load(
     clients: usize,
 ) -> LoadResult {
     let engine = Arc::new(QueryEngine::new(store.clone(), EngineConfig::lsh()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServeConfig { workers: WORKERS, ..ServeConfig::default() },
-    )
-    .expect("bind loopback");
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default())
+        .expect("bind loopback");
     let addr = server.local_addr();
 
     let started = Instant::now();
@@ -185,12 +180,8 @@ struct PipelineResult {
 
 fn run_pipeline_comparison(store: &ShardedStore, pool: &Arc<Vec<Vec<f32>>>) -> PipelineResult {
     let engine = Arc::new(QueryEngine::new(store.clone(), EngineConfig::lsh()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServeConfig { workers: WORKERS, ..ServeConfig::default() },
-    )
-    .expect("bind loopback");
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default())
+        .expect("bind loopback");
     let addr = server.local_addr();
     let queries: Vec<&Vec<f32>> =
         (0..PIPELINE_REQUESTS).map(|i| &pool[(i * 31) % pool.len()]).collect();
@@ -277,8 +268,7 @@ fn bench_serve(c: &mut Criterion) {
             })
             .collect()
     });
-    let queue_capacity =
-        ServeConfig { workers: WORKERS, ..ServeConfig::default() }.resolved_queue_capacity();
+    let queue_capacity = ServeConfig::default().resolved_queue_capacity();
 
     let mut level_json = Vec::new();
     for &clients in &LOADS {
@@ -295,9 +285,9 @@ fn bench_serve(c: &mut Criterion) {
         let p99 = quantile_ms(&mut r.latencies, 0.99);
         let shed_rate = r.shed as f64 / r.offered as f64;
         if clients == *LOADS.last().expect("loads nonempty") {
-            // The tentpole's load-shedding claim: the event loop plus the
-            // worker-sized queue absorb 32 closed-loop clients (v1 shed
-            // 93% here because blocked I/O threads held queue slots).
+            // The load-shedding claim: the event loops' per-turn budget
+            // absorbs 32 closed-loop clients (v1 shed 93% here because
+            // blocked I/O threads held queue slots).
             assert!(
                 shed_rate < MAX_SHED_RATE,
                 "{clients} closed-loop clients shed {shed_rate:.4} of requests \
@@ -350,7 +340,7 @@ fn bench_serve(c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"n_vectors\": {N_VECTORS},\n  \"dim\": {DIM},\n  \
-         \"k\": {K},\n  \"n_shards\": {N_SHARDS},\n  \"workers\": {WORKERS},\n  \
+         \"k\": {K},\n  \"n_shards\": {N_SHARDS},\n  \
          \"queue_capacity\": {queue_capacity},\n  \
          \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \
          \"query_pool_size\": {QUERY_POOL_SIZE},\n  \

@@ -320,24 +320,6 @@ impl<S: Queryable> QueryEngine<S> {
         }
     }
 
-    /// Answers top-`k` from the result cache alone: `Some` (and a counted
-    /// hit) iff the normalized query is already cached at sufficient
-    /// depth, `None` without any accounting otherwise — the caller is
-    /// expected to follow a miss with [`query`](Self::query), which does
-    /// the miss bookkeeping. This is the serving
-    /// tier's fast path: an I/O thread can answer a hot query inline
-    /// instead of paying a hand-off to the worker pool.
-    pub fn try_cached(&self, q: &[f32], k: usize) -> Option<Vec<Hit>> {
-        if self.cfg.cache_capacity == 0 {
-            return None;
-        }
-        let plan = self.plan(k);
-        let key = CacheKey::of(&normalize(q), &plan);
-        let hits = self.cache.lock().expect("cache lock poisoned").get(&key, k)?;
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        Some(hits)
-    }
-
     /// Top-`k` for one query under the engine's plan: cache lookup on the
     /// normalized vector, then one storage scan on miss.
     ///

@@ -244,14 +244,20 @@ proptest! {
         for q in &queries {
             let mut want = reference.search_probed(q, plan.fetch_k, source, want_nprobe);
             want.truncate(K);
-            prop_assert!(engine.try_cached(q, K).is_none(), "nothing cached yet");
             let before = engine.stats();
             let miss = engine.query(q, K);
+            let after_miss = engine.stats();
+            // Nothing was cached yet: the first call misses and scans once.
+            prop_assert!(after_miss.cache_hits == before.cache_hits, "nothing cached yet");
+            prop_assert_eq!(after_miss.cache_misses - before.cache_misses, 1);
+            prop_assert_eq!(after_miss.store_queries - before.store_queries, 1);
             let hit = engine.query(q, K);
-            let prefix = engine.try_cached(q, K - 2).expect("a smaller k is a cached prefix");
+            let prefix = engine.query(q, K - 2);
             let after = engine.stats();
             prop_assert!(bits(&miss) == bits(&want), "miss {:?} vs {:?}", miss, want);
             prop_assert_eq!(bits(&hit), bits(&want));
+            // A smaller k is a cached prefix: both later calls are hits and
+            // neither reaches the store.
             prop_assert_eq!(bits(&prefix), bits(&want[..(K - 2).min(want.len())]));
             prop_assert_eq!(after.cache_misses - before.cache_misses, 1);
             prop_assert_eq!(after.cache_hits - before.cache_hits, 2);

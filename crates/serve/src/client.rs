@@ -60,10 +60,11 @@ impl RetryPolicy {
 pub enum QueryOutcome {
     /// Ranked hits, best first — bit-identical to the in-process engine.
     Hits(Vec<Hit>),
-    /// The admission queue was full; the request was shed, not run.
+    /// The server's admission budget was spent; the request was shed,
+    /// not run.
     Overloaded {
-        /// The server's backoff hint, derived from its queue depth when
-        /// the request was shed.
+        /// The server's backoff hint, derived from its backlog when the
+        /// request was shed.
         retry_after_millis: u32,
     },
 }

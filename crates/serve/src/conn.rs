@@ -3,7 +3,10 @@
 //! [`ConnState`] owns everything about one multiplexed connection except
 //! the socket itself: inbound partial-frame reassembly, the bounded
 //! outbound write queue with partial-write resume, the set of in-flight
-//! request tags, and the close-after-flush lifecycle. It is generic over
+//! request tags, and the close-after-flush lifecycle. A tag is in flight
+//! from decode until the last frame of its reply has left the write
+//! queue, so a duplicate is refused even when its first request was
+//! answered in the same read pass. It is generic over
 //! `Read`/`Write` so the state-machine fuzz tests can drive it one byte
 //! at a time through in-memory streams — the reactor plugs in a
 //! nonblocking `TcpStream`, the tests plug in throttled cursors.
@@ -34,13 +37,14 @@ pub enum ReadOutcome {
 /// The socket-independent state of one multiplexed connection.
 pub struct ConnState {
     asm: FrameAssembler,
-    /// Fully framed (length-prefixed) outbound buffers, oldest first.
-    write_queue: VecDeque<Vec<u8>>,
+    /// Fully framed (length-prefixed) outbound buffers, oldest first, each
+    /// with the tag it releases once written (on a reply's last frame).
+    write_queue: VecDeque<(Vec<u8>, Option<u64>)>,
     /// Bytes of the queue head already written to the socket.
     write_pos: usize,
     /// Total unwritten bytes across the queue.
     queued_bytes: usize,
-    /// Tags admitted to the worker pool and not yet answered.
+    /// Tags decoded whose reply has not been fully written.
     in_flight: HashSet<u64>,
     /// Close the connection once the write queue drains.
     close_after_flush: bool,
@@ -96,22 +100,39 @@ impl ConnState {
 
     // -- outbound --------------------------------------------------------
 
-    /// Queues one payload, framing it with the length prefix. The caller
-    /// bounds the queue via [`queued_bytes`](Self::queued_bytes) — this
-    /// type records, the reactor enforces.
+    /// Queues one payload that answers no tag (a connection-level
+    /// message), framing it with the length prefix. The caller bounds the
+    /// queue via [`queued_bytes`](Self::queued_bytes) — this type records,
+    /// the reactor enforces.
     pub fn enqueue(&mut self, payload: &[u8]) {
+        self.push_framed(payload, None);
+    }
+
+    /// Queues the reply frames of `tag` in order; `tag` stays in flight
+    /// until the last of them has been written. Panics on an empty reply:
+    /// every reply has a frame that can carry the release.
+    pub fn enqueue_reply(&mut self, tag: u64, payloads: &[Vec<u8>]) {
+        let (last, rest) = payloads.split_last().expect("a reply has at least one frame");
+        for p in rest {
+            self.push_framed(p, None);
+        }
+        self.push_framed(last, Some(tag));
+    }
+
+    fn push_framed(&mut self, payload: &[u8], releases: Option<u64>) {
         let mut framed = Vec::with_capacity(4 + payload.len());
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(payload);
         self.queued_bytes += framed.len();
-        self.write_queue.push_back(framed);
+        self.write_queue.push_back((framed, releases));
     }
 
     /// Services a writable event: writes queued frames until the sink
-    /// would block or the queue drains. Returns whether the queue is now
-    /// empty. Partial writes resume exactly where they stopped.
+    /// would block or the queue drains, releasing each reply's tag as its
+    /// last frame goes. Returns whether the queue is now empty. Partial
+    /// writes resume exactly where they stopped.
     pub fn flush<W: Write>(&mut self, w: &mut W) -> io::Result<bool> {
-        while let Some(front) = self.write_queue.front() {
+        while let Some((front, releases)) = self.write_queue.front() {
             match w.write(&front[self.write_pos..]) {
                 Ok(0) => {
                     return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading"))
@@ -120,6 +141,9 @@ impl ConnState {
                     self.write_pos += n;
                     self.queued_bytes -= n;
                     if self.write_pos == front.len() {
+                        if let Some(tag) = releases {
+                            self.in_flight.remove(tag);
+                        }
                         self.write_queue.pop_front();
                         self.write_pos = 0;
                     }
@@ -144,21 +168,17 @@ impl ConnState {
 
     // -- in-flight tags --------------------------------------------------
 
-    /// Claims `tag` for an admitted request. `false` if the tag is
-    /// already in flight — the duplicate must be rejected, otherwise two
-    /// replies would carry the same tag and the client could not tell
-    /// them apart.
+    /// Claims `tag` for a decoded request; [`enqueue_reply`]'s last frame
+    /// releases it when written. `false` if the tag is already in flight —
+    /// the duplicate must be rejected, otherwise two replies would carry
+    /// the same tag and the client could not tell them apart.
+    ///
+    /// [`enqueue_reply`]: Self::enqueue_reply
     pub fn begin_tag(&mut self, tag: u64) -> bool {
         self.in_flight.insert(tag)
     }
 
-    /// Releases `tag` once its final reply frame is queued (or it was
-    /// shed after claiming).
-    pub fn finish_tag(&mut self, tag: u64) {
-        self.in_flight.remove(&tag);
-    }
-
-    /// Requests admitted and not yet answered.
+    /// Requests decoded whose reply has not been fully written.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
@@ -286,7 +306,15 @@ mod tests {
         assert!(!conn.begin_tag(7), "same tag in flight twice");
         assert!(conn.begin_tag(8));
         assert_eq!(conn.in_flight(), 2);
-        conn.finish_tag(7);
+        conn.enqueue_reply(7, &[vec![1; 40], vec![2; 40]]);
+        assert!(!conn.begin_tag(7), "a queued reply still holds its tag");
+
+        // The first frame alone does not release the tag; the last does.
+        let mut sink = Throttled { out: Vec::new(), cap: 44, blocked: true };
+        assert!(!conn.flush(&mut sink).unwrap());
+        assert!(!conn.begin_tag(7), "tag released before its last frame was written");
+        assert!(conn.flush(&mut sink).unwrap());
+        assert_eq!(conn.in_flight(), 1);
         assert!(conn.begin_tag(7), "finished tags are reusable");
     }
 

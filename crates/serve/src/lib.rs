@@ -12,15 +12,18 @@
 //!   length prefixes.
 //! * [`conn`] — the per-connection nonblocking state machine: partial
 //!   frame reassembly, a bounded write queue with partial-write resume,
-//!   and in-flight tag tracking.
+//!   and in-flight tag tracking (a tag is released when its reply's last
+//!   frame is written).
 //! * [`reactor`] — the readiness-driven event loop (a vendored
 //!   epoll-backed poller, no async runtime): a few I/O threads own every
 //!   socket and apply **backpressure** by pausing reads on connections
 //!   whose reply queues back up.
-//! * [`Server`] ([`server`]) — the event-loop front over a worker pool: a
-//!   **bounded admission queue** sheds load with an explicit
-//!   [`Response::Overloaded`] reply carrying a retry-after hint, and each
-//!   worker answers a request with one [`QueryEngine::query`] call.
+//! * [`Server`] ([`server`]) — the policy the loops run: **run to
+//!   completion**, so the I/O thread that decodes a query answers it with
+//!   one [`QueryEngine::query`] call on the spot (no worker pool, no
+//!   hand-off), and a **per-turn admission budget** sheds the excess with
+//!   an explicit [`Response::Overloaded`] reply carrying a retry-after
+//!   hint.
 //! * [`Client`] ([`client`]) — one connection keeping up to a window of
 //!   tagged requests in flight (one for [`Client::connect`], a blocking
 //!   round trip), matching replies by tag via [`ReplyDemux`].

@@ -1,30 +1,31 @@
 //! The readiness-driven event loop: a few I/O threads own every client
-//! socket, nonblocking, behind one epoll [`Poller`] each.
+//! socket, nonblocking, behind one epoll [`Poller`] each, and answer every
+//! request they decode on the spot (run to completion).
 //!
 //! Each I/O thread runs `run_io_loop` over its own connection table.
-//! The acceptor hands it new sockets through `IoHandle::push_conn`;
-//! workers hand it finished replies through `IoHandle::push_completion`;
-//! both nudge the poller's eventfd so a blocked `wait` wakes. All poller
+//! The acceptor hands it new sockets through `IoHandle::push_conn`, which
+//! nudges the poller's eventfd so a blocked `wait` wakes. All poller
 //! registration calls happen on the owning I/O thread — cross-thread
-//! traffic is only the two mailboxes plus `notify`.
+//! traffic is only that mailbox plus `notify`.
 //!
-//! Per readiness pass the loop: (1) registers newly accepted sockets,
-//! (2) queues completed replies and flushes opportunistically, (3) for
-//! each readable connection pulls bytes through the
-//! [`ConnState`] reassembler and feeds every completed frame payload to
-//! the server's `on_payload` policy hook, (4) flushes writable
-//! connections, and (5) recomputes each touched connection's interest
+//! One turn is one `wait` pass. Per turn the loop: (1) registers newly
+//! accepted sockets, (2) for each readable connection pulls bytes through
+//! the [`ConnState`] reassembler and feeds every completed frame payload
+//! to the server's `on_payload` policy hook, which queues its reply on the
+//! connection before the next payload is looked at, (3) flushes writable
+//! connections, and (4) recomputes each touched connection's interest
 //! set: read interest is dropped while the outbound queue holds
 //! `max_queued_bytes` or more (**backpressure** — a slow reader stops
 //! producing new work instead of ballooning the queue) and write
-//! interest exists only while queued bytes remain.
+//! interest exists only while queued bytes remain. The hook also gets a
+//! per-turn counter for its admission budget, which the loop zeroes at
+//! every `wait`.
 //!
 //! Lifecycle: a framing violation or protocol violation queues a final
-//! error frame and closes after flush ([`ConnState::close_after_flush`]).
-//! A peer's EOF half-closes the connection — already-admitted requests
-//! still get their replies, then the socket drops. Connection keys are
-//! never reused within an I/O thread, so a completion for a connection
-//! that died mid-query is discarded instead of landing on a successor.
+//! error frame and closes after flush ([`ConnState::close_after_flush`]);
+//! the rest of that read pass is discarded. A peer's EOF half-closes the
+//! connection — replies already queued still go out, then the socket
+//! drops.
 
 use crate::conn::{ConnState, ReadOutcome};
 use crate::wire::{encode_response, Response, CONNECTION_TAG};
@@ -40,42 +41,15 @@ use std::time::Duration;
 /// bound on shutdown latency, not a poll interval (mailbox pushes notify).
 const WAIT_TICK: Duration = Duration::from_millis(200);
 
-/// A finished query reply traveling from a worker back to the I/O thread
-/// that owns the connection.
-pub(crate) struct Completion {
-    /// Connection key within the owning I/O thread.
-    pub conn: usize,
-    /// The request's tag, released on arrival.
-    pub tag: u64,
-    /// Fully encoded reply payloads (one or more frames), reply order.
-    pub payloads: Vec<Vec<u8>>,
-}
-
-/// What the server's per-payload policy hook decided.
-pub(crate) enum Action {
-    /// Queue these reply payloads on the connection now.
-    Reply(Vec<Vec<u8>>),
-    /// The request was admitted; a [`Completion`] will arrive later.
-    Pending,
-    /// Protocol violation: queue these payloads, then close after flush.
-    /// Remaining payloads of the same read batch are discarded.
-    Fatal(Vec<Vec<u8>>),
-}
-
 /// One I/O thread's mailbox: the only surface other threads touch.
 pub(crate) struct IoHandle {
     pub poller: Poller,
     inbox: Mutex<Vec<TcpStream>>,
-    completions: Mutex<Vec<Completion>>,
 }
 
 impl IoHandle {
     pub fn new() -> io::Result<IoHandle> {
-        Ok(IoHandle {
-            poller: Poller::new()?,
-            inbox: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-        })
+        Ok(IoHandle { poller: Poller::new()?, inbox: Mutex::new(Vec::new()) })
     }
 
     /// Hands a freshly accepted socket to this I/O thread.
@@ -84,27 +58,8 @@ impl IoHandle {
         let _ = self.poller.notify();
     }
 
-    /// Hands a finished reply to this I/O thread.
-    pub fn push_completion(&self, c: Completion) {
-        let first = {
-            let mut q = self.completions.lock().expect("reactor completions poisoned");
-            q.push(c);
-            q.len() == 1
-        };
-        // One wake per drain batch: if completions are already pending,
-        // the notify that announced the first one hasn't been consumed
-        // yet, and the loop drains the whole queue when it fires.
-        if first {
-            let _ = self.poller.notify();
-        }
-    }
-
     fn drain_conns(&self) -> Vec<TcpStream> {
         std::mem::take(&mut *self.inbox.lock().expect("reactor inbox poisoned"))
-    }
-
-    fn drain_completions(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().expect("reactor completions poisoned"))
     }
 }
 
@@ -113,7 +68,7 @@ impl IoHandle {
 struct Conn {
     stream: TcpStream,
     state: ConnState,
-    /// The peer sent EOF; serve what's in flight, then drop.
+    /// The peer sent EOF; flush what's queued, then drop.
     half_closed: bool,
     interest: (bool, bool),
 }
@@ -129,17 +84,17 @@ impl Conn {
 
     /// Whether the connection has nothing left to live for.
     fn finished(&self) -> bool {
-        if self.state.wants_write() {
-            return false;
-        }
-        self.state.closing() || (self.half_closed && self.state.in_flight() == 0)
+        !self.state.wants_write() && (self.state.closing() || self.half_closed)
     }
 }
 
 /// Runs one I/O thread until `shutdown`. `on_payload` is the server's
-/// policy hook for each complete inbound frame payload; `on_closed` fires
-/// once per connection that leaves the table (including at shutdown), so
-/// the server's live-connection gauge stays exact.
+/// policy hook for each complete inbound frame payload: it queues the
+/// reply on the connection (or marks it closing after a protocol
+/// violation) and counts the queries it decodes in the turn counter it is
+/// handed. `on_closed` fires once per connection that leaves the table
+/// (including at shutdown), so the server's live-connection gauge stays
+/// exact.
 pub(crate) fn run_io_loop<F, G>(
     handle: &Arc<IoHandle>,
     shutdown: &AtomicBool,
@@ -147,17 +102,18 @@ pub(crate) fn run_io_loop<F, G>(
     mut on_payload: F,
     on_closed: G,
 ) where
-    F: FnMut(usize, &mut ConnState, &[u8]) -> Action,
+    F: FnMut(&mut ConnState, &[u8], &mut usize),
     G: Fn(),
 {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    // Monotonic, never reused: a late completion for a dead connection
-    // can only miss, never cross-talk onto a successor.
+    // Monotonic, never reused: a stale event for a dead connection can
+    // only miss, never land on a successor.
     let mut next_key = 0usize;
     let mut events = Events::new();
     loop {
         events.clear();
         let _ = handle.poller.wait(&mut events, Some(WAIT_TICK));
+        let mut turn = 0usize;
         if shutdown.load(Ordering::SeqCst) {
             for (_, conn) in conns.drain() {
                 let _ = handle.poller.delete(&conn.stream);
@@ -185,18 +141,6 @@ pub(crate) fn run_io_loop<F, G>(
             conns.insert(key, conn);
         }
 
-        for c in handle.drain_completions() {
-            // The connection may have died while its query ran.
-            let Some(conn) = conns.get_mut(&c.conn) else { continue };
-            conn.state.finish_tag(c.tag);
-            if !conn.state.closing() {
-                for p in &c.payloads {
-                    conn.state.enqueue(p);
-                }
-            }
-            settle(handle, &mut conns, c.conn, max_queued_bytes, &on_closed);
-        }
-
         let ready: Vec<Event> = events.iter().collect();
         for ev in ready {
             if ev.readable {
@@ -206,6 +150,7 @@ pub(crate) fn run_io_loop<F, G>(
                     ev.key,
                     max_queued_bytes,
                     &mut on_payload,
+                    &mut turn,
                     &on_closed,
                 );
             }
@@ -217,7 +162,7 @@ pub(crate) fn run_io_loop<F, G>(
 }
 
 /// Services one readable connection: pulls bytes, hands each completed
-/// payload to the policy hook, applies the resulting actions, then
+/// payload to the policy hook until one closes the connection, then
 /// settles the connection's writes/interest/lifetime.
 fn service_read<F, G>(
     handle: &Arc<IoHandle>,
@@ -225,9 +170,10 @@ fn service_read<F, G>(
     key: usize,
     max_queued_bytes: usize,
     on_payload: &mut F,
+    turn: &mut usize,
     on_closed: &G,
 ) where
-    F: FnMut(usize, &mut ConnState, &[u8]) -> Action,
+    F: FnMut(&mut ConnState, &[u8], &mut usize),
     G: Fn(),
 {
     let Some(conn) = conns.get_mut(&key) else { return };
@@ -258,22 +204,9 @@ fn service_read<F, G>(
         }
     };
     for p in &payloads {
-        // Re-borrow per payload: the policy hook may need shared state.
-        let Some(conn) = conns.get_mut(&key) else { return };
-        match on_payload(key, &mut conn.state, p) {
-            Action::Reply(frames) => {
-                for f in &frames {
-                    conn.state.enqueue(f);
-                }
-            }
-            Action::Pending => {}
-            Action::Fatal(frames) => {
-                for f in &frames {
-                    conn.state.enqueue(f);
-                }
-                conn.state.close_after_flush();
-                break;
-            }
+        on_payload(&mut conn.state, p, turn);
+        if conn.state.closing() {
+            break;
         }
     }
     settle(handle, conns, key, max_queued_bytes, on_closed);

@@ -1,45 +1,44 @@
 //! The serving loop: an event-loop TCP front on the query engine.
 //!
-//! Architecture (no async runtime — a vendored epoll reactor and a worker
-//! pool; see [`crate::reactor`]):
+//! Architecture (no async runtime, no worker pool — a vendored epoll
+//! reactor whose I/O threads run each request to completion; see
+//! [`crate::reactor`]):
 //!
 //! ```text
 //! acceptor thread ──► I/O threads (each: epoll + nonblocking conns)
-//!                        │  reassemble frames → decode → validate tag/dim
-//!                        │  engine.try_cached hit ──► reply inline
-//!                        │  miss: try_send ──► bounded admission queue ──► worker pool
-//!                        │     │ full                                         │
-//!                        │     ▼                                              ▼
-//!                        │  Overloaded(retry-after) reply                engine.query
-//!                        ◄── completion mailbox ◄────────────────────── encoded hits
+//!                        │  reassemble frames → decode → claim tag → validate dim
+//!                        │  within this turn's budget ──► engine.query ──► encoded hits
+//!                        │  past it ──► Overloaded(retry-after) reply
+//!                        └─► reply frames queued on the same connection
 //! ```
 //!
+//! * **Run to completion** — the I/O thread that decodes a query answers
+//!   it with one [`QueryEngine::query`] call (cache hit or miss alike) and
+//!   queues the reply on the connection it came from. No queue, no
+//!   hand-off, no wake-up between threads: `io_threads` queries run at
+//!   once, whether they arrived on many connections or pipelined on one.
 //! * **Multiplexing** — protocol v2 tags every request, so one connection
-//!   may hold many requests in flight and replies return as workers
-//!   finish, out of order. The I/O threads own the sockets; workers never
-//!   block on a peer.
-//! * **Admission control** — the queue between I/O threads and workers is
-//!   a bounded `sync_channel` ([`ServeConfig::queue_capacity`], default
-//!   8× the worker count). `try_send` never blocks: past capacity the
-//!   request is *shed* with an explicit [`Response::Overloaded`] reply
-//!   carrying a retry-after hint derived from the queue depth.
+//!   may hold many requests in flight; reply routing is by tag. A tag is
+//!   in flight from decode until its last reply frame is written, so a
+//!   duplicate is a protocol violation even after a cache hit.
+//! * **Admission control** — per loop turn (one `wait` pass): past
+//!   [`ServeConfig::resolved_queue_capacity`] queries decoded in the
+//!   turn, the rest are *shed* with an explicit [`Response::Overloaded`]
+//!   reply carrying a retry-after hint that grows with the turn's backlog.
 //! * **Backpressure** — each connection's outbound queue is bounded
 //!   ([`ServeConfig::max_conn_queued_bytes`]); past it the reactor stops
 //!   reading that socket until replies drain, so a slow reader throttles
 //!   itself instead of ballooning server memory.
-//! * **One engine call per request** — a worker runs each admitted query
-//!   as one [`QueryEngine::query`], so `workers` queries run at once,
-//!   whether they arrived on many connections or pipelined on one.
 //! * **Stats bypass admission** — a health probe must answer *especially*
-//!   when the queue is full, so `Stats` requests are served inline on the
-//!   I/O thread from atomic counters, never queued.
+//!   under overload, so `Stats` requests are served inline from atomic
+//!   counters and never count against the turn's budget.
 //!
 //! Results are bit-identical to in-process [`QueryEngine`] calls — the
-//! wire moves exact `f32` bit patterns, and reordering is tag-tracked,
-//! never positional.
+//! wire moves exact `f32` bit patterns, and routing is tag-tracked, never
+//! positional.
 
 use crate::conn::ConnState;
-use crate::reactor::{run_io_loop, Action, Completion, IoHandle};
+use crate::reactor::{run_io_loop, IoHandle};
 use crate::wire::{
     decode_request, encode_hits_payloads, encode_response, payload_tag, write_frame, Request,
     Response, StatsReply, WorkerStats, CONNECTION_TAG, MAX_FRAME_LEN,
@@ -47,8 +46,7 @@ use crate::wire::{
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tabbin_index::{QueryEngine, ShardedStore};
@@ -59,14 +57,15 @@ use tabbin_index::{QueryEngine, ShardedStore};
 /// Graceful [`shutdown`](Server::shutdown) always flushes the WAL.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Worker threads draining the admission queue.
+    /// Has no effect: the I/O threads answer every query themselves. Kept
+    /// only because the `e2e` benchmark's frozen configuration sets it.
     pub workers: usize,
-    /// I/O threads owning the client sockets.
+    /// I/O threads owning the client sockets; each runs the queries it
+    /// decodes, so this is also how many queries run at once.
     pub io_threads: usize,
-    /// Admission queue capacity; requests past it are shed with
-    /// [`Response::Overloaded`]. `0` means auto: 8 × `workers`, so every
-    /// worker has eight jobs queued behind it before shedding starts —
-    /// about 8 ms of runway at the ~1 ms per job the retry hint assumes.
+    /// Queries one I/O thread admits per turn (one `wait` pass); the rest
+    /// of the turn's queries are shed with [`Response::Overloaded`]. `0`
+    /// means auto: 32.
     pub queue_capacity: usize,
     /// Most concurrent connections; further accepts are answered with one
     /// `Overloaded` frame and closed.
@@ -77,8 +76,8 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Four workers, two I/O threads, auto queue capacity (32), 1024
-    /// connections, and 4 MiB of queued replies per connection.
+    /// Two I/O threads, auto queue capacity (32), 1024 connections, and
+    /// 4 MiB of queued replies per connection (`workers` 4, unused).
     fn default() -> Self {
         Self {
             workers: 4,
@@ -90,50 +89,40 @@ impl Default for ServeConfig {
     }
 }
 
+/// The admission budget per turn that `queue_capacity: 0` resolves to.
+const AUTO_QUEUE_CAPACITY: usize = 32;
+
 impl ServeConfig {
-    /// The admission queue capacity actually used: `queue_capacity`, or
-    /// 8 × `workers` when it is the auto value `0`.
+    /// The per-turn admission budget actually used: `queue_capacity`, or
+    /// 32 when it is the auto value `0`.
     pub fn resolved_queue_capacity(&self) -> usize {
         if self.queue_capacity == 0 {
-            self.workers * 8
+            AUTO_QUEUE_CAPACITY
         } else {
             self.queue_capacity
         }
     }
 }
 
-/// One admitted query riding the queue to a worker.
-struct QueryJob {
-    vector: Vec<f32>,
-    k: usize,
-    tag: u64,
-    /// Which I/O thread owns the connection.
-    io: usize,
-    /// Connection key within that I/O thread.
-    conn: usize,
-}
-
-/// State shared by the acceptor, I/O threads, and workers.
+/// State shared by the acceptor and the I/O threads.
 struct Shared {
     engine: Arc<QueryEngine<ShardedStore>>,
     cfg: ServeConfig,
-    admit: SyncSender<QueryJob>,
     io: Vec<Arc<IoHandle>>,
-    /// Jobs admitted but not yet picked up by a worker.
+    /// Queries admitted and not yet answered, across all I/O threads.
     depth: AtomicUsize,
     /// Connections currently registered with an I/O thread (or en route).
     connections: AtomicUsize,
     shed: AtomicU64,
+    /// Queries answered, each by one `engine.query` call.
     served: AtomicU64,
-    /// Jobs the worker pool ran.
-    worked: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl Shared {
     fn stats(&self) -> StatsReply {
         let engine = &self.engine;
-        let worked = self.worked.load(Ordering::Relaxed);
+        let served = self.served.load(Ordering::Relaxed);
         let shards = engine.store().stats();
         let wal = engine.store().wal_stats();
         StatsReply {
@@ -141,12 +130,12 @@ impl Shared {
             imbalance: shards.imbalance(),
             shards,
             engine: engine.stats(),
-            batcher: WorkerStats { submitted: worked, batches: worked },
+            batcher: WorkerStats { submitted: served, batches: served },
             queue_depth: self.depth.load(Ordering::Relaxed),
             queue_capacity: self.cfg.resolved_queue_capacity(),
             connections: self.connections.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
+            served,
             router: engine.store().router_name().to_string(),
             nprobe: engine.plan(1).nprobe,
             wal_depth_bytes: wal.map_or(0, |w| w.depth_bytes),
@@ -155,36 +144,33 @@ impl Shared {
         }
     }
 
-    /// The `Overloaded` backoff hint: roughly how long the current queue
-    /// takes to drain, assuming each worker turns around a job in about a
-    /// millisecond — a coarse but monotone function of depth, so clients
-    /// back off harder the deeper the overload.
-    fn retry_after_hint(&self) -> u32 {
-        let depth = self.depth.load(Ordering::Relaxed);
-        (depth / self.cfg.workers.max(1) + 1).min(10_000) as u32
+    /// The `Overloaded` backoff hint for a backlog of `backlog` queries:
+    /// one millisecond per full turn's budget of them, between 1 and
+    /// 10 000 — coarse but monotone, so clients back off harder the deeper
+    /// the overload.
+    fn retry_after_hint(&self, backlog: usize) -> u32 {
+        (backlog / self.cfg.resolved_queue_capacity()).clamp(1, 10_000) as u32
     }
 }
 
-/// A running server: acceptor + I/O threads + worker pool over one
-/// engine. Dropping the handle leaks the threads; call
-/// [`shutdown`](Server::shutdown) for an orderly stop.
+/// A running server: acceptor + I/O threads over one engine. Dropping the
+/// handle leaks the threads; call [`shutdown`](Server::shutdown) for an
+/// orderly stop.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     io_threads: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and starts
-    /// serving `engine` with `cfg`'s thread pools and admission bounds.
+    /// serving `engine` with `cfg`'s I/O threads and admission bounds.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         engine: Arc<QueryEngine<ShardedStore>>,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
-        assert!(cfg.workers > 0, "server needs at least one worker");
         assert!(cfg.io_threads > 0, "server needs at least one I/O thread");
         assert!(cfg.max_connections > 0, "server needs at least one connection slot");
         assert!(
@@ -193,20 +179,17 @@ impl Server {
         );
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let (admit, jobs) = mpsc::sync_channel(cfg.resolved_queue_capacity());
         let io: Vec<Arc<IoHandle>> = (0..cfg.io_threads)
             .map(|_| IoHandle::new().map(Arc::new))
             .collect::<io::Result<_>>()?;
         let shared = Arc::new(Shared {
             engine,
             cfg,
-            admit,
             io,
             depth: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            worked: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
 
@@ -219,7 +202,7 @@ impl Server {
                         &handle,
                         &shared.shutdown,
                         shared.cfg.max_conn_queued_bytes,
-                        |key, state, payload| handle_payload(&shared, idx, key, state, payload),
+                        |state, payload, turn| handle_payload(&shared, state, payload, turn),
                         || {
                             shared.connections.fetch_sub(1, Ordering::SeqCst);
                         },
@@ -228,21 +211,12 @@ impl Server {
             })
             .collect();
 
-        let jobs = Arc::new(Mutex::new(jobs));
-        let workers = (0..cfg.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let jobs = Arc::clone(&jobs);
-                std::thread::spawn(move || worker_loop(&shared, &jobs))
-            })
-            .collect();
-
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
 
-        Ok(Server { addr: local, shared, acceptor: Some(acceptor), io_threads, workers })
+        Ok(Server { addr: local, shared, acceptor: Some(acceptor), io_threads })
     }
 
     /// The address the server is listening on.
@@ -255,8 +229,8 @@ impl Server {
         self.shared.stats()
     }
 
-    /// Stops accepting, drains the workers, and joins the service threads.
-    /// Open connections see EOF on their next read.
+    /// Stops accepting and joins the service threads. Open connections see
+    /// EOF on their next read.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for h in &self.shared.io {
@@ -270,43 +244,42 @@ impl Server {
         for h in self.io_threads.drain(..) {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Workers are quiescent; make everything they logged durable so a
-        // graceful stop under `Interval`/`Never` loses nothing.
+        // No query is running any more; make everything logged durable so
+        // a graceful stop under `Interval`/`Never` loses nothing.
         let _ = self.shared.engine.store().wal_flush();
     }
 }
 
 /// The per-payload policy hook the reactor calls with each complete
-/// inbound frame: decode, validate, then serve inline (stats, errors,
-/// sheds) or admit to the worker queue.
-fn handle_payload(
-    shared: &Arc<Shared>,
-    io_idx: usize,
-    conn_key: usize,
-    state: &mut ConnState,
-    payload: &[u8],
-) -> Action {
-    let Some(tag) = payload_tag(payload) else {
-        let err = Response::Error(format!("runt payload of {} bytes", payload.len()));
-        return Action::Fatal(vec![encode_response(CONNECTION_TAG, &err)]);
-    };
-    let (tag, req) = match decode_request(payload) {
-        Ok(decoded) => decoded,
-        Err(e) => {
-            // The framing is intact and the tag readable — the peer can
-            // match the error to its request, and the connection lives.
-            return Action::Reply(vec![encode_response(tag, &Response::Error(e.to_string()))]);
+/// inbound frame: claim the tag, decode, validate, then answer on this
+/// thread — stats, errors, sheds and queries alike. `turn` counts the
+/// queries this I/O thread has decoded in the current turn, shed or not.
+fn handle_payload(shared: &Shared, state: &mut ConnState, payload: &[u8], turn: &mut usize) {
+    let tag = match payload_tag(payload) {
+        Some(CONNECTION_TAG) => {
+            let err = Response::Error("tag 0 is reserved for connection-level messages".into());
+            return fatal(state, &err);
+        }
+        Some(tag) => tag,
+        None => {
+            let err = Response::Error(format!("runt payload of {} bytes", payload.len()));
+            return fatal(state, &err);
         }
     };
-    if tag == CONNECTION_TAG {
-        let err = Response::Error("tag 0 is reserved for connection-level messages".into());
-        return Action::Fatal(vec![encode_response(CONNECTION_TAG, &err)]);
+    if !state.begin_tag(tag) {
+        // Two in-flight requests with one tag would produce
+        // indistinguishable replies; the stream is no longer trustworthy,
+        // so this is fatal, not per-request.
+        return fatal(state, &Response::Error(format!("tag {tag} is already in flight")));
     }
-    match req {
-        Request::Stats => {
+    let reply = |state: &mut ConnState, resp: &Response| {
+        state.enqueue_reply(tag, &[encode_response(tag, resp)]);
+    };
+    let (k, vector) = match decode_request(payload) {
+        // The framing is intact and the tag readable — the peer can match
+        // the error to its request, and the connection lives.
+        Err(e) => return reply(state, &Response::Error(e.to_string())),
+        Ok((_, Request::Stats)) => {
             let payload = encode_response(tag, &Response::Stats(Box::new(shared.stats())));
             if payload.len() > MAX_FRAME_LEN as usize {
                 // A many-shard stats body can outgrow a frame; degrade to
@@ -315,63 +288,34 @@ fn handle_payload(
                     "stats reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
                     payload.len()
                 ));
-                return Action::Reply(vec![encode_response(tag, &err)]);
+                return reply(state, &err);
             }
-            Action::Reply(vec![payload])
+            return state.enqueue_reply(tag, &[payload]);
         }
-        Request::Query { k, vector } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                let err = Response::Error("server is shutting down".into());
-                return Action::Reply(vec![encode_response(tag, &err)]);
-            }
-            let dim = shared.engine.dim();
-            if vector.len() != dim {
-                let err = Response::Error(format!(
-                    "query of {} components, store is {dim}",
-                    vector.len()
-                ));
-                return Action::Reply(vec![encode_response(tag, &err)]);
-            }
-            if !state.begin_tag(tag) {
-                // Two in-flight requests with one tag would produce
-                // indistinguishable replies; the stream is no longer
-                // trustworthy, so this is fatal, not per-request.
-                let err = Response::Error(format!("tag {tag} is already in flight"));
-                return Action::Fatal(vec![encode_response(CONNECTION_TAG, &err)]);
-            }
-            // Hot-query fast path: a cached result is answered inline on
-            // the I/O thread — no admission slot, no worker hand-off, no
-            // completion round-trip. This is what makes a pipelined
-            // connection over a warm cache transport-bound rather than
-            // scheduler-bound.
-            if let Some(hits) = shared.engine.try_cached(&vector, k as usize) {
-                state.finish_tag(tag);
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                return Action::Reply(encode_hits_payloads(tag, &hits));
-            }
-            // Count the admission *before* the send: a worker can pop the
-            // job and decrement between the send and any later increment.
-            shared.depth.fetch_add(1, Ordering::Relaxed);
-            let job = QueryJob { vector, k: k as usize, tag, io: io_idx, conn: conn_key };
-            match shared.admit.try_send(job) {
-                Ok(()) => Action::Pending,
-                Err(TrySendError::Full(_)) => {
-                    shared.depth.fetch_sub(1, Ordering::Relaxed);
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    state.finish_tag(tag);
-                    let resp =
-                        Response::Overloaded { retry_after_millis: shared.retry_after_hint() };
-                    Action::Reply(vec![encode_response(tag, &resp)])
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    shared.depth.fetch_sub(1, Ordering::Relaxed);
-                    state.finish_tag(tag);
-                    let err = Response::Error("server is shutting down".into());
-                    Action::Reply(vec![encode_response(tag, &err)])
-                }
-            }
-        }
+        Ok((_, Request::Query { k, vector })) => (k as usize, vector),
+    };
+    let dim = shared.engine.dim();
+    if vector.len() != dim {
+        let err = Response::Error(format!("query of {} components, store is {dim}", vector.len()));
+        return reply(state, &err);
     }
+    *turn += 1;
+    if *turn > shared.cfg.resolved_queue_capacity() {
+        shared.shed.fetch_add(1, Ordering::Relaxed);
+        let resp = Response::Overloaded { retry_after_millis: shared.retry_after_hint(*turn) };
+        return reply(state, &resp);
+    }
+    shared.depth.fetch_add(1, Ordering::Relaxed);
+    let hits = shared.engine.query(&vector, k);
+    shared.depth.fetch_sub(1, Ordering::Relaxed);
+    shared.served.fetch_add(1, Ordering::Relaxed);
+    state.enqueue_reply(tag, &encode_hits_payloads(tag, &hits));
+}
+
+/// Queues a connection-level error and closes the connection after flush.
+fn fatal(state: &mut ConnState, err: &Response) {
+    state.enqueue(&encode_response(CONNECTION_TAG, err));
+    state.close_after_flush();
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -388,7 +332,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.connections.load(Ordering::SeqCst) >= shared.cfg.max_connections {
             shared.shed.fetch_add(1, Ordering::Relaxed);
             stream.set_write_timeout(Some(Duration::from_millis(100))).ok();
-            let resp = Response::Overloaded { retry_after_millis: shared.retry_after_hint() };
+            let backlog = shared.depth.load(Ordering::Relaxed);
+            let resp =
+                Response::Overloaded { retry_after_millis: shared.retry_after_hint(backlog) };
             let mut framed = Vec::new();
             let _ = write_frame(&mut framed, &encode_response(CONNECTION_TAG, &resp));
             let mut w = &stream;
@@ -398,33 +344,5 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         shared.connections.fetch_add(1, Ordering::SeqCst);
         shared.io[next_io].push_conn(stream);
         next_io = (next_io + 1) % shared.io.len();
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<QueryJob>>) {
-    loop {
-        // Hold the receiver lock only for the dequeue, and poll with a
-        // timeout so shutdown is seen even while idle.
-        let job = {
-            let rx = jobs.lock().expect("job queue lock poisoned");
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match job {
-            Ok(job) => {
-                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                let hits = shared.engine.query(&job.vector, job.k);
-                shared.worked.fetch_add(1, Ordering::Relaxed);
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                let payloads = encode_hits_payloads(job.tag, &hits);
-                let completion = Completion { conn: job.conn, tag: job.tag, payloads };
-                shared.io[job.io].push_completion(completion);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
     }
 }

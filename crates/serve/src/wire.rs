@@ -95,28 +95,28 @@ pub enum Response {
     },
     /// The health snapshot for a `Stats` request.
     Stats(Box<StatsReply>),
-    /// The request was shed, not queued; retry no sooner than the hint.
+    /// The request was shed, not run; retry no sooner than the hint.
     Overloaded {
-        /// Backoff hint derived from the admission queue's depth when the
-        /// request was shed.
+        /// Backoff hint derived from the I/O thread's backlog in the turn
+        /// the request was shed.
         retry_after_millis: u32,
     },
     /// The request was malformed or unserviceable (e.g. wrong dimension).
     Error(String),
 }
 
-/// Worker-pool counters, carried under the `batcher` name the `Stats`
-/// reply has always used. Each job the pool runs is one
-/// `QueryEngine::query` call, so the two counts are equal.
+/// Engine-call counters, carried under the `batcher` name the `Stats`
+/// reply has always used. The I/O threads answer each admitted query
+/// with one `QueryEngine::query` call, so the two counts are equal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerStats {
-    /// Queries the worker pool took off the admission queue.
+    /// Queries the I/O threads admitted and answered.
     pub submitted: u64,
     /// Engine calls those queries made: one each.
     pub batches: u64,
 }
 
-/// The server's `Stats` payload: storage, engine, worker-pool, and
+/// The server's `Stats` payload: storage, engine, engine-call, and
 /// admission counters in one reply — the health endpoint the ROADMAP
 /// promised.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -128,12 +128,12 @@ pub struct StatsReply {
     pub shard_depths: Vec<usize>,
     /// Query-engine cache and storage-call counters.
     pub engine: EngineStats,
-    /// Worker-pool counters (queries that missed the cache and ran on a
-    /// worker).
+    /// Engine calls the I/O threads made (cache hits and misses alike).
     pub batcher: WorkerStats,
-    /// Requests currently admitted and waiting for a worker.
+    /// Queries decoded and admitted but not yet answered (0 at rest).
     pub queue_depth: usize,
-    /// Admission queue capacity (resolved; see `ServeConfig::queue_capacity`).
+    /// Queries one I/O thread admits per turn (resolved; see
+    /// `ServeConfig::queue_capacity`).
     pub queue_capacity: usize,
     /// Open client connections.
     pub connections: usize,

@@ -1,9 +1,10 @@
 //! End-to-end serving tests over real loopback TCP connections: wire
 //! results must be bit-identical to in-process engine results (window 1
-//! *and* windowed, in-order and out-of-order), the admission queue must
-//! shed (never hang) past capacity with a retry hint, large replies must
-//! stream in chunks, and protocol violations (tag 0, duplicate tags,
-//! hostile framing) must be rejected without taking the server down.
+//! *and* windowed, in-order and out-of-order), admission must shed (never
+//! hang) past each turn's budget with a retry hint, large replies must
+//! stream in chunks, and protocol violations (tag 0, duplicate tags, even
+//! of a cached query; hostile framing) must be rejected without taking the
+//! server down.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,20 +63,16 @@ fn pipelined_out_of_order_completion_matches_blocking_client() {
     // A twin engine as reference so the server engine's cache state can't
     // mask a routing bug.
     let reference = corpus_engine(&vecs);
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServeConfig { workers: 4, ..ServeConfig::default() },
-    )
-    .expect("bind");
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default()).expect("bind");
 
     let mut pipelined =
         Client::connect_windowed(server.local_addr(), 16).expect("pipelined connect");
     assert_eq!(pipelined.window(), 16);
 
     // Submit a burst wider than the window, then claim results in
-    // *reverse* submission order: whatever order the four workers finish
-    // in, the client must buffer and match strictly by tag.
+    // *reverse* submission order: whatever order the replies arrive in,
+    // the client must buffer and match strictly by tag.
     let queries = &vecs[..48];
     let tags: Vec<u64> = queries.iter().map(|q| pipelined.submit(q, 7).expect("submit")).collect();
     for (tag, q) in tags.iter().zip(queries).rev() {
@@ -111,7 +108,7 @@ fn concurrent_clients_get_bit_identical_results_one_engine_call_each() {
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&engine),
-        ServeConfig { workers: 4, queue_capacity: 64, ..ServeConfig::default() },
+        ServeConfig { queue_capacity: 64, ..ServeConfig::default() },
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -142,8 +139,8 @@ fn concurrent_clients_get_bit_identical_results_one_engine_call_each() {
     let stats = server.stats();
     assert_eq!(stats.served, 96);
     assert_eq!(stats.shed, 0);
-    // 96 distinct queries, all cache misses: each ran on a worker as one
-    // engine call.
+    // 96 distinct queries, all cache misses: each was answered on the I/O
+    // thread that decoded it, as one engine call.
     assert_eq!(stats.batcher.submitted, 96);
     assert_eq!(stats.batcher.batches, 96);
     server.shutdown();
@@ -184,11 +181,12 @@ fn oversized_submission_is_refused_alone_and_the_window_keeps_answering() {
 fn overload_sheds_with_an_explicit_reply_and_never_hangs() {
     let vecs = random_vecs(4000, 32, 3);
     let engine = corpus_engine(&vecs);
-    // One worker and a 2-deep queue: a burst of 24 clients must overflow.
+    // One I/O thread admitting two queries per turn: a burst of 24
+    // clients must overflow.
     let server = Server::bind(
         "127.0.0.1:0",
         Arc::clone(&engine),
-        ServeConfig { workers: 1, queue_capacity: 2, ..ServeConfig::default() },
+        ServeConfig { io_threads: 1, queue_capacity: 2, ..ServeConfig::default() },
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -224,10 +222,75 @@ fn overload_sheds_with_an_explicit_reply_and_never_hangs() {
         total_shed += sheds;
     }
     assert_eq!(total_served + total_shed, 24 * 8, "every request got an answer");
-    assert!(total_shed > 0, "24 clients against a 2-deep queue never overflowed");
+    assert!(total_shed > 0, "24 clients against a 2-query turn budget never overflowed");
     let stats = server.stats();
     assert_eq!(stats.shed, total_shed);
     assert_eq!(stats.served, total_served);
+    server.shutdown();
+}
+
+#[test]
+fn one_write_past_the_turn_budget_is_shed_and_every_tag_answers_once() {
+    use std::io::{BufReader, Write};
+    let vecs = random_vecs(200, 8, 13);
+    let engine = corpus_engine(&vecs);
+    let reference = corpus_engine(&vecs);
+    let cap = 4;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServeConfig { io_threads: 1, queue_capacity: cap, ..ServeConfig::default() },
+    )
+    .expect("bind");
+
+    // Forty queries in one write land in one read pass, so one turn
+    // decodes all of them: the first `cap` run, the rest are shed.
+    let sent = 40usize;
+    let mut burst = Vec::new();
+    for (i, q) in vecs[..sent].iter().enumerate() {
+        let req = Request::Query { k: 5, vector: q.clone() };
+        wire::write_frame(&mut burst, &encode_request(i as u64 + 1, &req)).expect("frame");
+    }
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.write_all(&burst).expect("send the burst");
+
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut demux = tabbin_serve::ReplyDemux::new();
+    let mut answered = std::collections::BTreeMap::new();
+    while answered.len() < sent {
+        let payload = wire::read_frame(&mut reader).expect("a reply per tag");
+        if let Some((tag, resp)) = demux.push(&payload).expect("decodable reply") {
+            assert!(answered.insert(tag, resp).is_none(), "tag {tag} answered twice");
+        }
+    }
+    let (mut served, mut shed) = (0u64, 0u64);
+    for (tag, resp) in &answered {
+        let q = &vecs[*tag as usize - 1];
+        match resp {
+            Response::Hits { hits, .. } => {
+                assert_bit_identical(hits, &reference.query(q, 5), "admitted query");
+                served += 1;
+            }
+            Response::Overloaded { retry_after_millis } => {
+                assert!(*retry_after_millis >= 1, "hint must suggest a real backoff");
+                shed += 1;
+            }
+            other => panic!("tag {tag}: unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(answered.keys().copied().collect::<Vec<_>>(), (1..=sent as u64).collect::<Vec<_>>());
+    assert_eq!(served + shed, sent as u64);
+    assert_eq!(served, cap as u64, "one turn admits exactly its budget");
+    let stats = server.stats();
+    assert_eq!((stats.served, stats.shed), (served, shed));
+
+    // Shedding is per turn, not sticky: the next write is admitted.
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let QueryOutcome::Hits(hits) = client.query(&vecs[0], 5).expect("query") else {
+        panic!("a lone query after the burst was shed");
+    };
+    assert_bit_identical(&hits, &reference.query(&vecs[0], 5), "after the burst");
+    drop(raw);
     server.shutdown();
 }
 
@@ -333,6 +396,10 @@ fn stats_reply_reports_storage_engine_and_admission_state() {
     );
     assert_eq!(stats.engine.cache_hits, 1, "repeat query missed the cache");
     assert_eq!(stats.served, 2);
+    // The hit is an engine call too; nothing is left waiting at rest.
+    assert_eq!(stats.batcher.submitted, 2);
+    assert_eq!(stats.batcher.batches, 2);
+    assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.queue_capacity, ServeConfig::default().resolved_queue_capacity());
     assert_eq!(stats.connections, 1, "one client connected when stats were read");
     assert_eq!(stats.shed, 0);
@@ -438,5 +505,45 @@ fn reserved_and_duplicate_tags_are_protocol_violations() {
             assert!(matches!(resp, Response::Hits { .. }), "unexpected reply {resp:?}");
         }
     }
+    server.shutdown();
+}
+
+#[test]
+fn duplicate_tag_of_a_cached_query_is_a_protocol_violation() {
+    use std::io::Write;
+    let vecs = random_vecs(30, 8, 14);
+    let engine = corpus_engine(&vecs);
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default()).expect("bind");
+
+    // Warm the cache on one connection, so both requests below are hits
+    // answered as soon as they are decoded.
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    assert!(matches!(client.query(&vecs[0], 3).expect("warm-up"), QueryOutcome::Hits(_)));
+
+    // The first request's reply may already be queued when the second is
+    // decoded, but its tag stays in flight until that reply is written:
+    // the duplicate is fatal all the same.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    // A server that accepts the duplicate never hangs up: fail, not hang.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("read timeout");
+    let req = Request::Query { k: 3, vector: vecs[0].clone() };
+    let mut burst = Vec::new();
+    wire::write_frame(&mut burst, &encode_request(7, &req)).expect("frame");
+    wire::write_frame(&mut burst, &encode_request(7, &req)).expect("frame");
+    raw.write_all(&burst).expect("send duplicate tags");
+    raw.flush().ok();
+    let frames = drain_frames(&mut raw);
+    assert!(
+        frames.iter().any(|(tag, resp)| {
+            *tag == wire::CONNECTION_TAG
+                && matches!(resp, Response::Error(msg) if msg.contains("already in flight"))
+        }),
+        "no duplicate-tag error in {frames:?}"
+    );
+    let tagged: Vec<_> = frames.iter().filter(|(tag, _)| *tag != wire::CONNECTION_TAG).collect();
+    assert_eq!(tagged.len(), 1, "tag 7 answered more than once: {frames:?}");
+    assert!(matches!(tagged[0].1, Response::Hits { .. }), "unexpected reply {:?}", tagged[0].1);
+    assert_eq!(engine.stats().cache_hits, 1, "the duplicate reached the engine");
     server.shutdown();
 }

@@ -3,7 +3,8 @@
 //! arbitrary splits (down to one byte per readiness event, `WouldBlock`
 //! between) must reassemble the exact payload sequence, and arbitrary
 //! enqueue/flush schedules against a slow reader (tiny partial writes,
-//! `WouldBlock` interspersed) must emit the exact framed byte stream.
+//! `WouldBlock` interspersed) must emit the exact framed byte stream and
+//! release each reply's tag exactly when its last frame is written.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -141,23 +142,78 @@ proptest! {
         prop_assert!(r.is_empty(), "trailing bytes after the last frame");
     }
 
-    /// In-flight tag bookkeeping under arbitrary begin/finish sequences:
-    /// a tag is claimable iff not currently in flight, and the count
-    /// tracks the distinct live set exactly.
+    /// In-flight tag bookkeeping under arbitrary begin / reply / partial
+    /// flush sequences: a tag is in flight from `begin_tag` until the last
+    /// frame of its reply has been written, it is claimable iff not in
+    /// flight, and the count tracks the reference's live set exactly.
     #[test]
     fn tag_tracking_matches_a_reference_set(
-        ops in pvec((0u64..8, 0u8..2), 0..64),
+        ops in pvec((0u64..8, 0u8..3, 1usize..4), 0..64),
     ) {
         let mut conn = ConnState::new();
-        let mut live = std::collections::HashSet::new();
-        for (tag, begin) in ops {
-            if begin == 1 {
-                prop_assert_eq!(conn.begin_tag(tag), live.insert(tag));
-            } else {
-                conn.finish_tag(tag);
-                live.remove(&tag);
+        // Claimed tags with no reply queued yet.
+        let mut claimed = std::collections::HashSet::new();
+        // Unwritten bytes of each queued frame and the tag it releases.
+        let mut queue: std::collections::VecDeque<(usize, Option<u64>)> = Default::default();
+        for (tag, op, n) in ops {
+            let queued_tag = |q: &std::collections::VecDeque<(usize, Option<u64>)>| {
+                q.iter().any(|&(_, t)| t == Some(tag))
+            };
+            match op {
+                0 => {
+                    let free = !claimed.contains(&tag) && !queued_tag(&queue);
+                    prop_assert_eq!(conn.begin_tag(tag), free);
+                    if free {
+                        claimed.insert(tag);
+                    }
+                }
+                1 if claimed.remove(&tag) => {
+                    // A reply of `n` frames; only the last releases the tag.
+                    let frames: Vec<Vec<u8>> = (0..n).map(|i| vec![tag as u8; 3 + i]).collect();
+                    conn.enqueue_reply(tag, &frames);
+                    for (i, f) in frames.iter().enumerate() {
+                        queue.push_back((4 + f.len(), (i + 1 == n).then_some(tag)));
+                    }
+                }
+                1 => {}
+                _ => {
+                    // A peer that takes `5n` bytes, then would block.
+                    let mut budget = 5 * n;
+                    let mut sink = Budget { left: budget };
+                    conn.flush(&mut sink).expect("flush");
+                    while let Some(front) = queue.front_mut() {
+                        let take = front.0.min(budget);
+                        front.0 -= take;
+                        budget -= take;
+                        if front.0 > 0 {
+                            break;
+                        }
+                        queue.pop_front();
+                    }
+                }
             }
-            prop_assert_eq!(conn.in_flight(), live.len());
+            let live = claimed.len() + queue.iter().filter(|(_, t)| t.is_some()).count();
+            prop_assert_eq!(conn.in_flight(), live);
+            prop_assert_eq!(conn.queued_bytes(), queue.iter().map(|(b, _)| b).sum::<usize>());
         }
+    }
+}
+
+/// A writer that accepts `left` more bytes in total, then would block.
+struct Budget {
+    left: usize,
+}
+
+impl Write for Budget {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.left == 0 {
+            return Err(io::Error::new(io::ErrorKind::WouldBlock, "budget spent"));
+        }
+        let n = buf.len().min(self.left);
+        self.left -= n;
+        Ok(n)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }

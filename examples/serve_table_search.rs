@@ -1,8 +1,9 @@
 //! Table search as a network service: embed a CancerKG-profile corpus,
 //! stand up the `tabbin-serve` TCP server on a loopback port, and retrieve
 //! the most similar tables **over the wire** — the `cancer_table_search`
-//! scenario pushed through the full serving stack (wire protocol, bounded
-//! admission queue, worker pool, query engine, sharded store).
+//! scenario pushed through the full serving stack (wire protocol, event
+//! loop with per-turn admission, the query engine called on the loop
+//! thread that decoded the request, sharded store).
 //!
 //! Run with: `cargo run --example serve_table_search`
 
@@ -70,7 +71,7 @@ fn main() {
 
     // Protocol v2 pipelines: one connection, a window of tagged requests
     // in flight, replies claimed in *reverse* submission order — whatever
-    // order the workers finish in, every tag's hits must be identical to
+    // order they arrive in, every tag's hits must be identical to
     // what the one-at-a-time blocking client gets.
     let mut pipelined =
         Client::connect_windowed(server.local_addr(), 8).expect("pipelined connect");
@@ -95,7 +96,7 @@ fn main() {
     drop(pipelined);
 
     // The stats endpoint is the health surface: storage, engine,
-    // worker-pool, and admission counters in one reply.
+    // engine-call, and admission counters in one reply.
     let stats = client.stats().expect("stats over the wire");
     println!(
         "server stats: {} served / {} shed, queue {}/{}, shard depths {:?}, \
