@@ -1,6 +1,7 @@
 //! The BioBERT baseline stand-in: the shared transformer over flat sequences.
 //!
-//! A [`TabBiNModel`] built, pre-trained and embedded exactly as TUTA's is;
+//! A [`TabBiNModel`] built, pre-trained and embedded (through the fused
+//! forward pass of `tabbin_core::infer`) exactly as TUTA's is;
 //! only its input differs, mirroring what the paper's BioBERT rows measure.
 //! The table is linearized to one token sequence (caption, metadata labels,
 //! then cells row-major) whose only structure is each token's sequence

@@ -1,9 +1,11 @@
 //! Baselines for the TabBiN reproduction (§4).
 //!
 //! The two transformer baselines are the same [`tabbin_core::model::TabBiNModel`]
-//! as TabBiN, pre-trained by the same `tabbin_core::pretrain::pretrain`; they
-//! differ from it and from each other only in their sequence builders and
-//! ablation flags, so the lineup compares input encodings, not model stacks.
+//! as TabBiN, pre-trained by the same `tabbin_core::pretrain::pretrain` and
+//! embedded by the same fused forward pass (`tabbin_core::infer`, through
+//! `TabBiNModel::embed`); they differ from it and from each other only in
+//! their sequence builders and ablation flags, so the lineup compares input
+//! encodings, not model stacks or numerics.
 //!
 //! * [`word2vec`] — skip-gram with negative sampling, trained on table
 //!   tuples (the paper's Word2Vec rows, Table 3 dimensionality sweep).

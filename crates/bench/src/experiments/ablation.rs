@@ -8,6 +8,7 @@
 use crate::bundle::{train_family, ExpConfig};
 use crate::experiments::Subset;
 use crate::harness::{eval_cc_batch, eval_tc_batch, format_table};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_core::config::{AblationFlags, ModelConfig};
 use tabbin_corpus::Dataset;
 use tabbin_table::TableKind;
@@ -64,11 +65,12 @@ pub fn run(cfg: &ExpConfig, studies: &[Study]) -> Vec<String> {
                 let seeded = ExpConfig { seed: cfg.seed ^ (s * 0x1_0001), ..*cfg };
                 let model_cfg = ModelConfig::default().with_ablation(flags);
                 let (corpus, _, family) = train_family(ds, &seeded, model_cfg);
+                let encoder = BatchEncoder::new(&family);
                 if cc {
                     for (sum, numeric) in cc_sums.iter_mut().zip([false, true]) {
                         let e =
                             eval_cc_batch(&corpus, numeric, cfg.k, cfg.max_queries, |t, cols| {
-                                family.embed_columns_subset(t, cols)
+                                encoder.embed_columns(t, cols)
                             });
                         sum[0] += e.map;
                         sum[1] += e.mrr;
@@ -77,7 +79,7 @@ pub fn run(cfg: &ExpConfig, studies: &[Study]) -> Vec<String> {
                 if tc {
                     for (si, (_, subset)) in TC_SUBSETS.iter().enumerate() {
                         let e =
-                            eval_tc_batch(&corpus, cfg.k, subset, |ts| family.embed_table_refs(ts));
+                            eval_tc_batch(&corpus, cfg.k, subset, |ts| encoder.embed_tables(ts));
                         if e.queries > 0 {
                             tc_sums[si][0] += e.map;
                             tc_sums[si][1] += e.mrr;

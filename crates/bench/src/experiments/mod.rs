@@ -21,6 +21,7 @@ pub mod table14;
 
 use crate::bundle::{Bundle, ExpConfig};
 use crate::harness::{eval_tc, eval_tc_batch, format_table};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_corpus::{Dataset, LabeledTable};
 use tabbin_eval::clustering::RetrievalEval;
 use tabbin_table::Table;
@@ -174,8 +175,10 @@ pub fn tc_lineup(
 ) -> Vec<RetrievalEval> {
     let tok = &bundle.family.tokenizer;
     vec![
-        // Batched path: parameters placed once for the whole subset.
-        eval_tc_batch(&bundle.corpus, k, subset, |ts| bundle.family.embed_table_refs(ts)),
+        // Batched path: the whole subset in one call, fanned out across threads.
+        eval_tc_batch(&bundle.corpus, k, subset, |ts| {
+            BatchEncoder::new(&bundle.family).embed_tables(ts)
+        }),
         eval_tc(&bundle.corpus, k, subset, |t| bundle.tuta.embed_table(t, tok)),
         eval_tc(&bundle.corpus, k, subset, |t| bundle.bert.embed_table(t, tok)),
         eval_tc(&bundle.corpus, k, subset, |t| {

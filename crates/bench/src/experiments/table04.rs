@@ -4,6 +4,7 @@
 use crate::bundle::{Bundle, ExpConfig};
 use crate::experiments::{column_words, rows_over, LineupTable};
 use crate::harness::{eval_cc, eval_cc_batch};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_corpus::Dataset;
 
 /// The CC comparison.
@@ -22,7 +23,7 @@ fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
         vec![
             // Batched path: all of a table's columns in one pass.
             eval_cc_batch(corpus, numeric, k, max_q, |t, cols| {
-                bundle.family.embed_columns_subset(t, cols)
+                BatchEncoder::new(&bundle.family).embed_columns(t, cols)
             }),
             eval_cc(corpus, numeric, k, max_q, |t, j| bundle.tuta.embed_column(t, j, tok)),
             eval_cc(corpus, numeric, k, max_q, |t, j| bundle.bert.embed_column(t, j, tok)),

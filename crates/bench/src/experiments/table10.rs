@@ -4,6 +4,7 @@
 use crate::bundle::{Bundle, ExpConfig};
 use crate::experiments::{rows_over, LineupTable};
 use crate::harness::{eval_cc, eval_cc_batch};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_corpus::Dataset;
 
 /// The composite-embedding CC analysis.
@@ -22,7 +23,7 @@ fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
             eval_cc(corpus, numeric, k, max_q, |t, j| family.embed_column_data(t, j)),
             eval_cc(corpus, numeric, k, max_q, |t, j| family.embed_attribute(t, j)),
             eval_cc_batch(corpus, numeric, k, max_q, |t, cols| {
-                family.embed_columns_subset(t, cols)
+                BatchEncoder::new(family).embed_columns(t, cols)
             }),
         ]
     })

@@ -4,6 +4,7 @@
 use crate::bundle::{Bundle, ExpConfig};
 use crate::experiments::{rows_over, LineupTable, Subset};
 use crate::harness::{eval_tc, eval_tc_batch};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_corpus::Dataset;
 use tabbin_table::TableKind;
 
@@ -29,7 +30,7 @@ fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
         vec![
             eval_tc(corpus, cfg.k, subset, |t| family.embed_table_data(t)),
             eval_tc(corpus, cfg.k, subset, |t| family.embed_tblcomp1(t)),
-            eval_tc_batch(corpus, cfg.k, subset, |ts| family.embed_table_refs(ts)),
+            eval_tc_batch(corpus, cfg.k, subset, |ts| BatchEncoder::new(family).embed_tables(ts)),
         ]
     })
 }

@@ -10,6 +10,7 @@
 use crate::bundle::{Bundle, ExpConfig};
 use crate::experiments::LineupTable;
 use crate::harness::{eval_cc_batch, eval_tc_batch};
+use tabbin_core::batch::BatchEncoder;
 use tabbin_corpus::Dataset;
 
 /// The LLM comparison.
@@ -24,10 +25,10 @@ pub const TABLE: LineupTable = LineupTable {
 };
 
 fn rows(bundle: &Bundle, cfg: &ExpConfig) -> Vec<Vec<String>> {
+    let encoder = BatchEncoder::new(&bundle.family);
     let cc = eval_cc_batch(&bundle.corpus, false, cfg.k, cfg.max_queries, |t, cols| {
-        bundle.family.embed_columns_subset(t, cols)
+        encoder.embed_columns(t, cols)
     });
-    let tc =
-        eval_tc_batch(&bundle.corpus, cfg.k, |_| true, |ts| bundle.family.embed_table_refs(ts));
+    let tc = eval_tc_batch(&bundle.corpus, cfg.k, |_| true, |ts| encoder.embed_tables(ts));
     vec![vec![bundle.corpus.dataset.name().to_string(), "TabBiN".into(), cc.render(), tc.render()]]
 }

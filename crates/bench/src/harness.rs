@@ -67,9 +67,8 @@ pub fn eval_cc(
 /// [`eval_cc`] with a per-table **batch** embedder: `embed_columns` is called
 /// once per referenced table with exactly the column indices the evaluation
 /// needs (returning one vector per requested column, in order), so batched
-/// pipelines embed a table's evaluated columns in one pass — without
-/// re-placing model parameters per column and without embedding filtered-out
-/// columns at all.
+/// pipelines embed a table's evaluated columns in one pass, reusing one
+/// scratch arena, and never embed filtered-out columns.
 pub fn eval_cc_batch(
     corpus: &Corpus,
     numeric: bool,
@@ -104,8 +103,8 @@ pub fn eval_tc(
 
 /// [`eval_tc`] with a **batch** embedder: the whole selected subset is handed
 /// to `embed_all` at once, so batched pipelines (e.g.
-/// `TabBiNFamily::embed_table_refs`) can place model parameters once and fan
-/// out across threads instead of being called table by table.
+/// `BatchEncoder::embed_tables`) can fan out across threads instead of
+/// being called table by table.
 pub fn eval_tc_batch(
     corpus: &Corpus,
     k: usize,

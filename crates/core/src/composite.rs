@@ -3,11 +3,78 @@
 //! The paper composes downstream vectors by concatenating (⊕) segment-model
 //! embeddings: `colcomp` for column clustering, `tblcomp1`/`tblcomp2` for
 //! table clustering, and attribute⊕value⊕unit structures for numeric values
-//! and ranges. These helpers operate on plain `f32` vectors so they also
-//! serve the baselines.
+//! and ranges. `tblcomp_into` and `colcomp_into` (crate-private) are the one
+//! definition of the table and column composites: the single-item embeddings
+//! of [`TabBiNFamily`] and the batches of [`crate::batch::BatchEncoder`] both
+//! write through them. [`concat()`] and [`mean`] operate on plain `f32`
+//! vectors so they also serve the baselines.
 
+use crate::config::SegmentKind;
+use crate::encoding::{encode_column, encode_segment, encode_text};
+use crate::infer::{embed_with_into, InferScratch};
 use crate::variants::TabBiNFamily;
-use tabbin_table::Unit;
+use std::array::from_fn;
+use tabbin_table::{Table, Unit};
+
+/// Writes the TC composite of `table` into `out`, one `hidden`-wide block
+/// per part: data rows (`Ē_d`, row model) ⊕ HMD (`Ē_c`, HMD model) ⊕ VMD
+/// (`Ē_r`, VMD model) ⊕ caption (row model). Four blocks are `tblcomp2`,
+/// the first three `tblcomp1`, the first alone the table's data embedding;
+/// `out` holds as many blocks as are wanted.
+pub(crate) fn tblcomp_into(
+    family: &TabBiNFamily,
+    table: &Table,
+    scratch: &mut InferScratch,
+    out: &mut [f32],
+) {
+    let (tok, tagger, cfg) = (&family.tokenizer, &family.tagger, &family.cfg);
+    assert!(
+        out.len().is_multiple_of(cfg.hidden) && out.len() <= 4 * cfg.hidden,
+        "a table composite is 1 to 4 blocks of hidden width"
+    );
+    // Encode every wanted part first, then run the model passes back to back
+    // over one warm scratch arena.
+    let blocks = out.len() / cfg.hidden;
+    let parts: [_; 4] = from_fn(|block| {
+        (block < blocks).then(|| match block {
+            0 => (&family.row, encode_segment(table, SegmentKind::DataRow, tok, tagger, cfg)),
+            1 => (&family.hmd, encode_segment(table, SegmentKind::Hmd, tok, tagger, cfg)),
+            2 => (&family.vmd, encode_segment(table, SegmentKind::Vmd, tok, tagger, cfg)),
+            _ => (&family.row, encode_text(&table.caption, tok, tagger, cfg)),
+        })
+    });
+    for ((model, seq), out) in parts.iter().flatten().zip(out.chunks_exact_mut(cfg.hidden)) {
+        embed_with_into(model, seq, scratch, out);
+    }
+}
+
+/// Writes `colcomp` of column `j` into `out[2 * hidden]` (Figure 5b): the
+/// column's attribute through the HMD model (`E_cj`) ⊕ its data through the
+/// column model (`Ē_d`). `paths` is `table.hmd.leaf_label_paths()`, which a
+/// batch computes once per table.
+pub(crate) fn colcomp_into(
+    family: &TabBiNFamily,
+    table: &Table,
+    paths: &[Vec<&str>],
+    j: usize,
+    scratch: &mut InferScratch,
+    out: &mut [f32],
+) {
+    let (tok, tagger, cfg) = (&family.tokenizer, &family.tagger, &family.cfg);
+    let (attr, data) = out.split_at_mut(cfg.hidden);
+    let seq = encode_text(&attribute_text(paths, j), tok, tagger, cfg);
+    embed_with_into(&family.hmd, &seq, scratch, attr);
+    embed_with_into(&family.col, &encode_column(table, j, tok, tagger, cfg), scratch, data);
+}
+
+/// Column `j`'s attribute: its root-to-leaf header label path, or
+/// `column j` past the header's leaves.
+pub(crate) fn attribute_text(paths: &[Vec<&str>], j: usize) -> String {
+    match paths.get(j) {
+        Some(p) => p.join(" "),
+        None => format!("column {j}"),
+    }
+}
 
 /// Concatenates embedding parts (the paper's ⊕ operator).
 pub fn concat(parts: &[Vec<f32>]) -> Vec<f32> {

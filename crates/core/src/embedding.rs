@@ -18,9 +18,7 @@
 use crate::config::ModelConfig;
 use crate::encoding::EncodedSequence;
 use tabbin_table::NumericFeatures;
-use tabbin_tensor::nn::{
-    Embedding, LayerNorm, Linear, PlacedEmbedding, PlacedLayerNorm, PlacedLinear,
-};
+use tabbin_tensor::nn::{Embedding, LayerNorm, Linear};
 use tabbin_tensor::{Graph, NodeId, ParamStore, Tensor};
 use tabbin_typeinfer::SemType;
 
@@ -77,45 +75,9 @@ impl EmbeddingLayer {
         }
     }
 
-    /// Places every (non-ablated) table onto the tape once, so a whole batch
-    /// of sequences can be embedded against a single copy of the parameters.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedEmbeddingLayer {
-        let tpos = if self.cfg.ablation.coordinates {
-            Some([
-                self.tpos[0].place(g, store),
-                self.tpos[1].place(g, store),
-                self.tpos[2].place(g, store),
-                self.tpos[3].place(g, store),
-                self.tpos[4].place(g, store),
-                self.tpos[5].place(g, store),
-            ])
-        } else {
-            None
-        };
-        PlacedEmbeddingLayer {
-            tok: self.tok.place(g, store),
-            num: [
-                self.num[0].place(g, store),
-                self.num[1].place(g, store),
-                self.num[2].place(g, store),
-                self.num[3].place(g, store),
-            ],
-            cpos: self.cpos.place(g, store),
-            tpos,
-            ty: if self.cfg.ablation.type_inference { Some(self.ty.place(g, store)) } else { None },
-            fmt: if self.cfg.ablation.units_nesting {
-                Some(self.fmt.place(g, store))
-            } else {
-                None
-            },
-            ln: self.ln.place(g, store),
-            cfg: self.cfg,
-        }
-    }
-
-    /// Embeds a sequence, producing `[n, H]`. `ids` carries the (possibly
-    /// MLM-corrupted) vocabulary ids; pass the sequence's own ids for clean
-    /// encoding.
+    /// Embeds a sequence on the tape, producing `[n, H]`. `ids` carries the
+    /// (possibly MLM-corrupted) vocabulary ids; pass the sequence's own ids
+    /// for clean encoding. Ablated components are not placed.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -123,27 +85,6 @@ impl EmbeddingLayer {
         seq: &EncodedSequence,
         ids: &[u32],
     ) -> NodeId {
-        self.place(g, store).forward(g, seq, ids)
-    }
-}
-
-/// Tape-resident parameter placement of an [`EmbeddingLayer`]. Ablated
-/// components are simply not placed.
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedEmbeddingLayer {
-    tok: PlacedEmbedding,
-    num: [PlacedEmbedding; 4],
-    cpos: PlacedEmbedding,
-    tpos: Option<[PlacedEmbedding; 6]>,
-    ty: Option<PlacedEmbedding>,
-    fmt: Option<PlacedLinear>,
-    ln: PlacedLayerNorm,
-    cfg: ModelConfig,
-}
-
-impl PlacedEmbeddingLayer {
-    /// Embeds one sequence against the shared placement, producing `[n, H]`.
-    pub fn forward(&self, g: &mut Graph, seq: &EncodedSequence, ids: &[u32]) -> NodeId {
         let n = seq.len();
         assert_eq!(ids.len(), n, "id count must match sequence length");
         assert!(n > 0, "cannot embed an empty sequence");
@@ -151,7 +92,7 @@ impl PlacedEmbeddingLayer {
 
         // E_tok.
         let tok_ids: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        let e_tok = self.tok.forward(g, &tok_ids);
+        let e_tok = self.tok.forward(g, store, &tok_ids);
 
         // E_num: four sub-embeddings concatenated, masked to numeric tokens.
         let feats: Vec<Option<NumericFeatures>> =
@@ -170,7 +111,7 @@ impl PlacedEmbeddingLayer {
         let mut num_parts = Vec::with_capacity(4);
         for (which, table) in self.num.iter().enumerate() {
             let idx: Vec<usize> = feats.iter().map(|f| pick(f, which)).collect();
-            num_parts.push(table.forward(g, &idx));
+            num_parts.push(table.forward(g, store, &idx));
         }
         let num_cat = g.concat_cols(&num_parts);
         let mut num_mask = Tensor::zeros(&[n, h]);
@@ -184,35 +125,35 @@ impl PlacedEmbeddingLayer {
         // E_cpos.
         let cpos_ids: Vec<usize> =
             seq.tokens.iter().map(|t| t.cell_pos.min(self.cfg.max_cell_tokens - 1)).collect();
-        let e_cpos = self.cpos.forward(g, &cpos_ids);
+        let e_cpos = self.cpos.forward(g, store, &cpos_ids);
 
         let mut sum = g.add(e_tok, e_num);
         sum = g.add(sum, e_cpos);
 
         // E_tpos (ablatable).
-        if let Some(tpos) = &self.tpos {
+        if self.cfg.ablation.coordinates {
             let mut parts = Vec::with_capacity(6);
-            for (axis, table) in tpos.iter().enumerate() {
+            for (axis, table) in self.tpos.iter().enumerate() {
                 let idx: Vec<usize> = seq
                     .tokens
                     .iter()
                     .map(|t| (t.tpos[axis] as usize).min(self.cfg.max_coord - 1))
                     .collect();
-                parts.push(table.forward(g, &idx));
+                parts.push(table.forward(g, store, &idx));
             }
             let e_tpos = g.concat_cols(&parts);
             sum = g.add(sum, e_tpos);
         }
 
         // E_type (ablatable).
-        if let Some(ty) = &self.ty {
+        if self.cfg.ablation.type_inference {
             let ty_ids: Vec<usize> = seq.tokens.iter().map(|t| t.sem_type).collect();
-            let e_ty = ty.forward(g, &ty_ids);
+            let e_ty = self.ty.forward(g, store, &ty_ids);
             sum = g.add(sum, e_ty);
         }
 
         // E_fmt (ablatable).
-        if let Some(fmt) = &self.fmt {
+        if self.cfg.ablation.units_nesting {
             let mut bits = Tensor::zeros(&[n, 8]);
             for (i, t) in seq.tokens.iter().enumerate() {
                 for (j, &b) in t.feat_bits.iter().enumerate() {
@@ -222,11 +163,11 @@ impl PlacedEmbeddingLayer {
                 }
             }
             let bits_in = g.input(bits);
-            let e_fmt = fmt.forward(g, bits_in);
+            let e_fmt = self.fmt.forward(g, store, bits_in);
             sum = g.add(sum, e_fmt);
         }
 
-        self.ln.forward(g, sum)
+        self.ln.forward(g, store, sum)
     }
 }
 

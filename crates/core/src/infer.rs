@@ -1,11 +1,14 @@
-//! Tape-free inference.
+//! The inference forward pass: the one path every embedding takes.
 //!
-//! [`crate::model::TabBiNModel::embed`] runs the forward pass on the autograd
-//! tape, which exists to support backpropagation: every op allocates an
+//! [`crate::model::TabBiNModel::embed`], the segment models of
+//! [`crate::variants::TabBiNFamily`], the batch pipeline in
+//! [`crate::batch`] and the TUTA and BioBERT baselines all run this pass.
+//! The autograd tape (`TabBiNModel::forward_ids`) exists to support
+//! backpropagation, so pre-training alone uses it: every op allocates an
 //! output tensor onto the tape, parameters are copied into the arena, layer
 //! norm caches its normalized activations, and so on. Inference needs none
-//! of that. This module reimplements the forward pass as fused loops over
-//! raw `f32` slices:
+//! of that. This module runs the forward pass as fused loops over raw `f32`
+//! slices:
 //!
 //! * parameters are **read in place** from the [`ParamStore`] — zero copies;
 //! * the six embedding components are summed in a single pass per token;
@@ -18,10 +21,11 @@
 //! * every intermediate lives in an [`InferScratch`] buffer that is grown
 //!   — never reallocated — between sequences.
 //!
-//! The result agrees with the tape path elementwise to ~1e-6 (float
-//! summation order differs slightly, and the tape's GELU calls libm `tanh`;
-//! a property test pins the 1e-5 bound) and is a pure function of the one
-//! sequence: batch composition, chunking and thread count cannot move a bit.
+//! The result agrees with the tape's forward pass elementwise to ~1e-6
+//! (float summation order differs slightly, and the tape's GELU calls libm
+//! `tanh`; a unit test against the tape pins the 1e-5 bound) and is a pure
+//! function of the one sequence: batch composition, chunking and thread
+//! count cannot move a bit.
 
 pub mod kernels;
 
@@ -33,7 +37,7 @@ use tabbin_table::NumericFeatures;
 use tabbin_tensor::nn::{LayerNorm, Linear};
 use tabbin_tensor::ParamStore;
 
-/// Reusable buffers for the no-tape forward pass. Steady-state embedding
+/// Reusable buffers for the fused forward pass. Steady-state embedding
 /// performs no heap allocation.
 #[derive(Default)]
 pub struct InferScratch {
@@ -402,9 +406,8 @@ fn forward<P: StageProbe>(
     probe.done(Stage::Pool);
 }
 
-/// Embeds one sequence without touching the autograd tape, into
-/// `out[hidden]`. Agrees with [`TabBiNModel::embed`] elementwise to within
-/// float-reassociation noise; an empty sequence embeds to zero.
+/// Embeds one sequence into `out[hidden]` (what [`TabBiNModel::embed`]
+/// returns); an empty sequence embeds to zero.
 pub fn embed_with_into(
     model: &TabBiNModel,
     seq: &EncodedSequence,
@@ -676,7 +679,7 @@ mod tests {
                 for t in &tables {
                     for kind in SegmentKind::ALL {
                         let seq = encode_segment(t, kind, &tok, &tagger, &cfg);
-                        let tape = model.embed(&seq);
+                        let tape = model.embed_on_tape(&seq);
                         let fused = embed_with(&model, &seq, &mut scratch);
                         assert!(
                             max_abs_diff(&tape, &fused) < 1e-5,
@@ -702,13 +705,13 @@ mod tests {
         let mut scratch = InferScratch::new();
         let empty = EncodedSequence::default();
         assert_eq!(embed_with(&model, &empty, &mut scratch), vec![0.0; cfg.hidden]);
-        assert_eq!(model.embed(&empty), vec![0.0; cfg.hidden]);
+        assert_eq!(model.embed_on_tape(&empty), vec![0.0; cfg.hidden]);
         // A relational table has no VMD: the segment is a lone [CLS], which
         // pools over itself.
         let seq = encode_segment(&tables[0], SegmentKind::Vmd, &tok, &tagger, &cfg);
         assert_eq!(seq.len(), 1);
         let out = embed_with(&model, &seq, &mut scratch);
-        assert!(max_abs_diff(&out, &model.embed(&seq)) < 1e-5);
+        assert!(max_abs_diff(&out, &model.embed_on_tape(&seq)) < 1e-5);
     }
 
     #[test]

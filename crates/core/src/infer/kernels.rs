@@ -116,7 +116,7 @@ const TILE_ROWS: usize = 4;
 /// `out[i, j] = seed[i, j] + Σ_p x[i, p] · w[p, j]` for `i < n`, `j < m`,
 /// summed in order of `p` (so a row's result does not depend on which tile
 /// computed it). `seed: None` starts from zero. Register-tiled over
-/// [`TILE_ROWS`] (or, for the last rows, two or one) rows × up to three
+/// `TILE_ROWS` (or, for the last rows, two or one) rows × up to three
 /// 8-wide column vectors; columns past the last whole vector take a scalar
 /// path.
 ///

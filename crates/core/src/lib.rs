@@ -13,13 +13,18 @@
 //!   numeric features, in-cell position, in-table (bi-dimensional + nested)
 //!   position, inferred type, and cell features (units + nesting).
 //! * [`model`] — the visibility-masked transformer encoder (Eq. 1) with MLM
-//!   and Cell-level-Cloze heads.
-//! * [`pretrain`] — the self-supervised pre-training loop (§3.3).
+//!   and Cell-level-Cloze heads; its autograd-tape forward pass trains.
+//! * [`infer`] — the fused forward pass every embedding runs: TabBiN's,
+//!   the batches', and the TUTA and BioBERT baselines' (`tabbin-baselines`).
+//! * [`pretrain`] — the self-supervised pre-training loop (§3.3), on the
+//!   tape.
 //! * [`variants`] — the four segment models (data-row, data-column, HMD,
 //!   VMD) trained separately so each context is learned independently.
 //! * [`composite`] — composite embeddings for downstream tasks (§3.4, §4.5):
-//!   `colcomp`, `tblcomp1`, `tblcomp2`, and the numeric/range CE structures
-//!   of Figure 4.
+//!   `colcomp`, `tblcomp1`, `tblcomp2`, each defined once, and the
+//!   numeric/range CE structures of Figure 4.
+//! * [`batch`] — many tables, columns or entities at a time, bit for bit
+//!   the per-item embeddings of [`variants`].
 //! * [`matcher`] — the linear + softmax binary entity-matching head used for
 //!   the DITTO comparison (Table 9).
 //!

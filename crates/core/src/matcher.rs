@@ -5,13 +5,20 @@
 //! perform binary match/mismatch classification over entity pairs. This
 //! module implements that head over pair feature vectors
 //! `[a ⊕ b ⊕ |a−b| ⊕ a⊙b]` built from any embedding backend, so both TabBiN
-//! and the baselines can be evaluated with the same protocol.
+//! and the baselines can be evaluated with the same protocol. Training runs
+//! on the autograd tape, one tape reused for the whole run; prediction reads
+//! the weights in place, with the tape's own products and softmax.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tabbin_tensor::nn::Linear;
+use tabbin_tensor::ops::softmax_row;
 use tabbin_tensor::optim::Adam;
 use tabbin_tensor::{Graph, ParamStore, Tensor};
+
+/// Nodes one training batch records on the tape: the input, each layer's
+/// two parameters, product and bias, the activation and the loss.
+const TAPE_NODES: usize = 11;
 
 /// A labeled training/evaluation pair of entity embeddings.
 #[derive(Clone, Debug)]
@@ -80,6 +87,7 @@ impl EntityMatcher {
         let mut opt = Adam::new(opts.lr);
         let mut curve = Vec::with_capacity(opts.epochs);
         let mut order: Vec<usize> = (0..pairs.len()).collect();
+        let mut g = Graph::with_capacity(TAPE_NODES);
         for _ in 0..opts.epochs {
             // Fisher-Yates shuffle.
             for i in (1..order.len()).rev() {
@@ -97,7 +105,7 @@ impl EntityMatcher {
                     x.row_mut(r).copy_from_slice(&self.features(&p.a, &p.b));
                     targets.push(if p.matched { 1i64 } else { 0 });
                 }
-                let mut g = Graph::new();
+                g.reset();
                 let xn = g.input(x);
                 let h = self.hidden.forward(&mut g, &self.store, xn);
                 let act = g.relu(h);
@@ -117,13 +125,22 @@ impl EntityMatcher {
 
     /// Match probability for a pair.
     pub fn predict_proba(&self, a: &[f32], b: &[f32]) -> f32 {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::from_vec(self.features(a, b), &[1, 4 * self.dim]));
-        let h = self.hidden.forward(&mut g, &self.store, x);
-        let act = g.relu(h);
-        let logits = self.head.forward(&mut g, &self.store, act);
-        let p = g.softmax_rows(logits);
-        g.value(p).at(0, 1)
+        let x = Tensor::from_vec(self.features(a, b), &[1, 4 * self.dim]);
+        let h = self.affine(&self.hidden, &x).map(|v| v.max(0.0));
+        let logits = self.affine(&self.head, &h);
+        let mut p = [0.0; 2];
+        softmax_row(logits.data(), &mut p);
+        p[1]
+    }
+
+    /// `x · W + b` for one layer over a one-row `x`, as the tape's
+    /// `matmul` + `add_row` compute it.
+    fn affine(&self, lin: &Linear, x: &Tensor) -> Tensor {
+        let mut y = x.matmul(self.store.value(lin.w));
+        for (o, &b) in y.data_mut().iter_mut().zip(self.store.value(lin.b).data()) {
+            *o += b;
+        }
+        y
     }
 
     /// Hard match decision at threshold 0.5.
@@ -182,6 +199,22 @@ mod tests {
         assert!(curve.last().unwrap() < &curve[0], "loss should fall");
         let f1 = m.f1_percent(&test);
         assert!(f1 > 80.0, "F1 too low: {f1}");
+    }
+
+    #[test]
+    fn predict_proba_equals_the_tape_forward() {
+        let pairs = toy_pairs(20, 6, 9);
+        let mut m = EntityMatcher::new(6, 4);
+        m.train(&pairs, &MatcherOptions { epochs: 3, ..Default::default() });
+        for p in &pairs {
+            let mut g = Graph::new();
+            let x = g.input(Tensor::from_vec(m.features(&p.a, &p.b), &[1, 24]));
+            let h = m.hidden.forward(&mut g, &m.store, x);
+            let act = g.relu(h);
+            let logits = m.head.forward(&mut g, &m.store, act);
+            let prob = g.softmax_rows(logits);
+            assert_eq!(m.predict_proba(&p.a, &p.b).to_bits(), g.value(prob).at(0, 1).to_bits());
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! (Eq. 1) + MLM and Cell-level-Cloze heads.
 
 use crate::config::ModelConfig;
-use crate::embedding::{EmbeddingLayer, PlacedEmbeddingLayer};
+use crate::embedding::EmbeddingLayer;
 use crate::encoding::EncodedSequence;
-use tabbin_tensor::nn::{additive_mask, AttentionConfig, EncoderBlock, Linear, PlacedEncoderBlock};
+use crate::infer::{embed_with, InferScratch};
+use tabbin_tensor::nn::{additive_mask, AttentionConfig, EncoderBlock, Linear};
 use tabbin_tensor::{Graph, NodeId, ParamStore, Tensor};
 
 /// One TabBiN model instance (the paper trains four — one per segment kind —
@@ -59,95 +60,29 @@ impl TabBiNModel {
         self.store.scalar_count()
     }
 
-    /// Places the whole encoder's parameters onto `g` once, so any number of
-    /// sequences can be forwarded against a single copy of the weights.
-    pub fn place(&self, g: &mut Graph) -> PlacedTabBiN {
-        PlacedTabBiN {
-            emb: self.emb.place(g, &self.store),
-            blocks: self.blocks.iter().map(|b| b.place(g, &self.store)).collect(),
-            cfg: self.cfg,
-        }
-    }
-
-    /// Full forward pass over a sequence with (possibly corrupted) `ids`,
-    /// returning the `[n, H]` hidden states. The visibility matrix enters as
-    /// the additive attention mask unless ablated (`TabBiN₁`).
+    /// Full forward pass over a sequence with (possibly corrupted) `ids` on
+    /// the autograd tape, returning the `[n, H]` hidden states — what
+    /// pre-training differentiates. The visibility matrix enters as the
+    /// additive attention mask unless ablated (`TabBiN₁`).
     pub fn forward_ids(&self, g: &mut Graph, seq: &EncodedSequence, ids: &[u32]) -> NodeId {
-        let placed = self.place(g);
-        placed.forward_ids(g, seq, ids)
-    }
-
-    /// Forward pass with the sequence's own ids.
-    pub fn forward(&self, g: &mut Graph, seq: &EncodedSequence) -> NodeId {
-        let ids: Vec<u32> = seq.tokens.iter().map(|t| t.vocab_id).collect();
-        self.forward_ids(g, seq, &ids)
-    }
-
-    /// Mean-pools hidden states over non-special tokens, producing `[1, H]`.
-    /// Falls back to pooling everything if the sequence is all specials.
-    pub fn pool(&self, g: &mut Graph, hidden: NodeId, seq: &EncodedSequence) -> NodeId {
-        let rows: Vec<usize> =
-            seq.tokens.iter().enumerate().filter(|(_, t)| !t.special).map(|(i, _)| i).collect();
-        if rows.is_empty() {
-            return g.mean_rows(hidden);
+        let mut x = self.emb.forward(g, &self.store, seq, ids);
+        let mask: Option<Tensor> = if self.cfg.ablation.visibility {
+            Some(additive_mask(&seq.visibility()))
+        } else {
+            None
+        };
+        for block in &self.blocks {
+            x = block.forward(g, &self.store, x, mask.as_ref());
         }
-        let sel = g.row_select(hidden, &rows);
-        g.mean_rows(sel)
+        x
     }
 
-    /// Inference-only embedding of a sequence: forward + mean pool, returning
-    /// a plain `H`-vector. Returns a zero vector for empty sequences (e.g.
-    /// the VMD segment of a relational table).
+    /// Inference-only embedding of a sequence: the fused forward pass
+    /// ([`crate::infer`]) mean-pooled over the non-special tokens, as a plain
+    /// `H`-vector. An empty sequence (e.g. the VMD segment of a relational
+    /// table) embeds to zero.
     pub fn embed(&self, seq: &EncodedSequence) -> Vec<f32> {
-        let mut g = Graph::new();
-        self.embed_into(&mut g, seq)
-    }
-
-    /// [`TabBiNModel::embed`] against a caller-provided tape, which is reset
-    /// first — pair with a long-lived [`Graph`] to reuse the node arena
-    /// across calls. (The bulk-inference pipeline in `tabbin_core::batch`
-    /// uses the faster no-tape kernel instead; this entry point is the
-    /// tape-based reference.)
-    pub fn embed_into(&self, g: &mut Graph, seq: &EncodedSequence) -> Vec<f32> {
-        if seq.is_empty() {
-            return vec![0.0; self.cfg.hidden];
-        }
-        g.reset();
-        let placed = self.place(g);
-        let h = placed.forward(g, seq);
-        let p = placed.pool(g, h, seq);
-        g.value(p).data().to_vec()
-    }
-
-    /// Embeds many sequences in **one** tape pass: the model parameters are
-    /// placed once and every sequence is forwarded and pooled against that
-    /// single placement. Output `i` is elementwise identical to
-    /// `self.embed(seqs[i])`; empty sequences yield zero vectors. The tape is
-    /// reset first.
-    pub fn embed_batch_into(&self, g: &mut Graph, seqs: &[&EncodedSequence]) -> Vec<Vec<f32>> {
-        if seqs.is_empty() {
-            return Vec::new();
-        }
-        g.reset();
-        let placed = self.place(g);
-        let pooled: Vec<Option<NodeId>> = seqs
-            .iter()
-            .map(|seq| {
-                if seq.is_empty() {
-                    None
-                } else {
-                    let h = placed.forward(g, seq);
-                    Some(placed.pool(g, h, seq))
-                }
-            })
-            .collect();
-        pooled
-            .into_iter()
-            .map(|p| match p {
-                Some(p) => g.value(p).data().to_vec(),
-                None => vec![0.0; self.cfg.hidden],
-            })
-            .collect()
+        embed_with(self, seq, &mut InferScratch::new())
     }
 
     /// Mean of the raw token embeddings (`E_tok` rows) for a list of vocab
@@ -173,47 +108,28 @@ impl TabBiNModel {
     }
 }
 
-/// Tape-resident placement of a whole [`TabBiNModel`]: the embedding tables
-/// and every encoder block, placed once. This is the unit the batched
-/// pipeline forwards sequences against.
-#[derive(Debug)]
-pub struct PlacedTabBiN {
-    emb: PlacedEmbeddingLayer,
-    blocks: Vec<PlacedEncoderBlock>,
-    cfg: ModelConfig,
-}
-
-impl PlacedTabBiN {
-    /// Forward pass over one sequence with (possibly corrupted) `ids`.
-    pub fn forward_ids(&self, g: &mut Graph, seq: &EncodedSequence, ids: &[u32]) -> NodeId {
-        let mut x = self.emb.forward(g, seq, ids);
-        let mask: Option<Tensor> = if self.cfg.ablation.visibility {
-            Some(additive_mask(&seq.visibility()))
-        } else {
-            None
-        };
-        for block in &self.blocks {
-            x = block.forward(g, x, mask.as_ref());
+#[cfg(test)]
+impl TabBiNModel {
+    /// The tape-side reference the fused kernel is tested against: the
+    /// forward pass on the autograd tape, mean-pooled over the non-special
+    /// tokens (all tokens when every one is special). An empty sequence
+    /// embeds to zero.
+    pub(crate) fn embed_on_tape(&self, seq: &EncodedSequence) -> Vec<f32> {
+        if seq.is_empty() {
+            return vec![0.0; self.cfg.hidden];
         }
-        x
-    }
-
-    /// Forward pass with the sequence's own ids.
-    pub fn forward(&self, g: &mut Graph, seq: &EncodedSequence) -> NodeId {
+        let mut g = Graph::new();
         let ids: Vec<u32> = seq.tokens.iter().map(|t| t.vocab_id).collect();
-        self.forward_ids(g, seq, &ids)
-    }
-
-    /// Mean-pools hidden states over non-special tokens, producing `[1, H]`;
-    /// falls back to pooling everything if the sequence is all specials.
-    pub fn pool(&self, g: &mut Graph, hidden: NodeId, seq: &EncodedSequence) -> NodeId {
+        let h = self.forward_ids(&mut g, seq, &ids);
         let rows: Vec<usize> =
             seq.tokens.iter().enumerate().filter(|(_, t)| !t.special).map(|(i, _)| i).collect();
-        if rows.is_empty() {
-            return g.mean_rows(hidden);
-        }
-        let sel = g.row_select(hidden, &rows);
-        g.mean_rows(sel)
+        let pooled = if rows.is_empty() {
+            g.mean_rows(h)
+        } else {
+            let sel = g.row_select(h, &rows);
+            g.mean_rows(sel)
+        };
+        g.value(pooled).data().to_vec()
     }
 }
 
@@ -240,32 +156,12 @@ mod tests {
         let (tok, tagger, cfg) = fixtures();
         let model = TabBiNModel::new(cfg, tok.vocab_size(), 3);
         let seq = encode_segment(&table2_relational(), SegmentKind::DataRow, &tok, &tagger, &cfg);
+        let ids: Vec<u32> = seq.tokens.iter().map(|t| t.vocab_id).collect();
         let mut g = Graph::new();
-        let h = model.forward(&mut g, &seq);
+        let h = model.forward_ids(&mut g, &seq, &ids);
         assert_eq!(g.value(h).shape(), &[seq.len(), cfg.hidden]);
-        let p = model.pool(&mut g, h, &seq);
-        assert_eq!(g.value(p).shape(), &[1, cfg.hidden]);
-    }
-
-    #[test]
-    fn embed_batch_into_matches_per_sequence_embed() {
-        // The tape-batched path places parameters once and must reproduce
-        // the per-sequence tape embedding bit for bit (same op order).
-        let (tok, tagger, cfg) = fixtures();
-        let model = TabBiNModel::new(cfg, tok.vocab_size(), 3);
-        let seqs: Vec<_> = [figure1_table(), table2_relational()]
-            .iter()
-            .flat_map(|t| {
-                crate::config::SegmentKind::ALL.map(|k| encode_segment(t, k, &tok, &tagger, &cfg))
-            })
-            .collect();
-        let refs: Vec<&_> = seqs.iter().collect();
-        let mut g = Graph::new();
-        let batched = model.embed_batch_into(&mut g, &refs);
-        assert_eq!(batched.len(), seqs.len());
-        for (s, b) in seqs.iter().zip(&batched) {
-            assert_eq!(&model.embed(s), b);
-        }
+        assert_eq!(model.embed_on_tape(&seq).len(), cfg.hidden);
+        assert_eq!(model.embed(&seq).len(), cfg.hidden);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! independently. [`TabBiNFamily`] owns all four plus the shared tokenizer
 //! and type tagger, and exposes the embedding operations the downstream
 //! tasks need: column embeddings (CC), table embeddings (TC), entity
-//! embeddings (EC), and the composite variants of §4.5.
+//! embeddings (EC), and the composite variants of §4.5. Each embeds one
+//! item; [`crate::batch::BatchEncoder`] embeds many at a time, bit for bit
+//! the same, and both run the fused forward pass of [`crate::infer`].
 
 use crate::composite;
 use crate::config::{ModelConfig, SegmentKind};
 use crate::encoding::{encode_column, encode_segment, encode_text, EncodedSequence};
+use crate::infer::InferScratch;
 use crate::model::TabBiNModel;
 use crate::pretrain::{pretrain_profiled, PretrainOptions, StepStats, TrainProbe};
 use tabbin_table::Table;
@@ -109,11 +112,7 @@ impl TabBiNFamily {
     /// Embedding of column `j`'s *attribute* via the HMD model (`E_cj`): the
     /// root-to-leaf label path of the column header.
     pub fn embed_attribute(&self, table: &Table, j: usize) -> Vec<f32> {
-        let paths = table.hmd.leaf_label_paths();
-        let text = match paths.get(j) {
-            Some(p) => p.join(" "),
-            None => format!("column {j}"),
-        };
+        let text = composite::attribute_text(&table.hmd.leaf_label_paths(), j);
         let seq = encode_text(&text, &self.tokenizer, &self.tagger, &self.cfg);
         self.hmd.embed(&seq)
     }
@@ -121,95 +120,36 @@ impl TabBiNFamily {
     /// The CC composite (`TabBiN-colcomp`, Figure 5b): attribute embedding
     /// from the HMD model ⊕ mean data embedding from the column model.
     pub fn embed_colcomp(&self, table: &Table, j: usize) -> Vec<f32> {
-        composite::concat(&[self.embed_attribute(table, j), self.embed_column_data(table, j)])
+        let mut out = vec![0.0; 2 * self.cfg.hidden];
+        let paths = table.hmd.leaf_label_paths();
+        composite::colcomp_into(self, table, &paths, j, &mut InferScratch::new(), &mut out);
+        out
     }
 
-    /// Mean data embedding of the whole table via the row model (`Ē_d`).
+    /// Mean data embedding of the whole table via the row model (`Ē_d`):
+    /// the first block of the TC composite.
     pub fn embed_table_data(&self, table: &Table) -> Vec<f32> {
-        let seq =
-            encode_segment(table, SegmentKind::DataRow, &self.tokenizer, &self.tagger, &self.cfg);
-        self.row.embed(&seq)
+        self.tblcomp(table, 1)
     }
 
-    /// Mean HMD embedding (`Ē_c`).
-    pub fn embed_table_hmd(&self, table: &Table) -> Vec<f32> {
-        let seq = encode_segment(table, SegmentKind::Hmd, &self.tokenizer, &self.tagger, &self.cfg);
-        self.hmd.embed(&seq)
-    }
-
-    /// Mean VMD embedding (`Ē_r`); zero vector for tables without VMD.
-    pub fn embed_table_vmd(&self, table: &Table) -> Vec<f32> {
-        let seq = encode_segment(table, SegmentKind::Vmd, &self.tokenizer, &self.tagger, &self.cfg);
-        self.vmd.embed(&seq)
-    }
-
-    /// The TC composite without captions (`TabBiN-tblcomp1`).
+    /// The TC composite without captions (`TabBiN-tblcomp1`): data ⊕ HMD ⊕
+    /// VMD, the first three blocks of [`TabBiNFamily::embed_table`].
     pub fn embed_tblcomp1(&self, table: &Table) -> Vec<f32> {
-        composite::concat(&[
-            self.embed_table_data(table),
-            self.embed_table_hmd(table),
-            self.embed_table_vmd(table),
-        ])
+        self.tblcomp(table, 3)
     }
 
-    /// The TC composite with a caption embedding supplied by an external
-    /// caption encoder (`TabBiN-tblcomp2`; the paper uses BioBERT fine-tuned
-    /// on captions).
-    pub fn embed_tblcomp2(&self, table: &Table, caption_emb: &[f32]) -> Vec<f32> {
-        composite::concat(&[self.embed_tblcomp1(table), caption_emb.to_vec()])
-    }
-
-    /// Caption embedding from the row model (used when no external caption
-    /// encoder is supplied).
-    pub fn embed_caption(&self, table: &Table) -> Vec<f32> {
-        let seq = encode_text(&table.caption, &self.tokenizer, &self.tagger, &self.cfg);
-        self.row.embed(&seq)
-    }
-
-    /// Default full table embedding: `tblcomp2` with the internal caption
-    /// encoder.
+    /// Default full table embedding, `TabBiN-tblcomp2`: data ⊕ HMD ⊕ VMD ⊕
+    /// caption, the caption embedded by the row model (the paper uses
+    /// BioBERT fine-tuned on captions).
     pub fn embed_table(&self, table: &Table) -> Vec<f32> {
-        let cap = self.embed_caption(table);
-        self.embed_tblcomp2(table, &cap)
+        self.tblcomp(table, 4)
     }
 
-    /// Batched [`TabBiNFamily::embed_table`] over many tables: parameters are
-    /// placed once per segment model (not once per table) and large batches
-    /// fan out across threads. Elementwise equal to the per-table loop.
-    pub fn embed_tables(&self, tables: &[Table]) -> Vec<Vec<f32>> {
-        crate::batch::BatchEncoder::new(self).embed_tables(tables)
-    }
-
-    /// [`TabBiNFamily::embed_tables`] over borrowed tables.
-    pub fn embed_table_refs(&self, tables: &[&Table]) -> Vec<Vec<f32>> {
-        crate::batch::BatchEncoder::new(self).embed_table_refs(tables)
-    }
-
-    /// Batched [`TabBiNFamily::embed_colcomp`] over every column of `table`.
-    pub fn embed_columns(&self, table: &Table) -> Vec<Vec<f32>> {
-        crate::batch::BatchEncoder::new(self).embed_columns(table)
-    }
-
-    /// Batched [`TabBiNFamily::embed_colcomp`] over the listed columns only.
-    pub fn embed_columns_subset(&self, table: &Table, cols: &[usize]) -> Vec<Vec<f32>> {
-        crate::batch::BatchEncoder::new(self).embed_columns_subset(table, cols)
-    }
-
-    /// Batched [`TabBiNFamily::embed_entity`] over many surface forms.
-    pub fn embed_entities<S: AsRef<str>>(&self, texts: &[S]) -> Vec<Vec<f32>> {
-        crate::batch::BatchEncoder::new(self).embed_entities(texts)
-    }
-
-    /// Embeds `tables` and streams the composites into any
-    /// [`tabbin_index::VectorSink`] — a `ShardedStore`, a `QueryEngine`
-    /// over one, or a custom sink — sized for dimension `4 * hidden`; returns the
-    /// assigned ids in table order.
-    pub fn embed_tables_into<S: tabbin_index::VectorSink>(
-        &self,
-        sink: &mut S,
-        tables: &[Table],
-    ) -> Vec<u64> {
-        crate::batch::BatchEncoder::new(self).embed_into(sink, tables)
+    /// The first `blocks` blocks of the TC composite.
+    fn tblcomp(&self, table: &Table, blocks: usize) -> Vec<f32> {
+        let mut out = vec![0.0; blocks * self.cfg.hidden];
+        composite::tblcomp_into(self, table, &mut InferScratch::new(), &mut out);
+        out
     }
 
     /// Entity embedding via the column model (§4.3 uses the TabBiN-column
@@ -217,12 +157,6 @@ impl TabBiNFamily {
     pub fn embed_entity(&self, text: &str) -> Vec<f32> {
         let seq = encode_text(text, &self.tokenizer, &self.tagger, &self.cfg);
         self.col.embed(&seq)
-    }
-
-    /// Row ("tuple") embedding via the row model, used by entity matching.
-    pub fn embed_row(&self, table: &Table, i: usize) -> Vec<f32> {
-        let seq = crate::encoding::encode_row(table, i, &self.tokenizer, &self.tagger, &self.cfg);
-        self.row.embed(&seq)
     }
 }
 
@@ -278,7 +212,8 @@ mod tests {
     fn vmd_of_relational_table_is_zero() {
         let ts = tables();
         let fam = TabBiNFamily::new(&ts, ModelConfig::tiny(), 11);
-        let v = fam.embed_table_vmd(&ts[2]);
+        let h = fam.cfg.hidden;
+        let v = &fam.embed_table(&ts[2])[2 * h..3 * h];
         // Relational tables have no VMD; encoding yields only the [CLS]
         // token, so the pooled output is finite and content-free, or all
         // zeros for the fully empty case. Either way the vector is valid.

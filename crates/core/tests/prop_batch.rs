@@ -1,21 +1,19 @@
 //! Property tests pinning the batched pipeline's contract: for any table the
-//! corpus shape allows, the fused batch path must agree elementwise (within
-//! 1e-5) with the per-table tape path, for whole-table composites, per-column
-//! composites, and entity texts alike.
+//! corpus shape allows, a batch embedding equals the per-item embedding bit
+//! for bit, for whole-table composites, per-column composites and entity
+//! texts alike — both run the fused kernel through one composite definition —
+//! and the TUTA and BioBERT baselines embed through that same kernel.
 
 use proptest::prelude::*;
+use tabbin_baselines::{BertSim, TutaSim};
 use tabbin_core::batch::{BatchEncoder, PARALLEL_BATCH_THRESHOLD};
 use tabbin_core::config::ModelConfig;
-use tabbin_core::variants::TabBiNFamily;
+use tabbin_core::infer::{embed_with, InferScratch};
+use tabbin_core::variants::{train_tokenizer, TabBiNFamily};
 use tabbin_table::{CellValue, Table, Unit};
 
-/// The agreed bound between the fused no-tape kernel and the autograd tape
-/// (float sums are reassociated slightly between the two).
-const TOL: f32 = 1e-5;
-
-fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn cell_value() -> impl Strategy<Value = CellValue> {
@@ -59,12 +57,10 @@ proptest! {
         tables in proptest::collection::vec(arb_table(), 1..5)
     ) {
         let fam = TabBiNFamily::new(&tables, ModelConfig::tiny(), 41);
-        let batched = fam.embed_tables(&tables);
+        let batched = BatchEncoder::new(&fam).embed_tables(&tables);
         prop_assert_eq!(batched.len(), tables.len());
         for (t, b) in tables.iter().zip(&batched) {
-            let single = fam.embed_table(t);
-            let diff = max_abs_diff(&single, b);
-            prop_assert!(diff < TOL, "table diverged by {}", diff);
+            prop_assert_eq!(bits(&fam.embed_table(t)), bits(b));
         }
     }
 
@@ -72,12 +68,11 @@ proptest! {
     fn column_batch_matches_per_column_embedding(t in arb_table()) {
         let tables = vec![t];
         let fam = TabBiNFamily::new(&tables, ModelConfig::tiny(), 43);
-        let cols = BatchEncoder::new(&fam).embed_columns(&tables[0]);
+        let all: Vec<usize> = (0..tables[0].n_cols()).collect();
+        let cols = BatchEncoder::new(&fam).embed_columns(&tables[0], &all);
         prop_assert_eq!(cols.len(), tables[0].n_cols());
         for (j, c) in cols.iter().enumerate() {
-            let single = fam.embed_colcomp(&tables[0], j);
-            let diff = max_abs_diff(&single, c);
-            prop_assert!(diff < TOL, "column {} diverged by {}", j, diff);
+            prop_assert!(bits(&fam.embed_colcomp(&tables[0], j)) == bits(c), "column {}", j);
         }
     }
 
@@ -87,11 +82,9 @@ proptest! {
     ) {
         let tables = vec![tabbin_table::samples::figure1_table()];
         let fam = TabBiNFamily::new(&tables, ModelConfig::tiny(), 47);
-        let batch = fam.embed_entities(&texts);
+        let batch = BatchEncoder::new(&fam).embed_entities(&texts);
         for (text, b) in texts.iter().zip(&batch) {
-            let single = fam.embed_entity(text);
-            let diff = max_abs_diff(&single, b);
-            prop_assert!(diff < TOL, "entity {:?} diverged by {}", text, diff);
+            prop_assert!(bits(&fam.embed_entity(text)) == bits(b), "entity {:?}", text);
         }
     }
 
@@ -107,9 +100,25 @@ proptest! {
         batch.push(tables[1].clone());
         batch.extend(vec![tables[2].clone(); 1 + crowd / 2]);
         let at = 1 + crowd / 2;
-        let alone = fam.embed_tables(&tables[1..2]);
-        let among = fam.embed_tables(&batch);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let encoder = BatchEncoder::new(&fam);
+        let alone = encoder.embed_tables(&tables[1..2]);
+        let among = encoder.embed_tables(&batch);
         prop_assert_eq!(bits(&among[at]), bits(&alone[0]));
+    }
+
+    #[test]
+    fn tuta_and_bert_embed_through_the_fused_kernel(
+        tables in proptest::collection::vec(arb_table(), 1..4)
+    ) {
+        let tok = train_tokenizer(&tables);
+        let tuta = TutaSim::new(ModelConfig::tiny(), tok.vocab_size(), 59);
+        let bert = BertSim::new(ModelConfig::tiny(), tok.vocab_size(), 61);
+        let mut scratch = InferScratch::new();
+        for t in &tables {
+            let fused = embed_with(&tuta.model, &tuta.encode_table(t, &tok), &mut scratch);
+            prop_assert!(bits(&tuta.embed_table(t, &tok)) == bits(&fused), "TUTA");
+            let fused = embed_with(&bert.model, &bert.encode_table(t, &tok), &mut scratch);
+            prop_assert!(bits(&bert.embed_table(t, &tok)) == bits(&fused), "BioBERT");
+        }
     }
 }

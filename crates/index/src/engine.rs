@@ -33,7 +33,7 @@
 
 use crate::candidates::{CandidateSource, ExactScan, LshCandidates};
 use crate::simd::Hit;
-use crate::store::{ScoringTier, VectorSink};
+use crate::store::ScoringTier;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -405,23 +405,6 @@ impl<S: Queryable> QueryEngine<S> {
             }
         }
         out.into_iter().map(|hits| hits.expect("every query answered")).collect()
-    }
-}
-
-impl<S: Queryable + VectorSink> VectorSink for QueryEngine<S> {
-    fn dim(&self) -> usize {
-        Queryable::dim(&self.store)
-    }
-
-    /// Streams into the underlying store; the cache invalidates with it,
-    /// so embed-then-serve pipelines can feed an engine directly. The
-    /// store mutates *first*: a durable store may panic refusing an
-    /// unlogged write, and clearing the cache before finding that out
-    /// would leave a rejected insert observable as evicted entries.
-    fn insert(&mut self, v: &[f32]) -> u64 {
-        let id = self.store.insert(v);
-        self.cache.get_mut().expect("cache lock poisoned").clear();
-        id
     }
 }
 

@@ -43,9 +43,6 @@
 //!   behind the [`Queryable`] trait; the engine is what consumers (eval,
 //!   examples, the `tabbin-serve` network tier, whose workers call
 //!   [`QueryEngine::query`] once per request) talk to.
-//! * [`VectorSink`] — the insertion surface the batched embedding pipeline
-//!   (`tabbin_core::batch`) streams into, implemented by [`ShardedStore`]
-//!   (and by [`QueryEngine`], which invalidates its cache as it inserts).
 //! * [`lsh`] — the SimHash primitives.
 //! * [`wal`] — durability: one write-ahead log per store with CRC32-framed
 //!   records, group commit under a [`DurabilityPolicy`], a manifest tying
@@ -74,7 +71,7 @@ pub use shard::{ShardedStats, ShardedStore};
 pub use simd::Hit;
 pub use snapshot::{RouterSnapshot, StoreSnapshot, SNAPSHOT_VERSION};
 pub use store::{
-    CompactionPolicy, LshParams, ScoringTier, StoreConfig, StoreStats, VectorSink,
-    DEFAULT_RERANK_FACTOR, DEFAULT_SEAL_THRESHOLD, MAX_PAUSE_SAMPLES,
+    CompactionPolicy, LshParams, ScoringTier, StoreConfig, StoreStats, DEFAULT_RERANK_FACTOR,
+    DEFAULT_SEAL_THRESHOLD, MAX_PAUSE_SAMPLES,
 };
 pub use wal::{DurabilityPolicy, FsStorage, Storage, WalRecord, WalStats};

@@ -136,7 +136,7 @@ mod tests {
     //! [`LshCandidates`](crate::LshCandidates) — the paper's §4.1 recipe.
 
     use super::*;
-    use crate::store::{LshParams, StoreConfig, VectorSink};
+    use crate::store::{LshParams, StoreConfig};
     use crate::{ExactScan, LshCandidates, ShardedStore};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -323,13 +323,12 @@ mod tests {
     fn from_embeddings_streams_and_matches_build() {
         let (items, _) = clustered(4, 4, 8, 11);
         let built = blocked(8, &items, 4, 4, 13);
-        // Feed the same vectors through the `VectorSink` surface the
-        // batched embedding pipeline streams into, consuming them.
+        // Stream the same vectors in one `insert` at a time, as an
+        // embedding pipeline feeds a store.
         let mut streamed = blocked(8, &[], 4, 4, 13);
-        let sink: &mut dyn VectorSink = &mut streamed;
-        assert_eq!(sink.dim(), 8);
-        for v in items.clone() {
-            sink.insert(&v);
+        assert_eq!(streamed.dim(), 8);
+        for v in &items {
+            streamed.insert(v);
         }
         assert_eq!(streamed.len(), built.len());
         for q in &items {

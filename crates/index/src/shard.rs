@@ -71,9 +71,7 @@ use crate::parallel::par_chunk_map;
 use crate::router::{splitmix64, HashRouter, IvfRouter, Router};
 use crate::simd::{dot, l2_normalize, rank_cmp, DistHistogram, Hit, TopK};
 use crate::snapshot::{self, RouterSnapshot, StoreSnapshot, MAX_SNAPSHOT_SHARDS};
-use crate::store::{
-    coarse_r, CompactionPolicy, ScoringTier, StoreConfig, StoreStats, VectorSink, VectorStore,
-};
+use crate::store::{coarse_r, CompactionPolicy, ScoringTier, StoreConfig, StoreStats, VectorStore};
 use crate::wal::{DurabilityPolicy, FsStorage, Storage, WalRecord, WalSet, WalStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -928,16 +926,6 @@ impl Drop for ShardedStore {
                 let _ = w.flush();
             }
         }
-    }
-}
-
-impl VectorSink for ShardedStore {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn insert(&mut self, v: &[f32]) -> u64 {
-        ShardedStore::insert(self, v)
     }
 }
 

@@ -285,18 +285,6 @@ impl StoreStats {
     }
 }
 
-/// Anything embeddings can stream into: [`crate::ShardedStore`], a
-/// [`crate::QueryEngine`] over one, or custom sinks (filters, tees, remotes). The
-/// batched embedding pipeline (`tabbin_core::batch`) writes through this
-/// trait, so producers never care which storage tier they feed.
-pub trait VectorSink {
-    /// The vector dimensionality the sink expects.
-    fn dim(&self) -> usize;
-
-    /// Inserts a vector under a fresh auto-assigned id and returns it.
-    fn insert(&mut self, v: &[f32]) -> u64;
-}
-
 /// One shard's segmented, incrementally-updatable slab of L2-normalized
 /// embeddings. See the [module docs](self) for the design. `pub` only so
 /// [`CandidateSource`] can name it; the module is private, so nothing

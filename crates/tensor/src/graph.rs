@@ -96,8 +96,8 @@ struct Node {
 
 /// A single forward/backward tape.
 ///
-/// Create one per training step, or — the batched-pipeline pattern — create
-/// one, use it, and [`Graph::reset`] it before the next step/batch so the
+/// Create one per training step, or create one, use it, and
+/// [`Graph::reset`] it before the next step (as pre-training does) so the
 /// node arena's allocation is reused instead of rebuilt.
 #[derive(Default)]
 pub struct Graph {
@@ -127,7 +127,7 @@ impl Graph {
     ///
     /// After `reset` the graph is observationally identical to a fresh
     /// [`Graph::new`], but repeated build/backward cycles (pre-training
-    /// steps, batched embedding) skip the per-step reallocation of the node
+    /// steps, matcher batches) skip the per-step reallocation of the node
     /// vector and the parameter copies' buffers. `NodeId`s handed out before
     /// the reset must not be used afterwards.
     pub fn reset(&mut self) {

@@ -1,18 +1,9 @@
 //! Reusable neural-network layers built on the autograd [`Graph`].
 //!
 //! Layers own [`ParamId`] handles into a shared [`ParamStore`]; a forward pass
-//! borrows the store to place parameter copies onto the tape.
-//!
-//! Every layer has two forward surfaces:
-//!
-//! * `forward(g, store, x)` — the classic one-shot call, which places the
-//!   layer's parameters onto the tape and applies them. Convenient, but each
-//!   call copies the parameter tensors onto the tape again.
-//! * `place(g, store)` → [`PlacedLinear`]/[`PlacedEncoderBlock`]/… — the
-//!   batched-pipeline surface: parameters are placed **once** per tape and
-//!   the returned handle applies them to any number of inputs. Embedding a
-//!   batch of sequences through shared placements is what makes the
-//!   `tabbin-core` batch encoder cheap.
+//! borrows the store to place parameter copies onto the tape
+//! (`forward(g, store, x)`). The tape trains; inference reads the same
+//! parameters in place through `tabbin-core`'s fused kernels.
 //!
 //! Every product a layer records — a linear's `x·W`, attention's `Q·Kᵀ` (via
 //! [`Graph::matmul_trans_b`]) and `scores·V` — runs forward and backward on
@@ -42,31 +33,11 @@ impl Linear {
         Self { w, b, d_in, d_out }
     }
 
-    /// Places the weights onto the tape once, for repeated application.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedLinear {
-        PlacedLinear { w: g.param(store, self.w), b: g.param(store, self.b) }
-    }
-
-    /// Applies the layer to `[n, d_in]` input (placing parameters first).
+    /// Applies the layer to `[n, d_in]` input.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        self.place(g, store).forward(g, x)
-    }
-}
-
-/// Tape-resident parameters of a [`Linear`] layer.
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedLinear {
-    /// Weight node `[in, out]`.
-    pub w: NodeId,
-    /// Bias node `[1, out]`.
-    pub b: NodeId,
-}
-
-impl PlacedLinear {
-    /// Applies the placed layer to `[n, d_in]` input.
-    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let xw = g.matmul(x, self.w);
-        g.add_row(xw, self.b)
+        let (w, b) = (g.param(store, self.w), g.param(store, self.b));
+        let xw = g.matmul(x, w);
+        g.add_row(xw, b)
     }
 }
 
@@ -91,36 +62,10 @@ impl LayerNorm {
         Self { gamma, beta, d, eps: 1e-5 }
     }
 
-    /// Places the gain/shift onto the tape once, for repeated application.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedLayerNorm {
-        PlacedLayerNorm {
-            gamma: g.param(store, self.gamma),
-            beta: g.param(store, self.beta),
-            eps: self.eps,
-        }
-    }
-
-    /// Applies normalization to `[n, d]` input (placing parameters first).
+    /// Applies normalization to `[n, d]` input.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        self.place(g, store).forward(g, x)
-    }
-}
-
-/// Tape-resident parameters of a [`LayerNorm`].
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedLayerNorm {
-    /// Gain node `[1, d]`.
-    pub gamma: NodeId,
-    /// Shift node `[1, d]`.
-    pub beta: NodeId,
-    /// Variance epsilon.
-    pub eps: f32,
-}
-
-impl PlacedLayerNorm {
-    /// Applies the placed normalization to `[n, d]` input.
-    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        g.layer_norm(x, self.gamma, self.beta, self.eps)
+        let (gamma, beta) = (g.param(store, self.gamma), g.param(store, self.beta));
+        g.layer_norm(x, gamma, beta, self.eps)
     }
 }
 
@@ -142,36 +87,11 @@ impl Embedding {
         Self { table, vocab, d }
     }
 
-    /// Places the table onto the tape once, for repeated lookups.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedEmbedding {
-        PlacedEmbedding { table: g.param(store, self.table), vocab: self.vocab }
-    }
-
-    /// Looks up a sequence of ids, producing `[ids.len(), d]` (placing the
-    /// table first).
+    /// Looks up a sequence of ids, producing `[ids.len(), d]`.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, ids: &[usize]) -> NodeId {
-        self.place(g, store).forward(g, ids)
-    }
-
-    /// Direct (no-grad) lookup for inference paths that bypass the tape.
-    pub fn lookup(&self, store: &ParamStore, id: usize) -> Vec<f32> {
-        store.value(self.table).row(id).to_vec()
-    }
-}
-
-/// Tape-resident table of an [`Embedding`].
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedEmbedding {
-    /// Table node `[vocab, d]`.
-    pub table: NodeId,
-    vocab: usize,
-}
-
-impl PlacedEmbedding {
-    /// Looks up a sequence of ids against the placed table.
-    pub fn forward(&self, g: &mut Graph, ids: &[usize]) -> NodeId {
         debug_assert!(ids.iter().all(|&i| i < self.vocab), "embedding id out of range");
-        g.row_select(self.table, ids)
+        let table = g.param(store, self.table);
+        g.row_select(table, ids)
     }
 }
 
@@ -212,21 +132,9 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Places all four projections onto the tape once.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedAttention {
-        PlacedAttention {
-            wq: self.wq.place(g, store),
-            wk: self.wk.place(g, store),
-            wv: self.wv.place(g, store),
-            wo: self.wo.place(g, store),
-            cfg: self.cfg,
-        }
-    }
-
-    /// Applies self-attention over `[n, d_model]` (placing parameters first).
-    /// `mask` (if given) must be `[n, n]` with `0.0` for visible pairs and
-    /// large negative values for invisible pairs; it is added to the
-    /// attention logits of every head.
+    /// Applies self-attention over `[n, d_model]`. `mask` (if given) must be
+    /// `[n, n]` with `0.0` for visible pairs and large negative values for
+    /// invisible pairs; it is added to the attention logits of every head.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -234,35 +142,14 @@ impl MultiHeadAttention {
         x: NodeId,
         mask: Option<&Tensor>,
     ) -> NodeId {
-        self.place(g, store).forward(g, x, mask)
-    }
-}
-
-/// Tape-resident parameters of a [`MultiHeadAttention`].
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedAttention {
-    /// Placed Q projection.
-    pub wq: PlacedLinear,
-    /// Placed K projection.
-    pub wk: PlacedLinear,
-    /// Placed V projection.
-    pub wv: PlacedLinear,
-    /// Placed output projection.
-    pub wo: PlacedLinear,
-    cfg: AttentionConfig,
-}
-
-impl PlacedAttention {
-    /// Applies placed self-attention over `[n, d_model]`.
-    pub fn forward(&self, g: &mut Graph, x: NodeId, mask: Option<&Tensor>) -> NodeId {
         let n = g.value(x).rows();
         if let Some(m) = mask {
             assert_eq!(m.shape(), &[n, n], "attention mask must be [n, n]");
         }
         let dh = self.cfg.d_model / self.cfg.heads;
-        let q = self.wq.forward(g, x);
-        let k = self.wk.forward(g, x);
-        let v = self.wv.forward(g, x);
+        let q = self.wq.forward(g, store, x);
+        let k = self.wk.forward(g, store, x);
+        let v = self.wv.forward(g, store, x);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut heads = Vec::with_capacity(self.cfg.heads);
         for h in 0..self.cfg.heads {
@@ -279,7 +166,7 @@ impl PlacedAttention {
             heads.push(g.matmul(attn, vh));
         }
         let cat = g.concat_cols(&heads);
-        self.wo.forward(g, cat)
+        self.wo.forward(g, store, cat)
     }
 }
 
@@ -301,32 +188,11 @@ impl FeedForward {
         }
     }
 
-    /// Places both projections onto the tape once.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedFeedForward {
-        PlacedFeedForward { lin1: self.lin1.place(g, store), lin2: self.lin2.place(g, store) }
-    }
-
-    /// Applies the block to `[n, d_model]` (placing parameters first).
+    /// Applies the block to `[n, d_model]`.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        self.place(g, store).forward(g, x)
-    }
-}
-
-/// Tape-resident parameters of a [`FeedForward`] block.
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedFeedForward {
-    /// Placed expansion layer.
-    pub lin1: PlacedLinear,
-    /// Placed contraction layer.
-    pub lin2: PlacedLinear,
-}
-
-impl PlacedFeedForward {
-    /// Applies the placed block to `[n, d_model]`.
-    pub fn forward(&self, g: &mut Graph, x: NodeId) -> NodeId {
-        let h = self.lin1.forward(g, x);
+        let h = self.lin1.forward(g, store, x);
         let a = g.gelu(h);
-        self.lin2.forward(g, a)
+        self.lin2.forward(g, store, a)
     }
 }
 
@@ -360,18 +226,7 @@ impl EncoderBlock {
         }
     }
 
-    /// Places every sublayer's parameters onto the tape once.
-    pub fn place(&self, g: &mut Graph, store: &ParamStore) -> PlacedEncoderBlock {
-        PlacedEncoderBlock {
-            attn: self.attn.place(g, store),
-            ff: self.ff.place(g, store),
-            ln1: self.ln1.place(g, store),
-            ln2: self.ln2.place(g, store),
-        }
-    }
-
-    /// Applies the block over `[n, d_model]` with an optional attention mask
-    /// (placing parameters first).
+    /// Applies the block over `[n, d_model]` with an optional attention mask.
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -379,31 +234,11 @@ impl EncoderBlock {
         x: NodeId,
         mask: Option<&Tensor>,
     ) -> NodeId {
-        self.place(g, store).forward(g, x, mask)
-    }
-}
-
-/// Tape-resident parameters of an [`EncoderBlock`].
-#[derive(Clone, Copy, Debug)]
-pub struct PlacedEncoderBlock {
-    /// Placed self-attention sublayer.
-    pub attn: PlacedAttention,
-    /// Placed feed-forward sublayer.
-    pub ff: PlacedFeedForward,
-    /// Placed pre-attention norm.
-    pub ln1: PlacedLayerNorm,
-    /// Placed pre-FFN norm.
-    pub ln2: PlacedLayerNorm,
-}
-
-impl PlacedEncoderBlock {
-    /// Applies the placed block over `[n, d_model]` with an optional mask.
-    pub fn forward(&self, g: &mut Graph, x: NodeId, mask: Option<&Tensor>) -> NodeId {
-        let n1 = self.ln1.forward(g, x);
-        let a = self.attn.forward(g, n1, mask);
+        let n1 = self.ln1.forward(g, store, x);
+        let a = self.attn.forward(g, store, n1, mask);
         let x1 = g.add(x, a);
-        let n2 = self.ln2.forward(g, x1);
-        let f = self.ff.forward(g, n2);
+        let n2 = self.ln2.forward(g, store, x1);
+        let f = self.ff.forward(g, store, n2);
         g.add(x1, f)
     }
 }

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example entity_catalog`
 
+use tabbin_core::batch::BatchEncoder;
 use tabbin_core::config::ModelConfig;
 use tabbin_core::pretrain::PretrainOptions;
 use tabbin_core::variants::TabBiNFamily;
@@ -34,7 +35,7 @@ fn main() {
         }
     }
     // One batched pass over the whole catalog slice.
-    let embs: Vec<Vec<f32>> = family.embed_entities(&texts);
+    let embs: Vec<Vec<f32>> = BatchEncoder::new(&family).embed_entities(&texts);
     // Prefer a vaccine the type tagger's gazetteer covers (real NER also has
     // coverage gaps; uncovered entities cluster on content alone).
     let query = texts

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use tabbin_core::batch::BatchEncoder;
 use tabbin_core::config::ModelConfig;
 use tabbin_core::pretrain::PretrainOptions;
 use tabbin_core::variants::TabBiNFamily;
@@ -43,12 +44,12 @@ fn main() {
     );
 
     // 4. Table embeddings compose per-segment vectors (tblcomp2 = data ⊕
-    //    HMD ⊕ VMD ⊕ caption). The batched path embeds the whole corpus in
-    //    one pass per segment model through the fused no-tape kernel.
-    let all = family.embed_tables(&tables);
+    //    HMD ⊕ VMD ⊕ caption). The batched path embeds the whole corpus
+    //    through the same fused kernel and composite as the per-table call,
+    //    so the two agree bit for bit.
+    let all = BatchEncoder::new(&family).embed_tables(&tables);
     let e_fig1 = family.embed_table(&tables[0]);
-    let drift = all[0].iter().zip(&e_fig1).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    assert!(drift < 1e-5, "batched and per-table paths must agree (drift {drift})");
+    assert_eq!(all[0], e_fig1, "batched and per-table paths must agree");
     println!("table embedding (tblcomp2) dimension: {}", e_fig1.len());
 
     // 5. Entity embeddings: two drugs should be closer to each other than a

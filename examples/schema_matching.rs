@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example schema_matching`
 
 use std::sync::Arc;
+use tabbin_core::batch::BatchEncoder;
 use tabbin_core::config::ModelConfig;
 use tabbin_core::pretrain::PretrainOptions;
 use tabbin_core::variants::TabBiNFamily;
@@ -26,19 +27,16 @@ fn main() {
     let mut family = TabBiNFamily::new(&tables, ModelConfig::tiny(), 5);
     family.pretrain(&tables, &PretrainOptions { steps: 40, batch: 4, ..Default::default() });
 
-    // Embed every non-filler column with the colcomp composite, one batched
-    // pass per table (parameters placed once per segment model).
+    // Embed every non-filler column with the colcomp composite, one batch
+    // per table.
+    let encoder = BatchEncoder::new(&family);
     let mut refs = Vec::new();
     let mut embs = Vec::new();
     for (ti, lt) in corpus.tables.iter().enumerate() {
-        let columns = family.embed_columns(&lt.table);
-        for (ci, &sem) in lt.column_sem.iter().enumerate() {
-            if sem == FILLER_SEM_ID {
-                continue;
-            }
-            refs.push((ti, ci, sem));
-            embs.push(columns[ci].clone());
-        }
+        let cols: Vec<usize> =
+            (0..lt.column_sem.len()).filter(|&ci| lt.column_sem[ci] != FILLER_SEM_ID).collect();
+        refs.extend(cols.iter().map(|&ci| (ti, ci, lt.column_sem[ci])));
+        embs.extend(encoder.embed_columns(&lt.table, &cols));
     }
     println!("embedded {} columns from {} tables", embs.len(), tables.len());
 

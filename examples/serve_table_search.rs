@@ -24,10 +24,11 @@ fn main() {
     let mut family = TabBiNFamily::new(&tables, ModelConfig::tiny(), 11);
     family.pretrain(&tables, &PretrainOptions { steps: 40, batch: 4, ..Default::default() });
 
-    // Embed straight into the sharded store, then hand it to the engine
+    // Embed the tables into the sharded store, then hand it to the engine
     // and put the TCP server in front — port 0 picks a free loopback port.
     let mut store = ShardedStore::exact(4 * family.cfg.hidden, 4);
-    let ids = BatchEncoder::new(&family).embed_into(&mut store, &tables);
+    let embs = BatchEncoder::new(&family).embed_tables(&tables);
+    let ids: Vec<u64> = embs.iter().map(|e| store.insert(e)).collect();
     let engine = Arc::new(QueryEngine::new(store, EngineConfig::default()));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), ServeConfig::default())
         .expect("bind loopback");
